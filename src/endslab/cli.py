@@ -29,15 +29,42 @@ EXIT_INFEASIBLE = 3
 
 BUDGET_ENV = "ENDSLAB_BUDGET"
 
+# mallopt's M_MMAP_THRESHOLD parameter, and glibc's default value for it
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 128 * 1024
+
+
+def fix_mmap_threshold() -> bool:
+    """Keep every allocation above 128 KiB in a mapping of its own (glibc).
+
+    glibc raises its mmap threshold whenever a mapped block is freed, which
+    a search does with each dict resize and each dropped sphere list. From
+    then on the large buffers it grows (codes, adjacency, spheres) live in
+    the main heap, where a realloc that cannot grow in place copies and
+    leaves the old block resident. Whether it can depends on the heap
+    layout that start-up left, so the peak RSS of one and the same command
+    moved by up to 10 MB with the length of its environment. A fixed
+    threshold keeps those buffers mapped: realloc is mremap and free unmaps.
+    Returns whether the threshold was set.
+    """
+    if os.name != "posix":
+        return False
+    import ctypes  # here, so that importing the CLI does not load ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # a libc without mallopt
+        return False
+    return mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+
 
 def main(argv=None) -> int:
+    fix_mmap_threshold()
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
         code = args.handler(args)
-    except (InvalidParameter, TruncationTooSmall, NoAxis, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+    except (InvalidParameter, TruncationTooSmall, NoAxis, json.JSONDecodeError) as exc:
         print(f"endslab: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (BudgetExceeded, Infeasible) as exc:
@@ -125,10 +152,21 @@ def _common_args(p):
                    help=f"node budget (default {DEFAULT_NODE_BUDGET}, env {BUDGET_ENV})")
 
 
+def _read(path: str, option: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameter(f"cannot read {option} {path}: {_reason(exc)}") from exc
+
+
+def _reason(exc) -> str:
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+
+
 def _load_group(args):
     text = args.group.strip()
     if not text.startswith("{"):
-        text = Path(text).read_text(encoding="utf-8")
+        text = _read(text, "--group")
     spec = parse_group_spec(text)
     return spec, make_group(spec)
 
@@ -150,7 +188,10 @@ def _budget(args) -> int:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write --out {args.out}: {_reason(exc)}") from exc
         print(f"endslab: wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -222,8 +263,7 @@ def cmd_ends(args) -> int:
 
 
 def cmd_glpartition(args) -> int:
-    space = glpartition.FiniteMetricSpace.from_json(
-        Path(args.input).read_text(encoding="utf-8"))
+    space = glpartition.FiniteMetricSpace.from_json(_read(args.input, "--input"))
     partition = glpartition.build_gl_partition(space, args.a)
     verification = glpartition.verify_gl_partition(space, partition, args.a)
     payload = {"partition": partition.to_dict(),
@@ -240,7 +280,7 @@ def cmd_glpartition(args) -> int:
 def cmd_obss(args) -> int:
     spec, oracle = _load_group(args)
     budget = _budget(args)
-    witness = ends.ObssWitness.from_json(Path(args.witness).read_text(encoding="utf-8"))
+    witness = ends.ObssWitness.from_json(_read(args.witness, "--witness"))
     truncation = args.truncation if args.truncation is not None else witness.truncation
     if truncation is None:
         raise InvalidParameter(

@@ -8,16 +8,21 @@ are reserved for cross-checks in the test suite.
 Vertices are numbered in discovery order, which is also distance order, so a
 layer is a contiguous id range and the whole table is deterministic: two runs
 over the same oracle and radius produce identical tables.
+
+The search runs on the packed int codes of ``GroupOracle.codec`` and steps
+them with one int function per generator; elements are decoded only when a
+caller asks for one.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic
-from .groups import Element, GroupOracle
+from .groups import Codec, Element, GroupOracle
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -25,32 +30,34 @@ DEFAULT_NODE_BUDGET = 5_000_000
 class BallTable:
     """All elements within a truncation radius, with distances and adjacency.
 
-    Layers are contiguous id ranges; adjacency is stored in compressed sparse
-    rows and covers exactly the edges of the induced subgraph on the ball.
-    Instances are immutable after construction and safe to share.
+    Vertices are stored as the int codes of ``codec`` and decoded only on
+    request. Layers are contiguous id ranges; adjacency is stored in
+    compressed sparse rows and covers exactly the edges of the induced
+    subgraph on the ball. Instances are immutable after construction and
+    safe to share.
     """
 
-    def __init__(self, oracle, radius, reached, complete_group,
-                 elements, dist, layer_start, adj_indptr, adj, id_map, packer):
+    def __init__(self, oracle, radius, reached, complete_group, codec, codes,
+                 index, dist, layer_start, adj_indptr, adj):
         self.oracle = oracle
         self.radius = radius
         self.reached = reached
         self.complete_group = complete_group
-        self.elements = elements
         self.dist = dist
+        self._codec = codec
+        self._codes = codes
+        self._index = index
         self._layer_start = layer_start
         self._adj_indptr = adj_indptr
         self._adj = adj
-        self._id_map = id_map
-        self._packer = packer
         self._key_index = None
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._codes)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self._codes)
 
     def sphere_size(self, r: int) -> int:
         if r < 0 or r > self.reached:
@@ -68,15 +75,11 @@ class BallTable:
             return range(0)
         return range(self._layer_start[r], self._layer_start[r + 1])
 
-    def layer_bound(self, r: int) -> int:
-        """First id strictly beyond distance r (== ball size of radius r)."""
-        return self.ball_size(r)
-
     def distance(self, vid: int) -> int:
         return self.dist[vid]
 
     def element(self, vid: int) -> Element:
-        return self.elements[vid]
+        return self._codec.decode(self._codes[vid])
 
     def neighbors(self, vid: int):
         return self._adj[self._adj_indptr[vid]:self._adj_indptr[vid + 1]]
@@ -85,30 +88,25 @@ class BallTable:
         return self._adj_indptr[vid + 1] - self._adj_indptr[vid]
 
     def id_of(self, g: Element) -> Optional[int]:
-        if self._packer is None:
-            return self._id_map.get(g)
-        vid = self._id_map.get(self._packer(g))
-        # packed encodings are only injective inside the explored window
-        if vid is not None and self.elements[vid] == g:
-            return vid
-        return None
+        code = self._codec.encode(g)
+        return None if code is None else self._index.get(code)
 
     def key_of(self, vid: int) -> str:
-        return self.oracle.key_str(self.elements[vid])
+        return self.oracle.key_str(self.element(vid))
 
     def id_of_key(self, key) -> Optional[int]:
         """Resolve a canonical key string; builds a full key index on first use."""
         if isinstance(key, bytes):
             key = key.decode("ascii")
         if self._key_index is None:
-            key_str = self.oracle.key_str
-            self._key_index = {key_str(g): i for i, g in enumerate(self.elements)}
+            self._key_index = {self.key_of(i): i for i in range(self.size)}
         return self._key_index.get(key)
 
     def entries(self):
         """Iterate (canonical key, element, distance) in discovery order."""
         key_str = self.oracle.key_str
-        for vid, g in enumerate(self.elements):
+        for vid in range(self.size):
+            g = self.element(vid)
             yield key_str(g), g, self.dist[vid]
 
     def bfs_from(self, sources: Iterable[int], max_depth: Optional[int] = None,
@@ -182,8 +180,85 @@ class BallTable:
         """Debug dump: one row per vertex (key, distance, neighbor count)."""
         with open(path, "w", encoding="ascii") as fh:
             fh.write("key,distance,neighbors\n")
-            for vid, g in enumerate(self.elements):
-                fh.write(f"{self.oracle.key_str(g)},{self.dist[vid]},{self.degree(vid)}\n")
+            for vid in range(self.size):
+                fh.write(f"{self.key_of(vid)},{self.dist[vid]},{self.degree(vid)}\n")
+
+
+# Frontier vertices expanded per batch: the batch's neighbor codes are held
+# in one list, so this bounds the memory a batch takes besides the ball.
+_BATCH = 1024
+
+
+def _neighbor_codes(steps: tuple, batch: list) -> list:
+    """Code of u * s for every u in the batch and every step s, s innermost."""
+    if len(batch) < 16:  # thin spheres: cheaper than setting up a map per step
+        return [step(u) for u in batch for step in steps]
+    k = len(steps)
+    codes = [0] * (k * len(batch))
+    for i, step in enumerate(steps):
+        codes[i::k] = map(step, batch)
+    return codes
+
+
+def _codec(oracle: GroupOracle, radius: int, budget: int) -> Codec:
+    """Codes for a search that steps to elements at distance <= ``radius``.
+
+    A search expands sphere r only while the ball of radius r fits in the
+    budget, so it never steps beyond ``oracle.radius_bound(budget) + 1``;
+    a smaller code radius keeps codes short when the requested radius is far
+    out of reach.
+    """
+    bound = oracle.radius_bound(budget)
+    return oracle.codec(radius if bound is None else min(radius, bound + 1))
+
+
+def _search(codec: Codec, radius: int, budget: int, index: dict,
+            codes: Optional[list] = None, adj: Optional[array] = None) -> list:
+    """The breadth-first loop over int codes; returns the sphere sizes.
+
+    Builds spheres 1..radius and stops at the first empty one; ``index``
+    receives every code found. A ball table passes ``codes``, holding the
+    identity's code, and an empty ``adj``: then ``index`` keeps every vertex
+    and maps its code to its id, in discovery order (by frontier vertex,
+    then generator), ``codes`` gets each new code, and ``adj`` the neighbor
+    ids of every vertex outside the outermost sphere. Without them ``index``
+    keeps only spheres r - 1, r and r + 1 while r + 1 is built: the
+    generating set is inversion-closed, so no neighbor of sphere r lies
+    further in.
+
+    Raises BudgetExceeded once more than ``budget`` vertices are found; the
+    error reports the last complete radius.
+    """
+    steps = codec.steps
+    index[codec.identity] = 0
+    nodes = 1
+    sizes = [1]
+    older, frontier = [], [codec.identity]
+    for r in range(radius):
+        sphere = []
+        for lo in range(0, len(frontier), _BATCH):
+            neighbors = _neighbor_codes(steps, frontier[lo:lo + _BATCH])
+            new = []
+            for v in neighbors:
+                if v not in index:
+                    index[v] = None
+                    new.append(v)
+            if nodes + len(new) > budget:
+                raise BudgetExceeded(budget, nodes + len(new), r, radius)
+            if codes is not None:
+                index.update(zip(new, range(nodes, nodes + len(new))))
+                codes += new
+                adj.extend(map(index.__getitem__, neighbors))
+            nodes += len(new)
+            sphere += new
+        if not sphere:
+            break
+        sizes.append(len(sphere))
+        if codes is None:
+            for v in older:
+                del index[v]
+        older, frontier = frontier, sphere
+    return sizes
 
 
 def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> BallTable:
@@ -200,54 +275,31 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
     if budget < 1:
         raise InvalidParameter("budget must be positive")
 
-    packer = oracle.element_packer(radius)
-    mult = oracle.multiply
-    gens = oracle.generators
-    ident = oracle.identity()
-
-    elements = [ident]
-    dist = array("i", [0])
-    id_map = {(packer(ident) if packer else ident): 0}
-    layer_start = [0, 1]
-    adj_indptr = array("l", [0])
+    codec = _codec(oracle, radius + 1, budget)  # the outermost sphere's neighbors too
+    steps = codec.steps
+    index: dict = {}
+    codes = [codec.identity]
     adj = array("i")
+    sizes = _search(codec, radius, budget, index, codes, adj)
+    reached = len(sizes) - 1
+    # every vertex wired so far has all of its len(steps) neighbors in the ball
+    wired = len(codes) - sizes[-1] if reached == radius else len(codes)
+    adj_indptr = array("l", islice(count(0, len(steps)), wired + 1))
     truncated = False
+    get = index.get
+    for u in codes[wired:]:
+        for s in steps:
+            v = get(s(u))
+            if v is None:
+                truncated = True  # distance radius + 1, outside the ball
+            else:
+                adj.append(v)
+        adj_indptr.append(len(adj))
 
-    frontier = [0]
-    for r in range(radius + 1):
-        if not frontier:
-            break
-        last_layer = r == radius
-        nxt = []
-        for u in frontier:
-            gu = elements[u]
-            for s in gens:
-                h = mult(gu, s)
-                hk = packer(h) if packer else h
-                hid = id_map.get(hk)
-                if hid is None:
-                    if last_layer:
-                        truncated = True  # distance r+1, outside the ball
-                        continue
-                    hid = len(elements)
-                    if hid >= budget:
-                        raise BudgetExceeded(budget, hid, r, radius)
-                    id_map[hk] = hid
-                    elements.append(h)
-                    dist.append(r + 1)
-                    nxt.append(hid)
-                adj.append(hid)
-            adj_indptr.append(len(adj))
-        if not last_layer:
-            layer_start.append(len(elements))
-        frontier = nxt
-
-    # a finite group exhausted early leaves one empty trailing layer
-    while len(layer_start) >= 2 and layer_start[-1] == layer_start[-2]:
-        layer_start.pop()
-    reached = len(layer_start) - 2
-    return BallTable(oracle, radius, reached, not truncated,
-                     elements, dist, layer_start, adj_indptr, adj, id_map, packer)
+    dist = array("i", chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+    layer_start = list(accumulate(sizes, initial=0))
+    return BallTable(oracle, radius, reached, not truncated, codec, codes, index,
+                     dist, layer_start, adj_indptr, adj)
 
 
 def sphere_sizes(table: BallTable) -> list[tuple[int, int]]:
@@ -283,71 +335,16 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
                        budget: Optional[int] = None) -> SphereSizeSeries:
     """Sphere sizes up to ``radius`` without building a table.
 
-    Keeps only a visited set (packed to integers when the family supports it),
-    so it scales to balls far beyond what a full table can hold.
+    Keeps only the codes of three consecutive spheres, so it scales to balls
+    far beyond what a full table can hold; ``nodes`` still counts every
+    vertex of the ball against the budget.
     """
     if not isinstance(radius, int) or radius < 0:
         raise InvalidParameter(f"radius must be a nonnegative integer, got {radius!r}")
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-
-    lattice = oracle.lattice_steps(radius)
-    if lattice is not None:
-        return _lattice_series(oracle, radius, budget, *lattice)
-
-    packer = oracle.element_packer(radius)
-    mult = oracle.multiply
-    gens = oracle.generators
-    ident = oracle.identity()
-
-    visited = {packer(ident) if packer else ident}
-    frontier = [ident]
-    sizes = [1]
-    nodes = 1
-    complete = False
-    for r in range(1, radius + 1):
-        nxt = []
-        for gu in frontier:
-            for s in gens:
-                h = mult(gu, s)
-                hk = packer(h) if packer else h
-                if hk not in visited:
-                    visited.add(hk)
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceeded(budget, nodes, r - 1, radius)
-                    nxt.append(h)
-        if not nxt:
-            complete = True
-            break
-        sizes.append(len(nxt))
-        frontier = nxt
-    return SphereSizeSeries(radius, sizes, complete, nodes)
-
-
-def _lattice_series(oracle, radius, budget, ident, deltas):
-    """Pure-integer frontier walk for translation lattices (no oracle calls)."""
-    visited = {ident}
-    frontier = [ident]
-    sizes = [1]
-    nodes = 1
-    for r in range(1, radius + 1):
-        nxt = []
-        for u in frontier:
-            for d in deltas:
-                v = u + d
-                if v not in visited:
-                    visited.add(v)
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceeded(budget, nodes, r - 1, radius)
-                    nxt.append(v)
-        if not nxt:
-            break
-        sizes.append(len(nxt))
-        frontier = nxt
-    complete = len(sizes) < radius + 1
-    return SphereSizeSeries(radius, sizes, complete, nodes)
+    sizes = _search(_codec(oracle, radius, budget), radius, budget, {})
+    return SphereSizeSeries(radius, sizes, len(sizes) <= radius, sum(sizes))
 
 
 @dataclass

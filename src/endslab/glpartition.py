@@ -17,6 +17,7 @@ matrix, sharing no state with the builder.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,6 +52,12 @@ class FiniteMetricSpace:
         d = self.dist
         if len(d) != n or any(len(row) != n for row in d):
             raise InvalidParameter(f"distance matrix must be {n}x{n}")
+        for i, row in enumerate(d):
+            for j, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+                    raise InvalidParameter(
+                        f"distance between {self.labels[i]} and {self.labels[j]} "
+                        f"is not a finite number: {x!r}")
         for i in range(n):
             if d[i][i] != 0:
                 raise InvalidParameter(f"nonzero diagonal at {self.labels[i]}")

@@ -1,10 +1,11 @@
 """Exact element algebra for the built-in finitely generated group families.
 
-Every family exposes the same oracle interface: identity, multiply, invert and
-an injective canonical key. Elements are plain hashable Python values whose
-shape is family specific; all arithmetic lands back in canonical form, so two
-equal group elements always compare and hash equal. Word length is never
-stored on elements: distances come exclusively from breadth-first exploration.
+Every family exposes the same oracle interface: identity, multiply, invert, an
+injective canonical key and packed int codes for search. Elements are plain
+hashable Python values whose shape is family specific; all arithmetic lands
+back in canonical form, so two equal group elements always compare and hash
+equal. Word length is never stored on elements: distances come exclusively
+from breadth-first exploration.
 
 Canonical element forms:
 
@@ -21,33 +22,71 @@ Canonical element forms:
                           with the lowest digit nonzero (``(c, 0, 0)`` when no
                           lamp is lit)
 * ``product``          -- pair of factor elements
+
+Packed integer codes. Breadth-first search runs on Python ints, not on the
+element values above. ``oracle.codec(radius)`` returns a ``Codec`` valid on
+the ball B(radius) of elements of word length at most ``radius``:
+
+* a window W containing B(radius), and ``encode``, injective on W, mapping
+  every element of W to an int in ``range(span)``; ``encode`` returns None
+  for any element outside W, and ``identity`` is the identity's code;
+* ``decode``, the inverse of ``encode`` on W;
+* ``steps``, one ``int -> int`` function per generator, in ``generators``
+  order: ``steps[i](encode(g)) == encode(multiply(g, generators[i]))`` for
+  every g in B(radius - 1). On other codes a step may return anything.
+
+The generating sets are inversion-closed, so the Cayley graph is undirected:
+every neighbor of sphere r lies in sphere r - 1, r or r + 1, and a search
+building sphere r + 1 may forget every sphere older than r - 1.
+
+Codes by family (w = 2 * radius + 1, o = radius):
+
+* ``trivial`` 0; ``cyclic_finite`` the residue; ``z`` ``g + o``
+* ``z_pow(k)``       -- digits ``a_i + o`` in base w, first coordinate highest
+* ``free(k)``        -- digits in base 2k + 1, letter +i as 2i - 1 and -i as
+                        2i, first letter highest; a step appends a digit or
+                        drops the last one
+* ``dihedral_inf``   -- ``2 * (p + o) + f``
+* ``z_cross_cyclic`` -- ``(n + o) * m + c``
+* ``lamplighter(m)`` -- ``lamps * w + cursor + o``: written base m, digit 2i
+                        of ``lamps`` is the lamp at position i >= 0 and digit
+                        -2i - 1 the lamp at i < 0, so codes stay as short as
+                        the lamps lit, however large the radius
+* ``product``        -- ``left * right_span + right``, both factors coded
+                        for the same radius
+
+A translation step ``v -> v + d`` is ``functools.partial(operator.add, d)``,
+so a product can lift it to another translation instead of a divmod.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from operator import add
 from typing import Any, Callable, Optional
 
 from .errors import InvalidParameter
 
 Element = Any
 
-FAMILIES = (
-    "trivial",
-    "cyclic_finite",
-    "z",
-    "z_pow",
-    "free",
-    "dihedral_inf",
-    "z_cross_cyclic",
-    "lamplighter",
-    "product",
-)
-
 # Nested products beyond this depth blow up element size without adding
 # interesting test geometry.
 MAX_PRODUCT_DEPTH = 3
+
+# Every family, with the parameters it takes besides "family".
+FAMILIES = {
+    "trivial": (),
+    "cyclic_finite": ("m",),
+    "z": (),
+    "z_pow": ("k",),
+    "free": ("k",),
+    "dihedral_inf": (),
+    "z_cross_cyclic": ("m",),
+    "lamplighter": ("m",),
+    "product": ("left", "right"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,8 +100,11 @@ class GroupSpec:
     right: Optional["GroupSpec"] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise InvalidParameter(f"unknown family {self.family!r}")
+        for name in ("m", "k", "left", "right"):
+            if getattr(self, name) is not None and name not in FAMILIES[self.family]:
+                raise InvalidParameter(f"{self.family} takes no parameter {name!r}")
         if self.family in ("cyclic_finite", "lamplighter"):
             if not _is_int(self.m) or self.m < 2:
                 raise InvalidParameter(f"{self.family} requires integer m >= 2, got {self.m!r}")
@@ -114,6 +156,10 @@ class GroupSpec:
         if not isinstance(d, dict) or "family" not in d:
             raise InvalidParameter(f"group spec must be an object with a 'family' key, got {d!r}")
         family = d["family"]
+        if isinstance(family, str) and family in FAMILIES:
+            extra = [repr(key) for key in d if key != "family" and key not in FAMILIES[family]]
+            if extra:
+                raise InvalidParameter(f"{family} spec has unexpected keys: {', '.join(extra)}")
         if family == "product":
             return cls(
                 family,
@@ -138,6 +184,49 @@ def parse_group_spec(text_or_dict) -> GroupSpec:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+@dataclass(frozen=True)
+class Codec:
+    """Packed int codes for a window around the identity (module docstring)."""
+
+    span: int
+    identity: int
+    steps: tuple
+    encode: Callable[[Element], Optional[int]]
+    decode: Callable[[int], Element]
+
+
+def _shift(d: int) -> Callable[[int], int]:
+    """The translation step v -> v + d."""
+    return partial(add, d)
+
+
+def _lift(step: Callable[[int], int], span: int, high: bool) -> Callable[[int], int]:
+    """A factor's step acting on product codes ``high_code * span + low_code``."""
+    if isinstance(step, partial) and step.func is add:
+        return _shift(step.args[0] * span if high else step.args[0])
+    if high:
+        def lifted(v):
+            q, r = divmod(v, span)
+            return step(q) * span + r
+    else:
+        def lifted(v):
+            r = v % span
+            return v - r + step(r)
+    return lifted
+
+
+class _Memo(dict):
+    """A dict that fills a missing key from a function of the key."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
 
 
 class GroupOracle:
@@ -170,15 +259,20 @@ class GroupOracle:
     def canonical_key(self, g: Element) -> bytes:
         return self.key_str(g).encode("ascii")
 
-    def element_packer(self, radius: int) -> Optional[Callable[[Element], int]]:
-        """Optional injective element -> int encoding, valid inside the ball
-        of the given radius. Used to shrink visited sets during exploration."""
-        return None
+    def codec(self, radius: int) -> Codec:
+        """Int codes and generator steps valid on the ball of this radius."""
+        raise NotImplementedError
 
-    def lattice_steps(self, radius: int):
-        """For pure translation lattices: ``(packed identity, neighbor deltas)``
-        so exploration can run on packed integers alone. None otherwise."""
-        return None
+    def radius_bound(self, budget: int) -> Optional[int]:
+        """A radius r such that no ball of radius above r has at most
+        ``budget`` elements; None for a finite group.
+
+        Every sphere of an infinite group has two elements on a bi-infinite
+        geodesic through the identity, so the ball of radius r has at least
+        2r + 1. Families of exponential growth override this with a bound
+        logarithmic in the budget.
+        """
+        return None if self.order is not None else (budget - 1) // 2
 
     def label(self) -> str:
         return self.spec.label()
@@ -207,6 +301,9 @@ class _TrivialOracle(GroupOracle):
     def key_str(self, g):
         return "e"
 
+    def codec(self, radius):
+        return Codec(1, 0, (), lambda g: 0, lambda v: 0)
+
 
 class _CyclicOracle(GroupOracle):
     def __init__(self, spec: GroupSpec):
@@ -228,8 +325,10 @@ class _CyclicOracle(GroupOracle):
     def key_str(self, g):
         return str(g)
 
-    def element_packer(self, radius):
-        return lambda g: g
+    def codec(self, radius):
+        m = self.m
+        steps = tuple((lambda v, s=s: (v + s) % m) for s in self.generators)
+        return Codec(m, 0, steps, lambda g: g, lambda v: v)
 
 
 class _ZOracle(GroupOracle):
@@ -250,11 +349,10 @@ class _ZOracle(GroupOracle):
     def key_str(self, g):
         return str(g)
 
-    def element_packer(self, radius):
-        return lambda g: g
-
-    def lattice_steps(self, radius):
-        return 0, (1, -1)
+    def codec(self, radius):
+        o = radius
+        return Codec(2 * o + 1, o, (_shift(1), _shift(-1)),
+                     lambda g: g + o if -o <= g <= o else None, lambda v: v - o)
 
 
 class _ZPowOracle(GroupOracle):
@@ -283,31 +381,29 @@ class _ZPowOracle(GroupOracle):
     def key_str(self, g):
         return ",".join(str(a) for a in g)
 
-    def element_packer(self, radius):
-        base = 2 * radius + 3
-        off = radius + 1
-        k = self.k
+    def codec(self, radius):
+        o, w, k = radius, 2 * radius + 1, self.k
 
-        def pack(g, base=base, off=off, k=k):
+        def encode(g):
             v = 0
             for a in g:
-                v = v * base + (a + off)
+                if not -o <= a <= o:
+                    return None
+                v = v * w + a + o
             return v
 
-        return pack
+        def decode(v):
+            coords = []
+            for _ in range(k):
+                v, d = divmod(v, w)
+                coords.append(d - o)
+            return tuple(reversed(coords))
 
-    def lattice_steps(self, radius):
-        base = 2 * radius + 3
-        off = radius + 1
-        ident = 0
-        for _ in range(self.k):
-            ident = ident * base + off
-        deltas = []
-        for i in range(self.k):  # same order as self.generators
-            weight = base ** (self.k - 1 - i)
-            deltas.append(weight)
-            deltas.append(-weight)
-        return ident, tuple(deltas)
+        steps = []
+        for i in range(k):  # same order as self.generators
+            weight = w ** (k - 1 - i)
+            steps += (_shift(weight), _shift(-weight))
+        return Codec(w ** k, encode(self.identity()), tuple(steps), encode, decode)
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -348,6 +444,43 @@ class _FreeOracle(GroupOracle):
             )
         return ".".join(str(a) for a in g)
 
+    def codec(self, radius):
+        base = 2 * self.k + 1
+
+        def digit(a):
+            return 2 * a - 1 if a > 0 else -2 * a
+
+        def encode(g):
+            if len(g) > radius:
+                return None
+            v = 0
+            for a in g:
+                v = v * base + digit(a)
+            return v
+
+        def decode(v):
+            word = []
+            while v:
+                v, d = divmod(v, base)
+                word.append((d + 1) // 2 if d % 2 else -(d // 2))
+            return tuple(reversed(word))
+
+        def step(d, back):
+            # drop the last letter when it is the inverse, else append
+            return lambda v: v // base if v % base == back else v * base + d
+
+        steps = tuple(step(digit(a), digit(-a)) for (a,) in self.generators)
+        return Codec(base ** radius, 0, steps, encode, decode)
+
+    def radius_bound(self, budget):
+        if self.k == 1:
+            return super().radius_bound(budget)
+        r, size = 0, 2 * self.k - 1  # the ball of radius r has at least (2k - 1)^r elements
+        while size <= budget:
+            r += 1
+            size *= 2 * self.k - 1
+        return r
+
 
 class _DihedralOracle(GroupOracle):
     """Infinite dihedral group on two involutions s, t.
@@ -377,8 +510,24 @@ class _DihedralOracle(GroupOracle):
         p, f = g
         return f"{p}s" if f else str(p)
 
-    def element_packer(self, radius):
-        return lambda g: 2 * g[0] + g[1]
+    def codec(self, radius):
+        o = radius
+
+        def encode(g):
+            p, f = g
+            return 2 * (p + o) + f if -o <= p <= o else None
+
+        def decode(v):
+            q, f = divmod(v, 2)
+            return (q - o, f)
+
+        def s(v):
+            return v ^ 1
+
+        def t(v):  # (p, 1) t = (p + 1, 0) and (p, 0) t = (p - 1, 1)
+            return v + 1 if v & 1 else v - 1
+
+        return Codec(2 * (2 * o + 1), 2 * o, (s, t), encode, decode)
 
 
 class _ZCrossCyclicOracle(GroupOracle):
@@ -402,9 +551,28 @@ class _ZCrossCyclicOracle(GroupOracle):
     def key_str(self, g):
         return f"{g[0]},{g[1]}"
 
-    def element_packer(self, radius):
-        m = self.m
-        return lambda g: g[0] * m + g[1]
+    def codec(self, radius):
+        o, m = radius, self.m
+
+        def encode(g):
+            n, c = g
+            return (n + o) * m + c if -o <= n <= o else None
+
+        def decode(v):
+            q, c = divmod(v, m)
+            return (q - o, c)
+
+        def step(dn, dc):
+            if not dc:
+                return _shift(dn * m)
+
+            def turn(v):
+                c = v % m
+                return v - c + (c + dc) % m
+            return turn
+
+        steps = tuple(step(dn, dc) for dn, dc in self.generators)
+        return Codec((2 * o + 1) * m, o * m, steps, encode, decode)
 
 
 class _LamplighterOracle(GroupOracle):
@@ -491,15 +659,59 @@ class _LamplighterOracle(GroupOracle):
         c, b, mask = g
         return f"{c};{b};{mask:x}"
 
-    def element_packer(self, radius):
-        span = 2 * radius + 3
-        off = radius + 1
+    def codec(self, radius):
+        o, m = radius, self.m
+        w = 2 * o + 1  # cursor codes c + o for |c| <= o
 
-        def pack(g, span=span, off=off):
-            c, b, mask = g
-            return (mask * span + (b + off)) * span + (c + off)
+        def digit(p):  # the lamp at position p is base-m digit 2p, or -2p - 1 if p < 0
+            return 2 * p if p >= 0 else -2 * p - 1
 
-        return pack
+        def encode(g):
+            c, p, mask = g
+            if not -o <= c <= o:
+                return None
+            lamps = 0
+            while mask:
+                mask, value = divmod(mask, m)
+                if value:
+                    if not -o <= p <= o:
+                        return None
+                    lamps += value * m ** digit(p)
+                p += 1
+            return lamps * w + c + o
+
+        def decode(v):
+            lamps, c = divmod(v, w)
+            lit = {}
+            i = 0
+            while lamps:
+                lamps, value = divmod(lamps, m)
+                if value:
+                    lit[i // 2 if i % 2 == 0 else -(i + 1) // 2] = value
+                i += 1
+            if not lit:
+                return (c - o, 0, 0)
+            base = min(lit)
+            return (c - o, base, sum(value * m ** (p - base) for p, value in lit.items()))
+
+        # code weight of the lamp under the cursor, per cursor code; filled
+        # on demand, since a search rarely strays far from the identity
+        unit = _Memo(lambda i: w * m ** digit(i - o))
+
+        def up(v):  # a: the lamp under the cursor goes up by one mod m
+            u = unit[v % w]
+            return v - (m - 1) * u if v // u % m == m - 1 else v + u
+
+        def down(v):  # a^-1
+            u = unit[v % w]
+            return v + (m - 1) * u if v // u % m == 0 else v - u
+
+        steps = (_shift(1), _shift(-1), up) + ((down,) if m > 2 else ())
+        return Codec(m ** w * w, o, steps, encode, decode)
+
+    def radius_bound(self, budget):
+        # the words (t a^e)^j, e in {0, 1}, give 2^j elements within radius 2j
+        return 2 * (budget.bit_length() - 1) + 1
 
 
 class _ProductOracle(GroupOracle):
@@ -526,6 +738,29 @@ class _ProductOracle(GroupOracle):
 
     def key_str(self, g):
         return f"({self.left.key_str(g[0])})x({self.right.key_str(g[1])})"
+
+    def codec(self, radius):
+        left, right = self.left.codec(radius), self.right.codec(radius)
+        low = right.span
+
+        def encode(g):
+            a, b = left.encode(g[0]), right.encode(g[1])
+            return None if a is None or b is None else a * low + b
+
+        def decode(v):
+            a, b = divmod(v, low)
+            return (left.decode(a), right.decode(b))
+
+        steps = tuple(_lift(s, low, True) for s in left.steps)
+        steps += tuple(_lift(s, low, False) for s in right.steps)
+        return Codec(left.span * low, left.identity * low + right.identity,
+                     steps, encode, decode)
+
+    def radius_bound(self, budget):
+        # a ball of the product contains the same ball of either factor
+        bounds = [b for b in (self.left.radius_bound(budget), self.right.radius_bound(budget))
+                  if b is not None]
+        return min(bounds, default=None)
 
 
 _ORACLES = {
@@ -555,13 +790,3 @@ def make_group(spec) -> GroupOracle:
 def generator_words(oracle: GroupOracle) -> list[str]:
     """Key strings of the generators, in their fixed order (for reports)."""
     return [oracle.key_str(g) for g in oracle.generators]
-
-
-def random_element(oracle: GroupOracle, rng, max_letters: int = 8) -> Element:
-    """Product of up to ``max_letters`` random generators (tests and spot checks)."""
-    g = oracle.identity()
-    if not oracle.generators:
-        return g
-    for _ in range(rng.randrange(max_letters + 1)):
-        g = oracle.multiply(g, rng.choice(oracle.generators))
-    return g

@@ -66,6 +66,46 @@ def lamplighter2_sphere_counts(n_max: int) -> list:
     return counts
 
 
+def reference_ball(oracle, radius):
+    """The ball table by breadth-first search over tuple elements.
+
+    Uses only ``identity``, ``multiply`` and ``generators``. Ids follow the
+    explorer's convention: discovery order, by frontier vertex and then by
+    generator. Returns (elements, distances, adjacency rows, complete), where
+    a row lists the in-ball neighbor ids per generator and ``complete`` says
+    no neighbor of the ball lies outside it.
+    """
+    elements = [oracle.identity()]
+    ids = {elements[0]: 0}
+    dist = [0]
+    frontier = [elements[0]]
+    for r in range(1, radius + 1):
+        sphere = []
+        for g in frontier:
+            for s in oracle.generators:
+                h = oracle.multiply(g, s)
+                if h not in ids:
+                    ids[h] = len(elements)
+                    elements.append(h)
+                    dist.append(r)
+                    sphere.append(h)
+        if not sphere:
+            break
+        frontier = sphere
+    rows = []
+    complete = True
+    for g in elements:
+        row = []
+        for s in oracle.generators:
+            h = oracle.multiply(g, s)
+            if h in ids:
+                row.append(ids[h])
+            else:
+                complete = False
+        rows.append(row)
+    return elements, dist, rows, complete
+
+
 def line_witness(oracle, axis, indices, n=2, r_of=None, a_of=None, b_of=None) -> ObssWitness:
     """Separating witness family along a line-like axis.
 

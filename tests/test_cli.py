@@ -1,8 +1,12 @@
 """Command line contract: exit codes, report structure, determinism."""
 
 import json
+import platform
 
-from endslab.cli import main
+import pytest
+
+from endslab import cli
+from endslab.cli import fix_mmap_threshold, main
 from endslab.explore import build_axis
 
 from oracles import line_witness
@@ -202,3 +206,72 @@ def test_repeat_runs_byte_identical(tmp_path):
     _, first = run(tmp_path, "a.json", args)
     _, second = run(tmp_path, "b.json", args)
     assert first.read_bytes() == second.read_bytes()
+
+
+def _space_file(tmp_path, distances):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "distances": distances}))
+    return path
+
+
+def test_directory_paths_exit_2(tmp_path, capsys, z_oracle, z_table_30):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    space = _space_file(tmp_path, [[0, 1], [1, 0]])
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(line_witness(z_oracle, build_axis(z_oracle, z_table_30, 14),
+                                               range(2, 4)).to_dict()))
+    cases = [
+        (["growth", "--group", str(folder), "--rmax", "3"], "--group"),
+        (["glpartition", "--input", str(folder), "--a", "3"], "--input"),
+        (["obss", "--group", '{"family":"z"}', "--witness", str(folder),
+          "--truncation", "30"], "--witness"),
+        (["growth", "--group", '{"family":"z"}', "--rmax", "3", "--out", str(folder)], "--out"),
+        (["glpartition", "--input", str(space), "--a", "3", "--out", str(folder)], "--out"),
+        (["obss", "--group", '{"family":"z"}', "--witness", str(witness),
+          "--truncation", "30", "--out", str(folder)], "--out"),
+    ]
+    for args, option in cases:
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert f"{option} {folder}" in err, err
+
+
+def test_unreadable_group_file_exit_2(tmp_path, capsys):
+    binary = tmp_path / "group.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert main(["growth", "--group", str(binary), "--rmax", "3"]) == 2
+    assert main(["growth", "--group", str(tmp_path / "missing.json"), "--rmax", "3"]) == 2
+    assert str(tmp_path / "missing.json") in capsys.readouterr().err
+
+
+def test_foreign_spec_key_exit_2(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main(["growth", "--group", '{"family":"z","k":5,"bogus":1}', "--rmax", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "'k'" in err
+    assert not out.exists()
+
+
+def test_non_finite_distances_exit_2(tmp_path, capsys):
+    for bad in ("Infinity", "NaN", "true", '"1"'):
+        path = tmp_path / "space.json"
+        path.write_text('{"points": ["a", "b"], "distances": [[0, %s], [%s, 0]]}' % (bad, bad))
+        out = tmp_path / "never.json"
+        assert main(["glpartition", "--input", str(path), "--a", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "between a and b" in err, (bad, err)
+        assert not out.exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is a glibc call")
+def test_mmap_threshold_fixed_on_glibc():
+    assert fix_mmap_threshold()
+
+
+def test_main_fixes_mmap_threshold(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "fix_mmap_threshold", lambda: calls.append(True))
+    code, _ = run(tmp_path, "z.csv", ["growth", "--group", '{"family":"z"}', "--rmax", "3"])
+    assert code == 0 and calls == [True]

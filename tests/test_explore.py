@@ -9,7 +9,36 @@ from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis
 from endslab.explore import build_axis, explore, sphere_size_series, sphere_sizes
 from endslab.groups import make_group
 
-from oracles import free_sphere_count, l1_sphere_count, lamplighter2_sphere_counts
+from oracles import (free_sphere_count, l1_sphere_count, lamplighter2_sphere_counts,
+                     reference_ball)
+
+NESTED = {"family": "product",
+          "left": {"family": "product", "left": {"family": "z"},
+                   "right": {"family": "lamplighter", "m": 2}},
+          "right": {"family": "free", "k": 2}}
+
+REFERENCE_CASES = [
+    ({"family": "trivial"}, 3),
+    ({"family": "trivial"}, 0),
+    ({"family": "cyclic_finite", "m": 12}, 8),
+    ({"family": "cyclic_finite", "m": 12}, 6),
+    ({"family": "cyclic_finite", "m": 2}, 3),
+    ({"family": "z"}, 12),
+    ({"family": "z_pow", "k": 2}, 7),
+    ({"family": "z_pow", "k": 3}, 4),
+    ({"family": "free", "k": 2}, 5),
+    ({"family": "free", "k": 3}, 4),
+    ({"family": "dihedral_inf"}, 11),
+    ({"family": "z_cross_cyclic", "m": 3}, 7),
+    ({"family": "z_cross_cyclic", "m": 2}, 5),
+    ({"family": "lamplighter", "m": 2}, 9),
+    ({"family": "lamplighter", "m": 3}, 6),
+    ({"family": "product", "left": {"family": "z"},
+      "right": {"family": "cyclic_finite", "m": 3}}, 6),
+    ({"family": "product", "left": {"family": "lamplighter", "m": 3},
+      "right": {"family": "dihedral_inf"}}, 4),
+    (NESTED, 4),
+]
 
 
 def test_z_line_spheres(z_table_30):
@@ -206,3 +235,71 @@ def test_entries_view(z_table_30):
     first = next(iter(z_table_30.entries()))
     assert first == ("0", 0, 0)
     assert z_table_30.id_of_key("5") == z_table_30.id_of(5)
+
+
+@pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
+def test_packed_explore_matches_tuple_reference(spec, radius):
+    oracle = make_group(spec)
+    table = explore(oracle, radius)
+    elements, dist, rows, complete = reference_ball(oracle, radius)
+    assert table.size == len(elements)
+    assert list(table.dist) == dist
+    assert table.reached == dist[-1]
+    for r in range(radius + 2):
+        ids = [v for v, d in enumerate(dist) if d == r]
+        assert table.layer_ids(r) == (range(ids[0], ids[-1] + 1) if ids else range(0))
+    assert [list(table.neighbors(v)) for v in range(table.size)] == rows
+    assert table.complete_group == complete
+    for v, g in enumerate(elements):
+        assert table.element(v) == g
+        assert table.key_of(v) == oracle.key_str(g)
+        assert table.id_of(g) == v
+
+
+@pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
+def test_windowed_series_matches_tuple_reference(spec, radius):
+    oracle = make_group(spec)
+    _, dist, _, _ = reference_ball(oracle, radius)
+    series = sphere_size_series(oracle, radius)
+    assert series.sizes == [dist.count(r) for r in range(dist[-1] + 1)]
+    assert series.nodes == len(dist)
+    assert series.complete_group == (dist[-1] < radius)
+
+
+def test_id_of_outside_the_window_is_none():
+    lamp = explore(make_group({"family": "lamplighter", "m": 2}), 6)
+    assert lamp.id_of((0, 0, 0)) == 0
+    assert lamp.id_of((8, 0, 0)) is None           # cursor beyond the window
+    assert lamp.id_of((0, 100, 1)) is None         # lamp beyond the window
+    assert lamp.id_of((0, -3, 0b1111111)) is None  # inside the window, outside the ball
+    prod = explore(make_group(NESTED), 3)
+    assert prod.id_of(((0, (0, 0, 0)), ())) == 0
+    assert prod.id_of(((1000, (0, 0, 0)), ())) is None
+    assert prod.id_of(((0, (0, 0, 0)), (1, 2, 1, 2, 1))) is None
+    assert prod.id_of(((0, (0, 0, 0)), (1, 2, 1, 2))) is None
+
+
+def test_codes_beyond_63_bits():
+    spec = {"family": "product", "left": {"family": "lamplighter", "m": 2},
+            "right": {"family": "cyclic_finite", "m": 2 ** 70}}
+    oracle = make_group(spec)
+    table = explore(oracle, 5)
+    codec = oracle.codec(6)
+    assert max(codec.encode(table.element(v)) for v in range(table.size)) > 2 ** 63
+    elements, dist, rows, _ = reference_ball(oracle, 5)
+    assert list(table.dist) == dist
+    assert [list(table.neighbors(v)) for v in range(table.size)] == rows
+    assert all(table.id_of(g) == v for v, g in enumerate(elements))
+    assert sphere_size_series(oracle, 5).sizes == [dist.count(r) for r in range(6)]
+
+
+def test_codes_stay_short_far_beyond_reach():
+    # a radius far out of the budget's reach must not widen every code
+    from endslab.explore import _codec
+
+    oracle = make_group({"family": "product", "left": {"family": "free", "k": 2},
+                         "right": {"family": "lamplighter", "m": 3}})
+    assert _codec(oracle, 10 ** 6, 5000).span < 2 ** 200
+    with pytest.raises(BudgetExceeded) as err:
+        sphere_size_series(oracle, 10 ** 6, budget=5000)
+    assert err.value.radius_reached <= oracle.radius_bound(5000)

@@ -220,3 +220,20 @@ def test_partition_json_round_trip():
     assert set(part.to_dict()) == {"a", "blocks", "D", "k", "trivial"}
     space_again = FiniteMetricSpace.from_dict(space.to_dict())
     assert space_again.labels == space.labels
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), True, "1", None])
+def test_non_finite_or_non_numeric_distances_rejected(bad):
+    with pytest.raises(InvalidParameter, match="between q and p"):
+        FiniteMetricSpace(["p", "q"], [[0, 1], [bad, 0]])
+    with pytest.raises(InvalidParameter, match="between p and p"):
+        FiniteMetricSpace(["p", "q"], [[bad, 1], [1, 0]])
+
+
+def test_reports_refuse_non_finite_numbers():
+    from endslab import manifest
+
+    with pytest.raises(ValueError):
+        manifest.render_json_report("x", None, {}, None, 0, {"separation": float("inf")})
+    with pytest.raises(ValueError):
+        manifest.render_csv_table("x", None, {"a": float("nan")}, None, 0, ["h"], [[1]])

@@ -1,11 +1,13 @@
 """Group oracle algebra: axioms, canonical forms, generating sets."""
 
+import json
 import random
 
 import pytest
 
 from endslab.errors import InvalidParameter
-from endslab.groups import GroupSpec, make_group, parse_group_spec, random_element
+from endslab.explore import sphere_size_series
+from endslab.groups import GroupSpec, make_group, parse_group_spec
 
 ALL_SPECS = [
     {"family": "trivial"},
@@ -25,6 +27,16 @@ ALL_SPECS = [
      "left": {"family": "lamplighter", "m": 2},
      "right": {"family": "free", "k": 2}},
 ]
+
+
+def random_element(oracle, rng, max_letters=8):
+    """Product of up to ``max_letters`` random generators."""
+    g = oracle.identity()
+    if not oracle.generators:
+        return g
+    for _ in range(rng.randrange(max_letters + 1)):
+        g = oracle.multiply(g, rng.choice(oracle.generators))
+    return g
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: GroupSpec.from_dict(s).label())
@@ -69,6 +81,61 @@ def test_generators_inversion_closed(spec):
     assert e not in gens
     for g in gens:
         assert oracle.invert(g) in gens
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: GroupSpec.from_dict(s).label())
+def test_codec_contract(spec):
+    # steps follow multiply on B(radius - 1); encode is injective and decode inverts it
+    oracle = make_group(spec)
+    radius = 9
+    codec = oracle.codec(radius)
+    rng = random.Random(5)
+    assert codec.encode(oracle.identity()) == codec.identity
+    assert len(codec.steps) == len(oracle.generators)
+    seen = {}
+    for _ in range(1000):
+        g = random_element(oracle, rng, max_letters=radius - 1)
+        code = codec.encode(g)
+        assert 0 <= code < codec.span
+        assert codec.decode(code) == g
+        assert seen.setdefault(code, g) == g
+        for step, s in zip(codec.steps, oracle.generators):
+            assert step(code) == codec.encode(oracle.multiply(g, s))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: GroupSpec.from_dict(s).label())
+def test_radius_bound_holds(spec):
+    # a ball within the budget never has a radius above the bound
+    oracle = make_group(spec)
+    series = sphere_size_series(oracle, 7)
+    for budget in (1, 2, 3, 5, 10, 30, 100, 1000, 10_000):
+        bound = oracle.radius_bound(budget)
+        assert (bound is None) == (oracle.order is not None)
+        for r in range(8):
+            if bound is not None and series.ball(r) <= budget:
+                assert r <= bound, (budget, r, bound)
+
+
+def test_codec_window_edges():
+    assert make_group({"family": "z"}).codec(3).encode(4) is None
+    assert make_group({"family": "free", "k": 2}).codec(3).encode((1, 1, 1, 1)) is None
+    assert make_group({"family": "dihedral_inf"}).codec(3).encode((-4, 1)) is None
+    assert make_group({"family": "z_cross_cyclic", "m": 3}).codec(3).encode((4, 0)) is None
+    lamp = make_group({"family": "lamplighter", "m": 3}).codec(3)
+    assert lamp.encode((4, 0, 0)) is None        # cursor beyond the window
+    assert lamp.encode((0, -4, 1)) is None       # lamp beyond the window
+    assert lamp.encode((0, 3, 1 + 3 * 2)) is None   # lamps at 3 and 4
+    assert lamp.decode(lamp.encode((0, -3, 2 + 9 * 27))) == (0, -3, 2 + 9 * 27)
+    prod = make_group({"family": "product", "left": {"family": "z"},
+                       "right": {"family": "lamplighter", "m": 2}}).codec(3)
+    assert prod.encode((4, (0, 0, 0))) is None
+    assert prod.encode((0, (0, 5, 1))) is None
+
+
+def test_lamplighter_codes_track_lamps_not_radius():
+    # a search far short of a huge requested radius keeps small codes
+    codec = make_group({"family": "lamplighter", "m": 2}).codec(10**6)
+    assert codec.encode((3, -2, 0b101)) < 2**64
 
 
 def test_default_generator_counts():
@@ -156,6 +223,27 @@ def test_spec_json_round_trip():
 def test_invalid_specs_rejected(bad):
     with pytest.raises(InvalidParameter):
         parse_group_spec(bad)
+
+
+@pytest.mark.parametrize("bad,key", [
+    ({"family": "z", "k": 5, "bogus": 1}, "'bogus'"),
+    ({"family": "z", "k": 5}, "'k'"),
+    ({"family": "z_pow", "k": 2, "m": 3}, "'m'"),
+    ({"family": "lamplighter", "m": 2, "k": 1}, "'k'"),
+    ({"family": "product", "left": {"family": "z"}, "right": {"family": "z"}, "m": 2}, "'m'"),
+    ({"family": "product", "left": {"family": "z", "extra": 0}, "right": {"family": "z"}},
+     "'extra'"),
+])
+def test_foreign_spec_keys_rejected(bad, key):
+    with pytest.raises(InvalidParameter, match=key):
+        parse_group_spec(bad)
+    with pytest.raises(InvalidParameter):
+        GroupSpec("z", k=5)
+
+
+def test_valid_spec_bytes_unchanged():
+    for spec in ALL_SPECS:
+        assert json.dumps(parse_group_spec(spec).to_dict()) == json.dumps(spec)
 
 
 def test_product_depth_limit():
