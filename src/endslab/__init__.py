@@ -6,9 +6,8 @@ from .classify import (DominationBounds, DominationWitness, GrowthSamples,
                        Verdict, bounded_sphere_detector, growth_dominates,
                        linear_end_depth_check, sphere_bound_criterion,
                        sphere_cover_demo)
-from .ends import (ComponentDecomposition, EndDepthProfile, EndsEstimate,
-                   ObssWitness, WitnessItem, check_obss_witness,
-                   complement_components, end_count_estimate, end_depth,
+from .ends import (EndDepthProfile, EndsEstimate, ObssWitness, WitnessItem,
+                   check_obss_witness, end_count_estimate, end_depth,
                    end_depth_profile)
 from .errors import (BudgetExceeded, EndslabError, Infeasible, InvalidParameter,
                      NoAxis, NotGeodesic, TruncationTooSmall, TrivialPartition)

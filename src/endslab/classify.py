@@ -325,7 +325,6 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
             raise NotGeodesic(f"axis vertex {i} off its sphere in the demo table")
         axis_id[i] = vid
 
-    proper = True
     similar = True
     partitions = {}
     for i in range(-40 * D, 40 * D + 1):
@@ -339,7 +338,8 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
             first_part, first_space = partitions[-40 * D]
             if not similar_partitions(first_part, first_space, part_i, space_i):
                 similar = False
-    steps.append(DemoStep("partitions_proper", proper,
+    # a trivial partition raised above, so every partition is proper
+    steps.append(DemoStep("partitions_proper", True,
                           {"spheres": len(partitions),
                            "block_counts": sorted({p.block_count for p, _ in partitions.values()})}))
     steps.append(DemoStep(
@@ -362,6 +362,6 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
          "sphere_radius": D, "centers": [-40 * D, 40 * D],
          "missing": [table.key_of(v) for v in missing[:5]]}))
 
-    passed = hypothesis_ok and proper and similar and same_D and covering_ok
+    passed = hypothesis_ok and similar and same_D and covering_ok
     return DemoReport(oracle.label(), a, n, rho, steps, passed, False,
                       D=D, nodes_explored=table.size, note=note)

@@ -3,8 +3,8 @@
 One command is one reproducible pipeline: parse the group, run the module
 operation, write a report that embeds its manifest. Exit codes follow a
 fixed contract: 0 success, 1 a check failed, 2 invalid input, 3 the
-computation does not fit the node budget. Timings go to stderr only, so
-report files stay byte-identical across runs.
+computation does not fit the node budget or the memory. Timings go to
+stderr only, so report files stay byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (BudgetExceeded, Infeasible) as exc:
         print(f"endslab: infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError:
+        print(f"endslab: infeasible: out of memory in {args.command}; "
+              "a smaller radius or --budget bounds the search", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (TrivialPartition, NotGeodesic) as exc:
         print(f"endslab: check failed: {exc}", file=sys.stderr)

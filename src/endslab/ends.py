@@ -42,51 +42,6 @@ CLASS_INFINITE = "infinite"
 CLASS_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Component:
-    ids: tuple
-    boundary_touching: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
-
-@dataclass
-class ComponentDecomposition:
-    """Connected components of B(R) \\ B(r) inside one ball table."""
-
-    r: int
-    truncation: int
-    components: tuple
-
-    @property
-    def touching_count(self) -> int:
-        return sum(1 for c in self.components if c.boundary_touching)
-
-    @property
-    def bounded_components(self) -> list:
-        return [c for c in self.components if not c.boundary_touching]
-
-    @property
-    def unbounded_candidates(self) -> list:
-        return [c for c in self.components if c.boundary_touching]
-
-    def bounded_ids(self) -> list:
-        out = []
-        for c in self.components:
-            if not c.boundary_touching:
-                out.extend(c.ids)
-        return out
-
-    def component_keys(self, table: BallTable) -> list:
-        return [
-            {"boundary_touching": c.boundary_touching,
-             "vertices": [table.key_of(i) for i in c.ids]}
-            for c in self.components
-        ]
-
-
 def _find(parent, x):
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -94,54 +49,15 @@ def _find(parent, x):
     return x
 
 
-def complement_components(table: BallTable, r: int,
-                          truncation: Optional[int] = None) -> ComponentDecomposition:
-    """Decompose B(truncation) \\ B(r) into connected components.
-
-    Components are ordered by smallest member id and flagged as boundary
-    touching when they contain a vertex at distance exactly ``truncation``.
-    """
-    if truncation is None:
-        truncation = table.reached
-    if truncation > table.reached:
-        raise TruncationTooSmall(
-            f"truncation {truncation} beyond explored radius {table.reached}")
-    if r < 0 or r >= truncation:
-        raise InvalidParameter(f"need 0 <= r < truncation, got r={r}, truncation={truncation}")
-
-    lo = table.ball_size(r)
-    hi = table.ball_size(truncation)
-    touch_lo = table.ball_size(truncation - 1)
-
-    parent = array("i", range(hi))
-    indptr = table._adj_indptr
-    adj = table._adj
-    for u in range(lo, hi):
-        for v in adj[indptr[u]:indptr[u + 1]]:
-            if lo <= v < u:  # each edge once, from its larger endpoint
-                ru = _find(parent, u)
-                rv = _find(parent, v)
-                if ru != rv:
-                    if ru < rv:
-                        ru, rv = rv, ru
-                    parent[rv] = ru
-
-    members: dict = {}
-    for u in range(lo, hi):
-        members.setdefault(_find(parent, u), []).append(u)
-    comps = [
-        Component(tuple(ids), root >= touch_lo)
-        for root, ids in sorted(members.items(), key=lambda kv: kv[1][0])
-    ]
-    return ComponentDecomposition(r, truncation, tuple(comps))
-
-
 def _complement_sweep(table: BallTable, snapshots: Sequence[int], truncation: int) -> dict:
     """One outside-in union-find pass; per snapshot radius r returns
-    (component count, touching count, deepest bounded vertex id or None).
+    (component count, touching count, deepest bounded vertex id or None)
+    for B(truncation) \\ B(r).
 
-    Equivalent to running complement_components at every snapshot, but each
-    edge is processed once for the whole sweep.
+    Each edge is processed once for the whole sweep, and a snapshot's
+    triple does not depend on which other snapshots the pass takes. The
+    test suite checks it against ``complement_components`` in
+    ``tests/oracles.py``, a separate per-radius decomposition.
     """
     if truncation > table.reached:
         raise TruncationTooSmall(
@@ -224,50 +140,31 @@ def end_depth(oracle: GroupOracle, r: int, truncation: Optional[int] = None,
               table: Optional[BallTable] = None) -> EndDepthResult:
     """Depth of the bounded components of the complement of B(r).
 
-    With the default truncation 4r + 2 the value is certified exact provided
-    the group is one ended; one-endedness is taken from ``one_ended`` when the
-    caller asserts it, otherwise from an internal ends estimate on the same
-    table. Groups whose estimate is not "one" get the value computed anyway,
-    flagged with a warning, since the notion is only meaningful one ended.
+    The last entry of ``end_depth_profile`` with r_max = r, which sets out
+    the truncation, certification and warning rules. On a finite group whose
+    diameter is at most r the complement is empty: the value is r, with no
+    bounded component.
     """
-    if not isinstance(r, int) or r < 1:
-        raise InvalidParameter(f"r must be a positive integer, got {r!r}")
+    table, truncation = _depth_table(oracle, r, truncation, budget, table)
+    if table.complete_group and table.reached <= r:
+        return EndDepthResult(r, r, False, table.reached, 0, CLASS_ZERO, True, table.size)
+    profile = end_depth_profile(oracle, r, budget=budget, one_ended=one_ended,
+                                table=table, truncation=truncation)
+    return profile.entries[-1]
+
+
+def _depth_table(oracle: GroupOracle, r_max: int, truncation: Optional[int],
+                 budget: Optional[int], table: Optional[BallTable]) -> tuple:
+    """The checked truncation (default 4 r_max + 2) and a table that reaches it."""
+    if not isinstance(r_max, int) or r_max < 1:
+        raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
     if truncation is None:
-        truncation = default_truncation(r)
-    if truncation <= r:
-        raise InvalidParameter(f"truncation {truncation} must exceed r={r}")
+        truncation = default_truncation(r_max)
+    if truncation <= r_max:
+        raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
     if table is None or (table.reached < truncation and not table.complete_group):
         table = explore(oracle, truncation, budget)
-
-    if table.complete_group:
-        # a finite group has no unbounded component: the whole complement of
-        # B(r) is bounded, and the depth is the group's diameter
-        truncation = table.reached
-        if truncation <= r:
-            value, bounded_count = r, 0
-        else:
-            components, _, _ = _complement_sweep(table, [r], truncation)[r]
-            value, bounded_count = table.reached, components
-        return EndDepthResult(r, value, False, truncation, bounded_count,
-                              CLASS_ZERO, True, table.size)
-
-    components, touching, bounded_max = _complement_sweep(table, [r], truncation)[r]
-    value = r if bounded_max is None else table.dist[bounded_max]
-    bounded_count = components - touching
-
-    classification = None
-    if one_ended is None:
-        est = end_count_estimate(oracle, r, schedule=(truncation - 1, truncation),
-                                 budget=budget, table=table)
-        classification = est.classification
-        one_ended_evidence = classification == CLASS_ONE
-    else:
-        one_ended_evidence = bool(one_ended)
-
-    certified = truncation >= default_truncation(r) and one_ended_evidence
-    warning = not one_ended_evidence
-    return EndDepthResult(r, value, certified, truncation, bounded_count,
-                          classification, warning, table.size)
+    return table, truncation
 
 
 @dataclass
@@ -307,52 +204,54 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     complement in range lies strictly inside the explored ball, so per-radius
     values agree with individually truncated runs. A caller-supplied smaller
     truncation leaves the affected radii uncertified.
+
+    One-endedness is taken from ``one_ended`` when the caller asserts it,
+    otherwise from the ends estimate over the schedule (truncation - 1,
+    truncation), as ``end_count_estimate`` would give it. Groups whose
+    estimate is not "one" get their values anyway, flagged with a warning,
+    since the notion is only meaningful one ended. A finite group has no
+    unbounded component: its whole complement is bounded, the depth is its
+    diameter, and it classifies as zero, never certified.
     """
-    if not isinstance(r_max, int) or r_max < 1:
-        raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
-    if truncation is None:
-        truncation = default_truncation(r_max)
-    if truncation <= r_max:
-        raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
-    if table is None or (table.reached < truncation and not table.complete_group):
-        table = explore(oracle, truncation, budget)
-    if table.complete_group:
+    table, truncation = _depth_table(oracle, r_max, truncation, budget, table)
+    finite = table.complete_group
+    if finite:
         truncation = min(truncation, table.reached)
         if truncation <= r_max:
             raise InvalidParameter(
                 f"the whole group lies within radius {table.reached}; "
                 f"no complement to analyze at r_max={r_max}")
+    elif one_ended is None and truncation - 1 <= r_max:
+        raise InvalidParameter(
+            f"the ends estimate needs truncation >= r_max + 2, "
+            f"got truncation {truncation} for r_max={r_max}")
 
-    radii = list(range(1, r_max + 1))
-    sweep = _complement_sweep(table, radii, truncation)
-
-    if table.complete_group:
-        # every complement component of a finite group is bounded
-        entries = [EndDepthResult(r, table.reached, False, truncation,
-                                  sweep[r][0], CLASS_ZERO, True, table.size)
-                   for r in radii]
-        return EndDepthProfile(oracle.label(), generator_words(oracle), entries,
-                               CLASS_ZERO, truncation, table.size)
-
-    if one_ended is None:
-        est = end_count_estimate(oracle, r_max, schedule=(truncation - 1, truncation),
-                                 budget=budget, table=table)
-        classification = est.classification
+    radii = range(1, r_max + 1)
+    # snapshot r - 1 also gives the ends estimate its count e(r) at truncation
+    sweep = _complement_sweep(table, range(r_max + 1), truncation)
+    if finite:
+        classification, one_ended_evidence = CLASS_ZERO, False
+    elif one_ended is None:
+        last = [sweep[r - 1][1] for r in radii]
+        prev = _open_ball_counts(table, r_max, truncation - 1)
+        classification = _classify_counts(prev, last)[1]
         one_ended_evidence = classification == CLASS_ONE
     else:
-        classification = None
-        one_ended_evidence = bool(one_ended)
+        classification, one_ended_evidence = None, bool(one_ended)
 
     entries = []
     for r in radii:
         components, touching, bounded_max = sweep[r]
-        value = r if bounded_max is None else table.dist[bounded_max]
+        if finite:
+            value, bounded_count = table.reached, components
+        else:
+            value = r if bounded_max is None else table.dist[bounded_max]
+            bounded_count = components - touching
         if value < r:
             raise AssertionError(f"depth {value} below r={r}: exploration is inconsistent")
         certified = one_ended_evidence and truncation >= default_truncation(r)
         entries.append(EndDepthResult(
-            r, value, certified, truncation,
-            components - touching, classification,
+            r, value, certified, truncation, bounded_count, classification,
             not one_ended_evidence, table.size))
 
     return EndDepthProfile(oracle.label(), generator_words(oracle), entries,
@@ -424,21 +323,37 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
     if table is None or (table.reached < schedule[-1] and not table.complete_group):
         table = explore(oracle, schedule[-1], budget)
 
-    radii = list(range(1, r_max + 1))
     counts = {}
     for trunc in schedule:
         if table.complete_group and trunc > table.reached:
             counts[trunc] = None  # complement empty beyond the whole group
-            continue
-        # deleting the open ball: components of {v : d(v) >= r}
-        sweep = _complement_sweep(table, [r - 1 for r in radii], trunc)
-        counts[trunc] = [sweep[r - 1][1] for r in radii]
+        else:
+            counts[trunc] = _open_ball_counts(table, r_max, trunc)
 
     if table.complete_group:
         return EndsEstimate(oracle.label(), r_max, schedule, counts, [],
                             CLASS_ZERO, 0, True, table.size)
+    stable, classification, stabilized = _classify_counts(
+        counts[schedule[-2]], counts[schedule[-1]])
+    return EndsEstimate(oracle.label(), r_max, schedule, counts, stable,
+                        classification, stabilized, False, table.size)
 
-    last, prev = counts[schedule[-1]], counts[schedule[-2]]
+
+def _open_ball_counts(table: BallTable, r_max: int, truncation: int) -> list:
+    """[e(1), ..., e(r_max)]: touching components of {v : d(v) >= r} in B(truncation)."""
+    sweep = _complement_sweep(table, range(r_max), truncation)
+    return [sweep[r][1] for r in range(r_max)]
+
+
+def _classify_counts(prev: list, last: list) -> tuple:
+    """(stable flags, classification, stabilized count) from e(1..r_max) at
+    the last two truncations of a schedule.
+
+    The upper half of the radii decides: stable there at constant 1 or 2
+    gives one or two ends; stable everywhere, nondecreasing and ending at
+    3 or more gives infinitely many.
+    """
+    r_max = len(last)
     stable = [a == b for a, b in zip(prev, last)]
     classification = CLASS_INCONCLUSIVE
     stabilized = None
@@ -456,8 +371,7 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
         nondecreasing = all(x <= y for x, y in zip(last, last[1:]))
         if all(stable) and nondecreasing and last[-1] >= 3:
             classification = CLASS_INFINITE
-    return EndsEstimate(oracle.label(), r_max, schedule, counts, stable,
-                        classification, stabilized, False, table.size)
+    return stable, classification, stabilized
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """Independent expected-value oracles for the test suite.
 
 Nothing here touches the package's search machinery: sphere counts come from
-direct enumeration or combinatorial counting, so agreement with the explorer
-is a real cross-check rather than a tautology.
+direct enumeration or combinatorial counting, and complement components from
+a union-find of its own run one radius at a time, so agreement with the
+explorer and with the ends sweep is a real cross-check rather than a
+tautology.
 """
 
+from dataclasses import dataclass
 from itertools import product
 from math import comb
+from typing import Optional
 
 from endslab.ends import ObssWitness, WitnessItem
+from endslab.errors import InvalidParameter, TruncationTooSmall
 
 
 def l1_sphere_count(k: int, r: int) -> int:
@@ -104,6 +109,77 @@ def reference_ball(oracle, radius):
                 complete = False
         rows.append(row)
     return elements, dist, rows, complete
+
+
+@dataclass(frozen=True)
+class Component:
+    ids: tuple
+    boundary_touching: bool
+
+
+@dataclass
+class ComponentDecomposition:
+    """Connected components of B(truncation) \\ B(r) inside one ball table."""
+
+    r: int
+    truncation: int
+    components: tuple
+
+    @property
+    def touching_count(self) -> int:
+        return sum(1 for c in self.components if c.boundary_touching)
+
+    @property
+    def bounded_components(self) -> list:
+        return [c for c in self.components if not c.boundary_touching]
+
+    def bounded_ids(self) -> list:
+        return [i for c in self.bounded_components for i in c.ids]
+
+
+def _find(parent, x):
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def complement_components(table, r: int,
+                          truncation: Optional[int] = None) -> ComponentDecomposition:
+    """Decompose B(truncation) \\ B(r) into connected components, one radius
+    at a time: the reference for the package's outside-in sweep.
+
+    Membership is read from the distances and edges from ``neighbors``, with
+    no use of the id order. Components are ordered by smallest member id and
+    flagged as boundary touching when they contain a vertex at distance
+    exactly ``truncation``.
+    """
+    if truncation is None:
+        truncation = table.reached
+    if truncation > table.reached:
+        raise TruncationTooSmall(
+            f"truncation {truncation} beyond explored radius {table.reached}")
+    if r < 0 or r >= truncation:
+        raise InvalidParameter(f"need 0 <= r < truncation, got r={r}, truncation={truncation}")
+
+    members = [u for u in range(table.size) if r < table.dist[u] <= truncation]
+    inside = set(members)
+    parent = {u: u for u in members}
+    for u in members:
+        for v in table.neighbors(u):
+            if v in inside:
+                parent[_find(parent, u)] = _find(parent, v)
+
+    groups: dict = {}
+    for u in members:
+        groups.setdefault(_find(parent, u), []).append(u)
+    comps = sorted(
+        (Component(tuple(ids), any(table.dist[i] == truncation for i in ids))
+         for ids in groups.values()),
+        key=lambda c: c.ids[0])
+    return ComponentDecomposition(r, truncation, tuple(comps))
 
 
 def line_witness(oracle, axis, indices, n=2, r_of=None, a_of=None, b_of=None) -> ObssWitness:

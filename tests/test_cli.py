@@ -1,5 +1,6 @@
 """Command line contract: exit codes, report structure, determinism."""
 
+import hashlib
 import json
 import platform
 
@@ -206,6 +207,38 @@ def test_repeat_runs_byte_identical(tmp_path):
     _, first = run(tmp_path, "a.json", args)
     _, second = run(tmp_path, "b.json", args)
     assert first.read_bytes() == second.read_bytes()
+
+
+# SHA-256 of end-depth reports: a refactor that changes one byte fails here
+END_DEPTH_GOLDEN = [
+    ('{"family":"z_pow","k":2}', ["--rmax", "10"],
+     "221acda1100ff115138db53c74e971d5a9b5e84ce8a3624fad5f5f5f9f41a043"),
+    ('{"family":"z"}', ["--rmax", "5"],
+     "d250e7d5aee3ce040b7f496fc38c77cedc09d878626d4df9f15435202eb6a3c7"),
+    ('{"family":"lamplighter","m":2}', ["--rmax", "3"],
+     "3ba3abc70b67a826cba5a882bfc39531446338fe487fbd98a77d07a0966ea79b"),
+    ('{"family":"cyclic_finite","m":12}', ["--rmax", "3"],
+     "19969caf5595eba5baf78b15e0c44c1b95680fef49c7c6c6901cc1576f4c44ad"),
+    ('{"family":"z_pow","k":2}', ["--rmax", "3", "--truncation", "20", "--assume-one-ended"],
+     "9495952b4e4027e03a09cd302c771c4c7f378789c93585a82eeb227f6ab3bc6e"),
+]
+
+
+@pytest.mark.parametrize("group,options,digest", END_DEPTH_GOLDEN,
+                         ids=[" ".join([g, *o]) for g, o, _ in END_DEPTH_GOLDEN])
+def test_end_depth_golden_bytes(tmp_path, group, options, digest):
+    code, out = run(tmp_path, "golden.json", ["end-depth", "--group", group, *options])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_out_of_memory_exit_3(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_growth", exhausted)
+    assert main(["growth", "--group", '{"family":"z"}', "--rmax", "3"]) == 3
+    assert "endslab: infeasible: out of memory in growth" in capsys.readouterr().err
 
 
 def _space_file(tmp_path, distances):

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from endslab.ends import (ObssWitness, WitnessItem, check_obss_witness,
-                          complement_components, end_count_estimate, end_depth,
+from endslab import ends
+from endslab.ends import (ObssWitness, WitnessItem, _complement_sweep,
+                          check_obss_witness, end_count_estimate, end_depth,
                           end_depth_profile)
 from endslab.errors import InvalidParameter, TruncationTooSmall
 from endslab.explore import build_axis, explore
 from endslab.groups import make_group
 
-from oracles import line_witness
+from oracles import complement_components, line_witness
 
 
 def test_line_complement_two_rays(z_table_30):
@@ -61,24 +62,29 @@ def test_component_soundness_paths_must_cross_ball(f2_table_8):
         assert v not in reached
 
 
-def test_sweep_matches_full_decomposition(lamp_oracle):
+@pytest.mark.parametrize("spec,radius", [
+    ({"family": "z"}, 30),
+    ({"family": "z_pow", "k": 2}, 16),
+    ({"family": "free", "k": 2}, 8),
+    ({"family": "dihedral_inf"}, 20),
+    ({"family": "cyclic_finite", "m": 12}, 9),  # complete: reached is the diameter 6
+    ({"family": "lamplighter", "m": 2}, 12),
+], ids=str)
+def test_sweep_matches_full_decomposition(spec, radius):
     # the incremental outside-in pass and the direct per-radius union-find
-    # must agree on counts, touching flags and the deepest bounded vertex
-    from endslab.ends import _complement_sweep
-
-    table = explore(lamp_oracle, 12)
-    for trunc in (10, 12):
-        snapshots = list(range(trunc - 1))
+    # must agree on counts, touching flags and the deepest bounded vertex,
+    # at every snapshot from 0 and at the last two truncations
+    table = explore(make_group(spec), radius)
+    for trunc in (table.reached - 1, table.reached):
+        snapshots = list(range(trunc))
         sweep = _complement_sweep(table, snapshots, trunc)
         for r in snapshots:
             decomp = complement_components(table, r, trunc)
             comp_count, touch_count, bounded_max = sweep[r]
-            assert comp_count == len(decomp.components)
-            assert touch_count == decomp.touching_count
+            assert comp_count == len(decomp.components), (trunc, r)
+            assert touch_count == decomp.touching_count, (trunc, r)
             bounded = decomp.bounded_ids()
-            assert (bounded_max is None) == (not bounded)
-            if bounded:
-                assert table.dist[bounded_max] == max(table.dist[i] for i in bounded)
+            assert bounded_max == (max(bounded) if bounded else None), (trunc, r)
 
 
 def test_complement_rejects_bad_radius(z_table_30):
@@ -145,9 +151,50 @@ def test_profile_values_and_floor(z2_oracle):
     assert all(e.value >= e.r for e in profile.entries)
 
 
+@pytest.mark.parametrize("spec,r_max,trunc", [
+    ({"family": "z"}, 4, 18),
+    ({"family": "z_pow", "k": 2}, 3, 14),
+    ({"family": "z_cross_cyclic", "m": 3}, 4, 18),
+    ({"family": "free", "k": 2}, 2, 10),
+    ({"family": "lamplighter", "m": 2}, 2, 10),
+    ({"family": "lamplighter", "m": 2}, 2, 6),  # e(2) is 2 at 5 and 1 at 6
+], ids=str)
+def test_profile_classification_matches_estimate(spec, r_max, trunc):
+    # the profile reads the ends counts at its truncation from its depth
+    # sweep; the stand-alone estimate sweeps both truncations itself
+    oracle = make_group(spec)
+    table = explore(oracle, trunc)
+    profile = end_depth_profile(oracle, r_max, table=table, truncation=trunc)
+    estimate = end_count_estimate(oracle, r_max, schedule=(trunc - 1, trunc), table=table)
+    assert profile.classification == estimate.classification
+
+
+def test_profile_sweeps_once_per_truncation(z2_oracle, monkeypatch):
+    calls = []
+
+    def counted(table, snapshots, truncation):
+        calls.append(truncation)
+        return _complement_sweep(table, snapshots, truncation)
+
+    monkeypatch.setattr(ends, "_complement_sweep", counted)
+    end_depth_profile(z2_oracle, 3)
+    assert calls == [14, 13]
+    calls.clear()
+    end_depth_profile(z2_oracle, 3, one_ended=True)
+    assert calls == [14]
+
+
 def test_profile_rejects_zero_rmax(z2_oracle):
     with pytest.raises(InvalidParameter):
         end_depth_profile(z2_oracle, 0)
+
+
+def test_profile_truncation_leaves_room_for_estimate(z2_oracle):
+    # the ends estimate compares truncations T - 1 and T, both beyond r_max
+    with pytest.raises(InvalidParameter):
+        end_depth_profile(z2_oracle, 4, truncation=5)
+    profile = end_depth_profile(z2_oracle, 4, truncation=5, one_ended=True)
+    assert profile.values() == [1, 2, 3, 4]
 
 
 def test_profile_shared_table(lamp_oracle):
