@@ -19,6 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
+from operator import add, ge
 from typing import Optional, Sequence
 
 from .errors import Infeasible, InvalidParameter, TruncationTooSmall
@@ -68,16 +71,22 @@ class FiniteMetricSpace:
                 if d[i][j] <= 0:
                     raise InvalidParameter(
                         f"non-positive distance between {self.labels[i]} and {self.labels[j]}")
+        # Triangle inequality, one row pair at a time: d[i][j] exceeds some
+        # d[i][k] + d[j][k] + TOL exactly when it exceeds the smallest of them
+        # plus TOL, since float rounding of x + TOL is monotone in x. With d
+        # symmetric, a failing (j, i, k) makes (i, j, k) fail too, so the
+        # first failing triple in (i, j, k) order has i < j and only pairs
+        # j > i need checking; a failing pair is scanned for its first k.
         for i in range(n):
             di = d[i]
-            for j in range(n):
+            for j in range(i + 1, n):
                 dij = di[j]
                 dj = d[j]
-                for k in range(n):
-                    if dij > di[k] + dj[k] + TRIANGLE_TOL:
-                        raise InvalidParameter(
-                            f"triangle inequality fails at "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
+                if dij > min(map(add, di, dj)) + TRIANGLE_TOL:
+                    k = next(k for k in range(n) if dij > di[k] + dj[k] + TRIANGLE_TOL)
+                    raise InvalidParameter(
+                        f"triangle inequality fails at "
+                        f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
 
     def index_of(self, label: str) -> int:
         try:
@@ -86,11 +95,14 @@ class FiniteMetricSpace:
             raise InvalidParameter(f"unknown point label {label!r}") from None
 
     def diameter(self, ids: Optional[Sequence[int]] = None) -> float:
+        d = self.dist
         ids = range(self.n) if ids is None else list(ids)
-        return max((self.dist[i][j] for i in ids for j in ids), default=0)
+        return max((max(map(d[i].__getitem__, ids)) for i in ids), default=0)
 
     def set_distance(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> float:
-        return min(self.dist[i][j] for i in ids_a for j in ids_b)
+        d = self.dist
+        ids_b = list(ids_b)
+        return min(min(map(d[i].__getitem__, ids_b)) for i in ids_a)
 
     def to_dict(self) -> dict:
         return {"points": list(self.labels), "distances": [list(r) for r in self.dist]}
@@ -175,22 +187,27 @@ def build_gl_partition(space: FiniteMetricSpace, a: int) -> GlPartition:
     _check_factor(a)
     n = space.n
     d = space.dist
-    sets = [frozenset([i]) for i in range(n)]
+    points = range(n)
+    sets = [frozenset([i]) for i in points]
     d_prev = 1
     history = [1]
     iterations = 0
     for m in range(1, n + 3):
-        reach = a * d_prev
-        expanded = []
+        # reach >= x through operator.ge: int.__ge__ returns NotImplemented on floats
+        within = partial(ge, a * d_prev)
+        # points that share a candidate set share its expansion: after the
+        # first round there is one distinct set per block, not one per point
+        grown = {}
         for s in sets:
-            grown = frozenset(
-                j for j in range(n) if min(d[i][j] for i in s) <= reach)
-            expanded.append(grown)
-        if expanded == sets:
+            if s not in grown:
+                rows = [d[i] for i in s]
+                near = map(min, *rows) if len(rows) > 1 else rows[0]
+                grown[s] = frozenset(compress(points, map(within, near)))
+        if all(g == s for s, g in grown.items()):
             iterations = m - 1
             break
-        sets = expanded
-        d_m = max(max((space.diameter(s) for s in sets), default=0), 1)
+        sets = [grown[s] for s in sets]
+        d_m = max(max((space.diameter(s) for s in dict.fromkeys(sets)), default=0), 1)
         if d_m > (2 * a + 1) ** m + TRIANGLE_TOL:
             raise AssertionError(
                 f"diameter sequence {d_m} exceeded ({2 * a + 1})^{m}: builder bug")
@@ -282,7 +299,8 @@ def verify_gl_partition(space: FiniteMetricSpace, partition: GlPartition,
     diam_max = max(max((space.diameter(ids) for ids in idx_blocks), default=0), 1)
     separation_ok = True
     for bi, ids in enumerate(idx_blocks):
-        rest = [j for j in range(space.n) if j not in set(ids)]
+        block = set(ids)
+        rest = [j for j in range(space.n) if j not in block]
         if not rest:
             continue
         sep = space.set_distance(ids, rest)

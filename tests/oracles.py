@@ -1,10 +1,11 @@
 """Independent expected-value oracles for the test suite.
 
 Nothing here touches the package's search machinery: sphere counts come from
-direct enumeration or combinatorial counting, and complement components from
-a union-find of its own run one radius at a time, so agreement with the
-explorer and with the ends sweep is a real cross-check rather than a
-tautology.
+direct enumeration or combinatorial counting, complement components from a
+union-find of its own run one radius at a time, and metric-space answers
+from loops that read one matrix entry at a time, so agreement with the
+explorer, the ends sweep and the row-at-a-time metric kernels is a real
+cross-check rather than a tautology.
 """
 
 from dataclasses import dataclass
@@ -229,3 +230,107 @@ def clustered_line_space(rng, n_max=12, huge_gap=30000):
             positions.append(spot)
             spot += rng.randint(1, 4)
     return FiniteMetricSpace.from_line(positions, labels=[f"p{i}" for i in range(n)])
+
+
+def clustered_plane_space(rng, sizes, half_widths, spacing=1000):
+    """Clusters of integer points in the L1 plane, one per entry of ``sizes``.
+
+    Each cluster is a random walk with steps of L1 length at most 3 inside a
+    box of the given half width, so expansion takes several rounds to absorb
+    it; cluster centers sit on a line ``spacing`` apart.
+    """
+    from endslab.glpartition import FiniteMetricSpace
+
+    steps = [(dx, dy) for dx in range(-3, 4) for dy in range(-3, 4)
+             if 0 < abs(dx) + abs(dy) <= 3]
+    points = []
+    for ci, (size, half) in enumerate(zip(sizes, half_widths)):
+        if size > (2 * half + 1) ** 2:
+            raise ValueError(f"{size} points do not fit in a box of half width {half}")
+        x = y = 0
+        walk = [(0, 0)]
+        seen = {(0, 0)}
+        while len(walk) < size:
+            dx, dy = rng.choice(steps)
+            x = max(-half, min(half, x + dx))
+            y = max(-half, min(half, y + dy))
+            if (x, y) not in seen:
+                seen.add((x, y))
+                walk.append((x, y))
+        points.extend((ci * spacing + px, py) for px, py in walk)
+    dist = [[abs(x1 - x2) + abs(y1 - y2) for x2, y2 in points] for x1, y1 in points]
+    return FiniteMetricSpace([f"p{i}" for i in range(len(points))], dist)
+
+
+def near_equality_space(rng, n_max=12, slack=3e-10):
+    """Points on a line whose distances each carry a symmetric surplus below
+    ``slack``, so collinear triples break the triangle inequality by less than
+    the validation tolerance (1e-9) as long as slack stays under it.
+    """
+    from endslab.glpartition import FiniteMetricSpace
+
+    n = rng.randint(1, n_max)
+    positions = [0.0]
+    while len(positions) < n:
+        positions.append(positions[-1] + rng.choice([0.5, 1.25, 3.0, 700.5]))
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = abs(positions[i] - positions[j]) + rng.uniform(0, slack)
+    return FiniteMetricSpace([f"q{i}" for i in range(n)], dist)
+
+
+def reference_triangle_violation(dist, tol):
+    """The first (i, j, k) in lexicographic order with
+    d[i][j] > d[i][k] + d[j][k] + tol, or None: every ordered triple, one
+    entry at a time."""
+    n = len(dist)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][j] > dist[i][k] + dist[j][k] + tol:
+                    return i, j, k
+    return None
+
+
+def reference_diameter(dist, ids):
+    """Largest entry over all ordered pairs of ``ids`` (0 for no ids)."""
+    ids = list(ids)
+    return max((dist[i][j] for i in ids for j in ids), default=0)
+
+
+def reference_set_distance(dist, ids_a, ids_b):
+    """Smallest entry from a point of ``ids_a`` to a point of ``ids_b``."""
+    return min(dist[i][j] for i in ids_a for j in ids_b)
+
+
+def reference_gl_partition(space, a):
+    """The expansion-based partition, one set and one matrix entry at a time.
+
+    Every point's candidate set is expanded on its own, reading each
+    distance separately, until no set changes. Returns the builder's fields
+    (blocks as label tuples, D, k, trivial, separation, diameter history).
+    """
+    n = space.n
+    d = space.dist
+    sets = [frozenset([i]) for i in range(n)]
+    history = [1]
+    for _ in range(n + 2):
+        reach = a * history[-1]
+        expanded = [frozenset(j for j in range(n) if min(d[i][j] for i in s) <= reach)
+                    for s in sets]
+        if expanded == sets:
+            break
+        sets = expanded
+        history.append(max(max(reference_diameter(d, s) for s in sets), 1))
+    else:
+        raise AssertionError("reference expansion did not stabilize")
+    blocks = list(dict.fromkeys(sets))
+    trivial = len(blocks) == 1
+    D = max(max(reference_diameter(d, b) for b in blocks), 1)
+    separation = None
+    if not trivial:
+        separation = min(reference_set_distance(d, b, [j for j in range(n) if j not in b])
+                         for b in blocks)
+    labels = tuple(tuple(space.labels[i] for i in sorted(b)) for b in blocks)
+    return labels, D, len(history) - 1, trivial, separation, tuple(history)

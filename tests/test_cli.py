@@ -3,14 +3,16 @@
 import hashlib
 import json
 import platform
+import random
 
 import pytest
 
 from endslab import cli
 from endslab.cli import fix_mmap_threshold, main
 from endslab.explore import build_axis
+from endslab.glpartition import FiniteMetricSpace
 
-from oracles import line_witness
+from oracles import clustered_plane_space, line_witness
 
 
 def run(tmp_path, name, args):
@@ -230,6 +232,38 @@ def test_end_depth_golden_bytes(tmp_path, group, options, digest):
     code, out = run(tmp_path, "golden.json", ["end-depth", "--group", group, *options])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of glpartition reports on spaces built here: multi-block, line, collapsing
+GLPARTITION_GOLDEN = [
+    ("clusters", lambda: clustered_plane_space(random.Random(5), (60, 50, 40, 30, 20),
+                                               (14, 12, 10, 8, 6)),
+     "8c79433bdeb46f8bdde447215ac9ac0d42634c8bfaf972ce8270d2bf5f9bc9c4"),
+    ("line", lambda: FiniteMetricSpace.from_line([0, 1.5, 3.25, 40, 41.25, 4000, 4002.5, 90000]),
+     "d18ab83dd994b880501c2ad868ebd926b389131671d99241fbc97f2c731d0dc4"),
+    ("collapse", lambda: FiniteMetricSpace.from_line(list(range(12))),
+     "5d959cc486f34bcee9a78fd9b08e0fd7abf5f86d01b7512468d478f9c33c035a"),
+]
+
+
+@pytest.mark.parametrize("build,digest", [g[1:] for g in GLPARTITION_GOLDEN],
+                         ids=[g[0] for g in GLPARTITION_GOLDEN])
+def test_glpartition_golden_bytes(tmp_path, build, digest):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(build().to_dict()))
+    code, out = run(tmp_path, "golden.json", ["glpartition", "--input", str(space), "--a", "3"])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_glpartition_triangle_failure_exit_2(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": ["a", "b", "c"],
+                                 "distances": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}))
+    out = tmp_path / "never.json"
+    assert main(["glpartition", "--input", str(space), "--a", "3", "--out", str(out)]) == 2
+    assert "triangle inequality fails at (a, c, b)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_of_memory_exit_3(monkeypatch, capsys):

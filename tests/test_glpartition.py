@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from endslab.errors import Infeasible, InvalidParameter, TruncationTooSmall
 from endslab.explore import build_axis, explore
-from endslab.glpartition import (FiniteMetricSpace, GlPartition, build_gl_partition,
-                                 similar_partitions, sphere_as_metric_space,
-                                 verify_gl_partition)
+from endslab.glpartition import (TRIANGLE_TOL, FiniteMetricSpace, GlPartition,
+                                 build_gl_partition, similar_partitions,
+                                 sphere_as_metric_space, verify_gl_partition)
 
-from oracles import clustered_line_space
+from oracles import (clustered_line_space, clustered_plane_space, near_equality_space,
+                     reference_diameter, reference_gl_partition, reference_set_distance,
+                     reference_triangle_violation)
 
 
 def test_worked_example_two_blocks():
@@ -52,9 +54,87 @@ def test_metric_validation():
         FiniteMetricSpace(["a", "b"], [[0, 1], [2, 0]])          # asymmetric
     with pytest.raises(InvalidParameter):
         FiniteMetricSpace(["a", "b"], [[0, 0], [0, 0]])          # zero off-diagonal
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter) as exc:
         FiniteMetricSpace(["a", "b", "c"],
                           [[0, 1, 5], [1, 0, 1], [5, 1, 0]])     # triangle fails
+    assert str(exc.value) == "triangle inequality fails at (a, c, b)"
+
+
+def _random_space(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        clusters = rng.randint(1, 4)
+        return clustered_plane_space(rng, [rng.randint(1, 12) for _ in range(clusters)],
+                                     [rng.randint(2, 6) for _ in range(clusters)],
+                                     spacing=rng.choice((30, 300, 3000)))
+    if kind == 1:
+        return clustered_line_space(rng)
+    return near_equality_space(rng)
+
+
+def _fields(part):
+    return repr((part.blocks, part.D, part.iterations, part.trivial, part.separation,
+                 part.diameter_history))
+
+
+def test_row_kernels_match_reference_loops():
+    rng = random.Random(71113)
+    near_misses = 0
+    for _ in range(240):
+        space = _random_space(rng)
+        d = space.dist
+        near_misses += any(d[i][j] > d[i][k] + d[j][k]
+                           for i in range(space.n) for j in range(space.n)
+                           for k in range(space.n))
+        a = rng.choice((3, 4, 5))
+        assert _fields(build_gl_partition(space, a)) == repr(reference_gl_partition(space, a))
+        ids_a = rng.sample(range(space.n), rng.randint(1, space.n))
+        ids_b = rng.sample(range(space.n), rng.randint(1, space.n))
+        assert repr(space.diameter(ids_a)) == repr(reference_diameter(d, ids_a))
+        assert repr(space.diameter()) == repr(reference_diameter(d, range(space.n)))
+        assert repr(space.set_distance(ids_a, ids_b)) == repr(
+            reference_set_distance(d, ids_a, ids_b))
+    assert near_misses > 20  # distances within the tolerance of equality occur
+
+
+def test_triangle_message_matches_reference_triple():
+    rng = random.Random(3571)
+    failures = 0
+    for _ in range(240):
+        space = _random_space(rng)
+        n = space.n
+        if n < 3:
+            continue
+        dist = [list(row) for row in space.dist]
+        for _ in range(rng.randint(1, 2)):  # plant at a random or an adjacent pair
+            i = rng.randrange(n - 1)
+            j = i + 1 if rng.random() < 0.5 else rng.randrange(i + 1, n)
+            extra = rng.choice([rng.randint(1, 40), rng.uniform(0, 3 * TRIANGLE_TOL),
+                                rng.uniform(0.5, 2.5)])
+            dist[i][j] = dist[j][i] = dist[i][j] + extra
+        expected = reference_triangle_violation(dist, TRIANGLE_TOL)
+        if expected is None:
+            FiniteMetricSpace(space.labels, dist)
+            continue
+        failures += 1
+        with pytest.raises(InvalidParameter) as exc:
+            FiniteMetricSpace(space.labels, dist)
+        triple = ", ".join(space.labels[x] for x in expected)
+        assert str(exc.value) == f"triangle inequality fails at ({triple})"
+    assert failures > 100
+
+
+def test_diameter_and_set_distance_read_the_matrix_as_given():
+    rng = random.Random(8191)
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        dist = [[rng.randint(0, 50) for _ in range(n)] for _ in range(n)]
+        space = FiniteMetricSpace([str(i) for i in range(n)], dist, validate=False)
+        ids = rng.sample(range(n), rng.randint(1, n))
+        rest = rng.sample(range(n), rng.randint(1, n))
+        assert space.diameter(ids) == reference_diameter(dist, ids)
+        assert space.diameter() == reference_diameter(dist, range(n))
+        assert space.set_distance(ids, rest) == reference_set_distance(dist, ids, rest)
 
 
 def test_verifier_rejects_hand_made_singletons():
