@@ -317,13 +317,11 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
     elif axis.extent < extent:
         raise InvalidParameter(
             f"axis extent {axis.extent} too short: the demo needs {extent}")
-    # a caller-supplied axis carries ids of its own table; re-anchor here
-    axis_id = {}
+    # a caller-supplied axis was verified against its own table; check it here
     for i in range(-40 * D, 40 * D + 1):
         vid = table.id_of(axis.vertex(i))
         if vid is None or table.dist[vid] != abs(i):
             raise NotGeodesic(f"axis vertex {i} off its sphere in the demo table")
-        axis_id[i] = vid
 
     similar = True
     partitions = {}
@@ -352,8 +350,7 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
     ball_ids = range(table.ball_size(39 * D))
     covered: set = set()
     for i in range(-40 * D, 40 * D + 1):
-        reach = table.bfs_from([axis_id[i]], max_depth=D)
-        covered.update(v for v, d in reach.items() if d == D)
+        covered.update(table.sphere_around(axis.vertex(i), D))
     missing = [v for v in ball_ids if v not in covered]
     covering_ok = not missing
     steps.append(DemoStep(

@@ -493,9 +493,10 @@ _WITNESS_NOTE = (
 def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
     """Check every separating condition of a witness against a ball table.
 
-    Set diameters use the word metric restricted to the truncation, so they
-    are exact whenever the set's diameter is at most the truncation radius
-    minus the set's largest distance from the identity.
+    Set diameters are word-metric distances |x^-1 y| read from the table:
+    exact when x^-1 y lies in it. A pair further apart than the truncation
+    raises TruncationTooSmall, naming the item and the set, as does a K
+    whose reach leaves the truncation.
     """
     if not witness.items:
         raise InvalidParameter("witness has no items")
@@ -515,7 +516,7 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
             raise TruncationTooSmall(
                 f"items[{idx}]: need radius {max_dist + it.r}, table has {table.reached}")
 
-        diam_K = table.set_diameter(K)
+        diam_K = _diameter(table, K, f"items[{idx}].K")
         # neighborhood with strict inequality: d(v, K) < r
         hood = set(table.bfs_from(K, max_depth=it.r - 1))
         region = hood.difference(K)
@@ -529,8 +530,8 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
         b_single = len(b_comps) == 1 and None not in b_comps
         distinct = a_single and b_single and a_comps != b_comps
 
-        diam_A = table.set_diameter(A) if A else None
-        diam_B = table.set_diameter(B) if B else None
+        diam_A = _diameter(table, A, f"items[{idx}].A") if A else None
+        diam_B = _diameter(table, B, f"items[{idx}].B") if B else None
         diams_A.append(diam_A)
         diams_B.append(diam_B)
         item_reports.append(WitnessItemReport(
@@ -554,6 +555,13 @@ def _resolve(table: BallTable, keys: Sequence[str], where: str) -> list:
             raise InvalidParameter(f"{where}: vertex {key!r} not in the explored ball")
         ids.append(vid)
     return ids
+
+
+def _diameter(table: BallTable, ids: list, where: str) -> int:
+    try:
+        return table.set_diameter(ids)
+    except TruncationTooSmall as exc:
+        raise TruncationTooSmall(f"{where}: {exc}") from None
 
 
 def _component_map(table: BallTable, region: set) -> dict:

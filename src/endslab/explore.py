@@ -3,7 +3,8 @@
 The explorer produces exact word-metric distances for every element within a
 truncation radius, plus the adjacency of the induced subgraph. Distances are
 always computed by search, never by family-specific formulas; closed forms
-are reserved for cross-checks in the test suite.
+are reserved for cross-checks in the test suite. Pairwise distances follow by
+left invariance, d(x, y) = |x^-1 y|: one group product and one lookup.
 
 Vertices are numbered in discovery order, which is also distance order, so a
 layer is a contiguous id range and the whole table is deterministic: two runs
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic
+from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
+                     TruncationTooSmall)
 from .groups import Codec, Element, GroupOracle
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -136,44 +138,35 @@ class BallTable:
             frontier = nxt
         return seen
 
-    def distance_between(self, u: int, v: int, max_depth: Optional[int] = None) -> Optional[int]:
-        """Graph distance within the truncation (None if not reached)."""
-        if u == v:
-            return 0
-        seen = {u}
-        frontier = [u]
-        depth = 0
-        indptr = self._adj_indptr
-        adj = self._adj
-        while frontier and (max_depth is None or depth < max_depth):
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for y in adj[indptr[x]:indptr[x + 1]]:
-                    if y == v:
-                        return depth
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return None
+    def sphere_around(self, center: Element, r: int) -> list:
+        """Ids of the sphere center * S(e, r), a left translate of layer r
+        (None for a point outside the table)."""
+        multiply = self.oracle.multiply
+        return [self.id_of(multiply(center, self.element(v))) for v in self.layer_ids(r)]
+
+    def distances_from(self, x: Element, ys: Iterable[Element]) -> list:
+        """Exact word-metric distances d(x, y) = |x^-1 y|, one per y; None
+        where x^-1 y lies outside the table, further than the truncation."""
+        multiply, x_inv = self.oracle.multiply, self.oracle.invert(x)
+        ids = [self.id_of(multiply(x_inv, y)) for y in ys]
+        return [None if v is None else self.dist[v] for v in ids]
 
     def set_diameter(self, ids: Sequence[int]) -> int:
-        """Max pairwise distance within the truncated graph.
+        """Max pairwise word-metric distance of a vertex set.
 
-        Exact in the word metric whenever the true diameter is at most the
-        truncation radius minus the set's max distance from the identity.
+        Exact, read by left invariance: raises TruncationTooSmall naming a
+        pair that lies further apart than the truncation radius.
         """
+        points = [self.element(v) for v in ids]
         best = 0
-        ids = list(ids)
-        for s in ids:
-            dmap = self.bfs_from([s])
-            for t in ids:
-                d = dmap.get(t)
-                if d is None:
-                    raise InvalidParameter("set not connected within truncation")
-                if d > best:
-                    best = d
+        for i, x in enumerate(points):
+            row = self.distances_from(x, points[i + 1:])
+            if None in row:
+                far = ids[i + 1 + row.index(None)]
+                raise TruncationTooSmall(
+                    f"{self.key_of(ids[i])} and {self.key_of(far)} lie more than "
+                    f"the truncation radius {self.reached} apart")
+            best = max(best, max(row, default=0))
         return best
 
     def dump_csv(self, path) -> None:
@@ -359,13 +352,9 @@ class GeodesicAxis:
     base_word: tuple
     extent: int
     _vertices: tuple = field(repr=False)
-    _ids: tuple = field(repr=False)
 
     def vertex(self, i: int) -> Element:
         return self._vertices[i + self.extent]
-
-    def table_id(self, i: int) -> int:
-        return self._ids[i + self.extent]
 
     def indices(self) -> range:
         return range(-self.extent, self.extent + 1)
@@ -397,7 +386,6 @@ def build_axis(oracle: GroupOracle, table: BallTable, extent: int) -> GeodesicAx
         g = oracle.multiply(g, inv_word[(i - 1) % n])
         vertices[extent - i] = g
 
-    ids = []
     for idx, v in enumerate(vertices):
         expected = abs(idx - extent)
         vid = table.id_of(v)
@@ -405,5 +393,4 @@ def build_axis(oracle: GroupOracle, table: BallTable, extent: int) -> GeodesicAx
             raise NotGeodesic(
                 f"axis vertex at index {idx - extent} is not at distance {expected}"
             )
-        ids.append(vid)
-    return GeodesicAxis(tuple(word), extent, tuple(vertices), tuple(ids))
+    return GeodesicAxis(tuple(word), extent, tuple(vertices))

@@ -17,10 +17,10 @@ matrix, sharing no state with the builder.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
+from math import isfinite
 from operator import add, ge
 from typing import Optional, Sequence
 
@@ -55,12 +55,15 @@ class FiniteMetricSpace:
         d = self.dist
         if len(d) != n or any(len(row) != n for row in d):
             raise InvalidParameter(f"distance matrix must be {n}x{n}")
-        for i, row in enumerate(d):
-            for j, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-                    raise InvalidParameter(
-                        f"distance between {self.labels[i]} and {self.labels[j]} "
-                        f"is not a finite number: {x!r}")
+        try:
+            for i, row in enumerate(d):
+                for j, x in enumerate(row):
+                    if isinstance(x, bool) or not isinstance(x, (int, float)) or not isfinite(x):
+                        raise ValueError
+        except (ValueError, OverflowError):  # isfinite overflows on an int past float range
+            raise InvalidParameter(
+                f"distance between {self.labels[i]} and {self.labels[j]} "
+                f"is not a finite number: {x!r}") from None
         for i in range(n):
             if d[i][i] != 0:
                 raise InvalidParameter(f"nonzero diagonal at {self.labels[i]}")
@@ -82,8 +85,8 @@ class FiniteMetricSpace:
             for j in range(i + 1, n):
                 dij = di[j]
                 dj = d[j]
-                if dij > min(map(add, di, dj)) + TRIANGLE_TOL:
-                    k = next(k for k in range(n) if dij > di[k] + dj[k] + TRIANGLE_TOL)
+                if dij > min(map(add, di, dj)) + TRIANGLE_TOL:  # the min is at most dij
+                    k = next(k for k in range(n) if _exceeds(dij, di[k] + dj[k]))
                     raise InvalidParameter(
                         f"triangle inequality fails at "
                         f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
@@ -125,6 +128,14 @@ class FiniteMetricSpace:
             labels = [str(p) for p in positions]
         dist = [[abs(p - q) for q in positions] for p in positions]
         return cls(labels, dist)
+
+
+def _exceeds(dij, s) -> bool:
+    """dij > s + TRIANGLE_TOL; an int s past float range lies above any dij."""
+    try:
+        return dij > s + TRIANGLE_TOL
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -319,10 +330,11 @@ def sphere_as_metric_space(oracle: GroupOracle, table: BallTable,
                            center: Element, r: int) -> FiniteMetricSpace:
     """The sphere of radius r around a center, with exact pairwise distances.
 
-    Requires d(identity, center) + 3r within the truncation: any geodesic
-    between two sphere points has length at most 2r and stays within that
-    radius, so distances measured inside the table are exact word-metric
-    distances. Points are labeled by their canonical keys.
+    The points are center * S(e, r), left translates of a table layer,
+    ordered by table id and labeled by their canonical keys. A distance is
+    |x^-1 y|, read from the table, so it is exact whenever x^-1 y lies in
+    it. The guard d(identity, center) + 3r <= truncation keeps every point
+    and every x^-1 y (length at most 2r) inside.
     """
     cid = table.id_of(center)
     if cid is None:
@@ -334,24 +346,19 @@ def sphere_as_metric_space(oracle: GroupOracle, table: BallTable,
             f"need radius {table.dist[cid] + 3 * r} for exact sphere distances, "
             f"table has {table.reached}")
 
-    reach = table.bfs_from([cid], max_depth=r)
-    points = sorted(v for v, d in reach.items() if d == r)
+    points = sorted(table.sphere_around(center, r))
     if not points:
         raise InvalidParameter(f"sphere of radius {r} around the center is empty")
-    index = {v: i for i, v in enumerate(points)}
-    size = len(points)
-    dist = [[0] * size for _ in range(size)]
-    for v in points:
-        dmap = table.bfs_from([v], max_depth=2 * r)
-        i = index[v]
-        for w in points:
-            if w == v:
-                continue
-            dw = dmap.get(w)
-            if dw is None:
-                raise TruncationTooSmall(
-                    "sphere points not mutually reachable within the truncation")
-            dist[i][index[w]] = dw
+    elements = [table.element(v) for v in points]
+    dist = [[0] * len(points) for _ in points]
+    for i, x in enumerate(elements):
+        row = table.distances_from(x, elements[i + 1:])
+        if None in row:
+            raise TruncationTooSmall(
+                "sphere points not mutually reachable within the truncation")
+        dist[i][i + 1:] = row
+        for j, d in enumerate(row, i + 1):
+            dist[j][i] = d
     labels = [table.key_of(v) for v in points]
     return FiniteMetricSpace(labels, dist)
 

@@ -2,10 +2,11 @@
 
 Nothing here touches the package's search machinery: sphere counts come from
 direct enumeration or combinatorial counting, complement components from a
-union-find of its own run one radius at a time, and metric-space answers
-from loops that read one matrix entry at a time, so agreement with the
-explorer, the ends sweep and the row-at-a-time metric kernels is a real
-cross-check rather than a tautology.
+union-find of its own run one radius at a time, table distances from a
+breadth-first search per point over the stored adjacency, and metric-space
+answers from loops that read one matrix entry at a time, so agreement with
+the explorer, the left-invariant distances, the ends sweep and the
+row-at-a-time metric kernels is a real cross-check rather than a tautology.
 """
 
 from dataclasses import dataclass
@@ -110,6 +111,53 @@ def reference_ball(oracle, radius):
                 complete = False
         rows.append(row)
     return elements, dist, rows, complete
+
+
+def reference_bfs(table, source, max_depth=None):
+    """{id: distance} from one vertex over the truncated graph.
+
+    A plain breadth-first search over ``BallTable.neighbors``; distances are
+    those of the induced subgraph, which equal word-metric distances when
+    every geodesic involved stays inside the ball.
+    """
+    seen = {source: 0}
+    frontier = [source]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for v in table.neighbors(u):
+                if v not in seen:
+                    seen[v] = depth
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def reference_sphere_space(table, center, r):
+    """(labels, distance rows) of the radius-r sphere around ``center``.
+
+    The points are the vertices a search from the center reaches at depth
+    exactly r, ordered by id; each row comes from a search to depth 2r from
+    its point.
+    """
+    reach = reference_bfs(table, table.id_of(center), r)
+    points = sorted(v for v, d in reach.items() if d == r)
+    rows = []
+    for v in points:
+        dmap = reference_bfs(table, v, 2 * r)
+        rows.append(tuple(dmap[w] for w in points))
+    return tuple(table.key_of(v) for v in points), tuple(rows)
+
+
+def reference_set_diameter(table, ids):
+    """Max pairwise truncated-graph distance: a full search from every point."""
+    best = 0
+    for s in ids:
+        dmap = reference_bfs(table, s)
+        best = max([best] + [dmap[t] for t in ids])
+    return best
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from endslab import classify
 from endslab.classify import (DominationBounds, GrowthSamples, bounded_sphere_detector,
                               growth_dominates, linear_end_depth_check,
                               sphere_bound_criterion, sphere_cover_demo,
@@ -14,6 +15,29 @@ from endslab.explore import sphere_size_series
 from endslab.groups import make_group
 
 from oracles import lamplighter2_sphere_counts
+
+
+@pytest.fixture(scope="module", autouse=True)
+def plane_series_once():
+    """Compute the Z^2 series to radius 2401 once for the whole module.
+
+    The criterion and the demo both ask for it (seconds each); every other
+    call goes through unchanged.
+    """
+    real = classify.sphere_size_series
+    plane = make_group({"family": "z_pow", "k": 2}).label()
+    memo = {}
+
+    def series(oracle, radius, budget=None):
+        if (oracle.label(), radius) != (plane, 2401):
+            return real(oracle, radius, budget)
+        if budget not in memo:
+            memo[budget] = real(oracle, radius, budget)
+        return memo[budget]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "sphere_size_series", series)
+        yield
 
 
 def test_domination_linear_under_quadratic():

@@ -134,6 +134,20 @@ def test_obss_pass_and_fail(tmp_path, z_oracle, z_table_30):
     assert code == 1
 
 
+def test_obss_pair_beyond_truncation_exit_2(tmp_path, capsys):
+    # -8 and 8 are 16 apart: no distance in a radius-12 table certifies that
+    wfile = tmp_path / "witness.json"
+    wfile.write_text(json.dumps({"n": 2, "truncation": 12, "items": [
+        {"K": ["0", "1"], "r": 2, "A": ["-1"], "B": ["2"]},
+        {"K": ["0", "1"], "r": 3, "A": ["-8", "8"], "B": ["2"]}]}))
+    out = tmp_path / "never.json"
+    assert main(["obss", "--group", '{"family":"z"}', "--witness", str(wfile),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "items[1].A: -8 and 8 lie more than the truncation radius 12 apart" in err, err
+    assert not out.exists()
+
+
 def test_obss_requires_truncation(tmp_path, z_oracle, z_table_30):
     axis = build_axis(z_oracle, z_table_30, 14)
     witness = line_witness(z_oracle, axis, range(2, 4))
@@ -256,6 +270,44 @@ def test_glpartition_golden_bytes(tmp_path, build, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of demo-cover reports: two passing demos and one declined (exit 1)
+DEMO_COVER_GOLDEN = [
+    ('{"family":"z"}', "3", 0,
+     "9909b582853234cc0312cca3d58a4608f12e5db0795ef0c29177839f9e6808cf"),
+    ('{"family":"dihedral_inf"}', "4", 0,
+     "da288f5a1bd38310e2698d10b3bad5286289c60f07a8db5a2d16b0d8b1c526d5"),
+    ('{"family":"z_cross_cyclic","m":3}', "3", 1,
+     "8064e46ddad44d52e88d6fa3066beaf1ba6cd2c019209338911433f2bb4c8da9"),
+]
+
+
+@pytest.mark.parametrize("group,a,exit_code,digest", DEMO_COVER_GOLDEN,
+                         ids=[f"{g} a={a}" for g, a, _, _ in DEMO_COVER_GOLDEN])
+def test_demo_cover_golden_bytes(tmp_path, group, a, exit_code, digest):
+    code, out = run(tmp_path, "golden.json",
+                    ["demo-cover", "--group", group, "--a", a, "--n", "2"])
+    assert code == exit_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_obss_golden_bytes(tmp_path, z_oracle, z_table_30):
+    # the passing and failing reports of test_obss_pass_and_fail
+    witness = line_witness(z_oracle, build_axis(z_oracle, z_table_30, 14), range(2, 7))
+    witness.truncation = 30
+    bad = witness.to_dict()
+    bad["items"][0]["A"] = bad["items"][0]["B"]
+    wfile = tmp_path / "witness.json"
+    for doc, exit_code, digest in (
+            (witness.to_dict(), 0,
+             "0a7861605a88eb46650c2de3e89e8c71c5d20bd4966ad6af4adf9487987f3424"),
+            (bad, 1, "11d38fb5ff6af7b535b91e51c222573dbf611dedaeff80b113b0c390e42b45d9")):
+        wfile.write_text(json.dumps(doc))
+        code, out = run(tmp_path, f"obss{exit_code}.json",
+                        ["obss", "--group", '{"family":"z"}', "--witness", str(wfile)])
+        assert code == exit_code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_glpartition_triangle_failure_exit_2(tmp_path, capsys):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"points": ["a", "b", "c"],
@@ -330,6 +382,22 @@ def test_non_finite_distances_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "between a and b" in err, (bad, err)
         assert not out.exists()
+
+
+def test_distances_past_float_range_exit_2(tmp_path, capsys):
+    huge = 10 ** 400  # 401 digits: no float holds it
+    out = tmp_path / "never.json"
+    assert main(["glpartition", "--input", str(_space_file(tmp_path, [[0, huge], [huge, 0]])),
+                 "--a", "3", "--out", str(out)]) == 2
+    assert "distance between a and b is not a finite number" in capsys.readouterr().err
+    # in range, but d(a, c) + d(b, c) is not: the triangle scan passes over it
+    big = 15 * 10 ** 307
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"points": ["a", "b", "c", "d"], "distances": [
+        [0, 10, big, 1], [10, 0, big, 1], [big, big, 0, big], [1, 1, big, 0]]}))
+    assert main(["glpartition", "--input", str(path), "--a", "3", "--out", str(out)]) == 2
+    assert "triangle inequality fails at (a, b, d)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is a glibc call")

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis
+from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis, TruncationTooSmall
 from endslab.explore import build_axis, explore, sphere_size_series, sphere_sizes
 from endslab.groups import make_group
 
 from oracles import (free_sphere_count, l1_sphere_count, lamplighter2_sphere_counts,
-                     reference_ball)
+                     reference_ball, reference_bfs, reference_set_diameter)
 
 NESTED = {"family": "product",
           "left": {"family": "product", "left": {"family": "z"},
@@ -163,7 +163,32 @@ def test_left_invariance_spot_check(z2_oracle, z2_table_22):
         g, h = table.element(gu), table.element(gv)
         shifted = z2_oracle.multiply(z2_oracle.invert(g), h)
         expected = fresh.dist[fresh.id_of(shifted)]
-        assert table.distance_between(gu, gv) == expected
+        assert reference_bfs(table, gu)[gv] == expected
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ({"family": "z_pow", "k": 2}, 12),
+    ({"family": "z_cross_cyclic", "m": 3}, 12),
+    ({"family": "lamplighter", "m": 2}, 9),
+    ({"family": "cyclic_finite", "m": 12}, 12),
+])
+def test_set_diameter_matches_reference_search(spec, radius):
+    # within a third of the radius every geodesic between two points stays inside
+    table = explore(make_group(spec), radius)
+    inner = range(table.size if table.complete_group else table.ball_size(radius // 3))
+    rng = random.Random(radius)
+    for size in (1, 2, 3, 6):
+        ids = rng.sample(inner, size)
+        assert table.set_diameter(ids) == reference_set_diameter(table, ids), ids
+
+
+def test_set_diameter_beyond_truncation_raises(z_oracle):
+    table = explore(z_oracle, 12)
+    ids = [table.id_of(-8), table.id_of(3), table.id_of(8)]
+    with pytest.raises(TruncationTooSmall,
+                       match="-8 and 8 lie more than the truncation radius 12"):
+        table.set_diameter(ids)
+    assert table.set_diameter(ids[1:]) == 5
 
 
 def test_budget_exceeded_reports_radius():

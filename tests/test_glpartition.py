@@ -11,10 +11,11 @@ from endslab.explore import build_axis, explore
 from endslab.glpartition import (TRIANGLE_TOL, FiniteMetricSpace, GlPartition,
                                  build_gl_partition, similar_partitions,
                                  sphere_as_metric_space, verify_gl_partition)
+from endslab.groups import make_group
 
 from oracles import (clustered_line_space, clustered_plane_space, near_equality_space,
                      reference_diameter, reference_gl_partition, reference_set_distance,
-                     reference_triangle_violation)
+                     reference_sphere_space, reference_triangle_violation)
 
 
 def test_worked_example_two_blocks():
@@ -243,6 +244,39 @@ def test_sphere_space_tree(f2_oracle):
 def test_sphere_space_window_guard(z2_oracle, z2_table_22):
     with pytest.raises(TruncationTooSmall):
         sphere_as_metric_space(z2_oracle, z2_table_22, (0, 0), 8)
+
+
+# (spec, table radius): every family, with a finite one whose table is complete
+SPHERE_FAMILIES = [
+    ({"family": "z"}, 12),
+    ({"family": "z_pow", "k": 2}, 10),
+    ({"family": "free", "k": 2}, 7),
+    ({"family": "dihedral_inf"}, 12),
+    ({"family": "z_cross_cyclic", "m": 3}, 10),
+    ({"family": "lamplighter", "m": 2}, 9),
+    ({"family": "product", "left": {"family": "z"}, "right": {"family": "free", "k": 2}}, 7),
+    ({"family": "cyclic_finite", "m": 12}, 12),
+]
+
+
+@pytest.mark.parametrize("spec,radius", SPHERE_FAMILIES,
+                         ids=[make_group(s).label() for s, _ in SPHERE_FAMILIES])
+def test_sphere_space_matches_reference_search(spec, radius):
+    # left translation and table lookups against one search per point
+    oracle = make_group(spec)
+    table = explore(oracle, radius)
+    rng = random.Random(radius)
+    for r in (1, 2, 3):
+        reach = table.reached if table.complete_group else radius - 3 * r
+        if reach < 1:
+            continue
+        ball = table.ball_size(reach)
+        for vid in rng.sample(range(1, ball), min(3, ball - 1)) + [ball - 1]:
+            center = table.element(vid)
+            space = sphere_as_metric_space(oracle, table, center, r)
+            labels, rows = reference_sphere_space(table, center, r)
+            assert space.labels == labels, (vid, r)
+            assert repr(space.dist) == repr(rows), (vid, r)
 
 
 def test_similar_on_translated_spheres(z_oracle, z_table_30):
