@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidParameter, TruncationTooSmall
 from .explore import BallTable, explore
-from .groups import GroupOracle, generator_words
+from .groups import GroupOracle, _is_int, generator_words
 
 #: Extra layers beyond the 4r bound: one so that a bounded component confined
 #: in B(4r) cannot meet the boundary sphere, one more as slack for the annulus.
@@ -54,9 +54,15 @@ def _complement_sweep(table: BallTable, snapshots: Sequence[int], truncation: in
     (component count, touching count, deepest bounded vertex id or None)
     for B(truncation) \\ B(r).
 
-    Each edge is processed once for the whole sweep, and a snapshot's
-    triple does not depend on which other snapshots the pass takes. The
-    test suite checks it against ``complement_components`` in
+    Each edge is processed once for the whole sweep, from its lower end, and
+    a snapshot's triple does not depend on which other snapshots the pass
+    takes. On a bipartite family S(truncation) has no edge inside itself, so
+    its vertices start as singleton touching components and their rows are
+    never read; otherwise ``BallTable.neighbors`` serves the rows of the
+    outermost sphere, wiring them on first use. The deepest bounded root is
+    found by one pointer that only moves down: a merged id never becomes a
+    root again, and the deepest bounded root can only merge into a touching
+    one. The test suite checks the pass against ``complement_components`` in
     ``tests/oracles.py``, a separate per-radius decomposition.
     """
     if truncation > table.reached:
@@ -69,13 +75,17 @@ def _complement_sweep(table: BallTable, snapshots: Sequence[int], truncation: in
     hi = table.ball_size(truncation)
     touch_lo = table.ball_size(truncation - 1)
     parent = array("i", range(hi))
-    indptr = table._adj_indptr
-    adj = table._adj
+    k, wired, adj = table._k, table._wired, table._adj
+    neighbors = table.neighbors
 
     results = {}
-    components = 0
-    touching = 0
-    active_lo = hi
+    if table.oracle.bipartite:
+        components = touching = hi - touch_lo
+        active_lo = touch_lo
+    else:
+        components = touching = 0
+        active_lo = hi
+    deepest = touch_lo - 1  # no id above it and below touch_lo is a root
     for r in snaps:
         new_lo = table.ball_size(r)
         # activate ids top-down so every neighbor v > u is already active
@@ -84,7 +94,7 @@ def _complement_sweep(table: BallTable, snapshots: Sequence[int], truncation: in
             if u >= touch_lo:
                 touching += 1
             ru = u
-            for v in adj[indptr[u]:indptr[u + 1]]:
+            for v in adj[k * u:k * u + k] if u < wired else neighbors(u):
                 if u < v < hi:
                     ru = _find(parent, ru)
                     rv = _find(parent, v)
@@ -97,12 +107,9 @@ def _complement_sweep(table: BallTable, snapshots: Sequence[int], truncation: in
                     if rv >= touch_lo:  # both merged roots touched the boundary
                         touching -= 1
         active_lo = new_lo
-        bounded_max = None
-        for i in range(touch_lo - 1, active_lo - 1, -1):
-            if parent[i] == i:
-                bounded_max = i
-                break
-        results[r] = (components, touching, bounded_max)
+        while deepest >= active_lo and parent[deepest] != deepest:
+            deepest -= 1
+        results[r] = (components, touching, deepest if deepest >= active_lo else None)
     return results
 
 
@@ -410,18 +417,29 @@ class ObssWitness:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObssWitness":
+        """Read the JSON form; ``check_obss_witness`` validates the values."""
         try:
+            if not isinstance(d["items"], list):
+                raise TypeError("'items' must be a list")
             items = [
-                WitnessItem(tuple(it["K"]), int(it["r"]), tuple(it["A"]), tuple(it["B"]))
-                for it in d["items"]
+                WitnessItem(_keys(it, "K", i), it["r"], _keys(it, "A", i), _keys(it, "B", i))
+                for i, it in enumerate(d["items"])
             ]
-            return cls(int(d["n"]), items, d.get("truncation"))
+            return cls(d["n"], items, d.get("truncation"))
         except (KeyError, TypeError) as exc:
             raise InvalidParameter(f"malformed witness: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "ObssWitness":
         return cls.from_dict(json.loads(text))
+
+
+def _keys(item: dict, field: str, idx: int) -> tuple:
+    keys = item[field]
+    if not isinstance(keys, list) or not all(isinstance(key, str) for key in keys):
+        raise InvalidParameter(f"items[{idx}].{field} must be a list of vertex keys, "
+                               f"got {keys!r}")
+    return tuple(keys)
 
 
 @dataclass
@@ -435,8 +453,8 @@ class WitnessItemReport:
     A_single_component: bool
     B_single_component: bool
     distinct_components: bool
-    diam_A: Optional[int]
-    diam_B: Optional[int]
+    diam_A: int
+    diam_B: int
 
     @property
     def passed(self) -> bool:
@@ -496,21 +514,25 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
     Set diameters are word-metric distances |x^-1 y| read from the table:
     exact when x^-1 y lies in it. A pair further apart than the truncation
     raises TruncationTooSmall, naming the item and the set, as does a K
-    whose reach leaves the truncation.
+    whose reach leaves the truncation. An r that is not a positive integer,
+    or an empty K, A or B, raises InvalidParameter naming the item's field.
     """
     if not witness.items:
         raise InvalidParameter("witness has no items")
-    if not isinstance(witness.n, int) or witness.n < 1:
+    if not _is_int(witness.n) or witness.n < 1:
         raise InvalidParameter(f"witness bound n must be a positive integer, got {witness.n!r}")
 
     item_reports = []
     diams_A, diams_B = [], []
     for idx, it in enumerate(witness.items):
+        if not _is_int(it.r) or it.r < 1:
+            raise InvalidParameter(f"items[{idx}].r must be an integer >= 1, got {it.r!r}")
+        for name in ("K", "A", "B"):
+            if not getattr(it, name):
+                raise InvalidParameter(f"items[{idx}].{name} must name at least one vertex")
         K = _resolve(table, it.K, f"items[{idx}].K")
         A = _resolve(table, it.A, f"items[{idx}].A")
         B = _resolve(table, it.B, f"items[{idx}].B")
-        if it.r < 1:
-            raise InvalidParameter(f"items[{idx}].r must be >= 1")
         max_dist = max(table.dist[v] for v in K)
         if max_dist + it.r > table.reached:
             raise TruncationTooSmall(
@@ -530,8 +552,8 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
         b_single = len(b_comps) == 1 and None not in b_comps
         distinct = a_single and b_single and a_comps != b_comps
 
-        diam_A = _diameter(table, A, f"items[{idx}].A") if A else None
-        diam_B = _diameter(table, B, f"items[{idx}].B") if B else None
+        diam_A = _diameter(table, A, f"items[{idx}].A")
+        diam_B = _diameter(table, B, f"items[{idx}].B")
         diams_A.append(diam_A)
         diams_B.append(diam_B)
         item_reports.append(WitnessItemReport(
@@ -540,10 +562,8 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
 
     rs = [it.r for it in witness.items]
     r_inc = all(a < b for a, b in zip(rs, rs[1:]))
-    a_inc = all(x is not None for x in diams_A) and all(
-        a < b for a, b in zip(diams_A, diams_A[1:]))
-    b_inc = all(x is not None for x in diams_B) and all(
-        a < b for a, b in zip(diams_B, diams_B[1:]))
+    a_inc = all(a < b for a, b in zip(diams_A, diams_A[1:]))
+    b_inc = all(a < b for a, b in zip(diams_B, diams_B[1:]))
     return WitnessReport(item_reports, r_inc, a_inc, b_inc, _WITNESS_NOTE)
 
 

@@ -13,13 +13,23 @@ over the same oracle and radius produce identical tables.
 The search runs on the packed int codes of ``GroupOracle.codec`` and steps
 them with one int function per generator; elements are decoded only when a
 caller asks for one.
+
+Adjacency is built only where a consumer reads it. The search wires every
+vertex it expands: every vertex inside the outermost sphere S(R), or every
+vertex of a finite group exhausted before R. Such a vertex has all
+k = len(steps) neighbors in the ball, so its row is the implicit slice
+``adj[k*u:k*u + k]`` and needs no offsets. The rows of S(R) lose the steps
+that leave the ball and are wired once, on first use, by
+``BallTable._wire_outer``. The complement sweep in ``ends`` never reads
+them on a bipartite family (``GroupOracle.bipartite``), where S(R) has no
+edge inside itself.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
@@ -33,25 +43,30 @@ class BallTable:
     """All elements within a truncation radius, with distances and adjacency.
 
     Vertices are stored as the int codes of ``codec`` and decoded only on
-    request. Layers are contiguous id ranges; adjacency is stored in
-    compressed sparse rows and covers exactly the edges of the induced
-    subgraph on the ball. Instances are immutable after construction and
-    safe to share.
+    request. Layers are contiguous id ranges; adjacency covers exactly the
+    edges of the induced subgraph on the ball. The first ``_wired`` ids have
+    implicit rows of ``_k`` neighbor ids each, in generator order, in
+    ``_adj``; the rows of the remaining ids, the outermost sphere of an
+    unexhausted ball, are compressed sparse rows built on first use (module
+    docstring). Instances are otherwise immutable and safe to share: a
+    concurrent first use at worst wires the outer rows twice.
     """
 
     def __init__(self, oracle, radius, reached, complete_group, codec, codes,
-                 index, dist, layer_start, adj_indptr, adj):
+                 index, dist, layer_start, wired, adj):
         self.oracle = oracle
         self.radius = radius
         self.reached = reached
         self.complete_group = complete_group
         self.dist = dist
+        self._k = len(codec.steps)
+        self._wired = wired
+        self._adj = adj
         self._codec = codec
         self._codes = codes
         self._index = index
         self._layer_start = layer_start
-        self._adj_indptr = adj_indptr
-        self._adj = adj
+        self._outer = None
         self._key_index = None
 
     def __len__(self):
@@ -84,10 +99,31 @@ class BallTable:
         return self._codec.decode(self._codes[vid])
 
     def neighbors(self, vid: int):
-        return self._adj[self._adj_indptr[vid]:self._adj_indptr[vid + 1]]
+        """Neighbor ids of a vertex within the ball, in generator order."""
+        if vid < self._wired:
+            return self._adj[self._k * vid:self._k * vid + self._k]
+        indptr, adj = self._outer or self._wire_outer()
+        i = vid - self._wired
+        return adj[indptr[i]:indptr[i + 1]]
 
     def degree(self, vid: int) -> int:
-        return self._adj_indptr[vid + 1] - self._adj_indptr[vid]
+        return len(self.neighbors(vid))
+
+    def _wire_outer(self) -> tuple:
+        """Rows of the ids from ``_wired`` on: (offsets, neighbor ids), with
+        the steps that leave the ball dropped. Built once, on first use."""
+        get = self._index.get
+        steps = self._codec.steps
+        indptr = array("l", [0])
+        adj = array("i")
+        for u in self._codes[self._wired:]:
+            for s in steps:
+                v = get(s(u))
+                if v is not None:
+                    adj.append(v)
+            indptr.append(len(adj))
+        self._outer = indptr, adj
+        return self._outer
 
     def id_of(self, g: Element) -> Optional[int]:
         code = self._codec.encode(g)
@@ -125,13 +161,12 @@ class BallTable:
                 seen[s] = 0
                 frontier.append(s)
         depth = 0
-        indptr = self._adj_indptr
-        adj = self._adj
+        neighbors = self.neighbors
         while frontier and (max_depth is None or depth < max_depth):
             depth += 1
             nxt = []
             for u in frontier:
-                for v in adj[indptr[u]:indptr[u + 1]]:
+                for v in neighbors(u):
                     if v not in seen and (allowed is None or v in allowed):
                         seen[v] = depth
                         nxt.append(v)
@@ -214,10 +249,10 @@ def _search(codec: Codec, radius: int, budget: int, index: dict,
     identity's code, and an empty ``adj``: then ``index`` keeps every vertex
     and maps its code to its id, in discovery order (by frontier vertex,
     then generator), ``codes`` gets each new code, and ``adj`` the neighbor
-    ids of every vertex outside the outermost sphere. Without them ``index``
-    keeps only spheres r - 1, r and r + 1 while r + 1 is built: the
-    generating set is inversion-closed, so no neighbor of sphere r lies
-    further in.
+    ids of every vertex expanded, len(steps) per vertex in generator order.
+    Without them ``index`` keeps only spheres r - 1, r and r + 1 while
+    r + 1 is built: the generating set is inversion-closed, so no neighbor
+    of sphere r lies further in.
 
     Raises BudgetExceeded once more than ``budget`` vertices are found; the
     error reports the last complete radius.
@@ -269,30 +304,22 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
         raise InvalidParameter("budget must be positive")
 
     codec = _codec(oracle, radius + 1, budget)  # the outermost sphere's neighbors too
-    steps = codec.steps
     index: dict = {}
     codes = [codec.identity]
     adj = array("i")
     sizes = _search(codec, radius, budget, index, codes, adj)
     reached = len(sizes) - 1
-    # every vertex wired so far has all of its len(steps) neighbors in the ball
+    # the search expanded every sphere but S(radius), each vertex with all of
+    # its len(steps) neighbors in the ball
     wired = len(codes) - sizes[-1] if reached == radius else len(codes)
-    adj_indptr = array("l", islice(count(0, len(steps)), wired + 1))
-    truncated = False
-    get = index.get
-    for u in codes[wired:]:
-        for s in steps:
-            v = get(s(u))
-            if v is None:
-                truncated = True  # distance radius + 1, outside the ball
-            else:
-                adj.append(v)
-        adj_indptr.append(len(adj))
+    # the group is exhausted unless a step leaves the ball, which an infinite
+    # group's first outer vertex already shows
+    complete = all(s(u) in index for u in codes[wired:] for s in codec.steps)
 
     dist = array("i", chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
     layer_start = list(accumulate(sizes, initial=0))
-    return BallTable(oracle, radius, reached, not truncated, codec, codes, index,
-                     dist, layer_start, adj_indptr, adj)
+    return BallTable(oracle, radius, reached, complete, codec, codes, index,
+                     dist, layer_start, wired, adj)
 
 
 def sphere_sizes(table: BallTable) -> list[tuple[int, int]]:

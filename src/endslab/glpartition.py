@@ -75,17 +75,19 @@ class FiniteMetricSpace:
                     raise InvalidParameter(
                         f"non-positive distance between {self.labels[i]} and {self.labels[j]}")
         # Triangle inequality, one row pair at a time: d[i][j] exceeds some
-        # d[i][k] + d[j][k] + TOL exactly when it exceeds the smallest of them
-        # plus TOL, since float rounding of x + TOL is monotone in x. With d
-        # symmetric, a failing (j, i, k) makes (i, j, k) fail too, so the
-        # first failing triple in (i, j, k) order has i < j and only pairs
-        # j > i need checking; a failing pair is scanned for its first k.
+        # d[i][k] + d[j][k] + TOL (compared exactly, without TOL, when both
+        # are ints) exactly when it exceeds the smallest of them so: float
+        # rounding of x + TOL is monotone in x, and an int exceeds an int by
+        # at least 1, far more than TOL. With d symmetric, a failing
+        # (j, i, k) makes (i, j, k) fail too, so the first failing triple in
+        # (i, j, k) order has i < j and only pairs j > i need checking; a
+        # failing pair is scanned for its first k.
         for i in range(n):
             di = d[i]
             for j in range(i + 1, n):
                 dij = di[j]
                 dj = d[j]
-                if dij > min(map(add, di, dj)) + TRIANGLE_TOL:  # the min is at most dij
+                if _exceeds(dij, min(map(add, di, dj))):
                     k = next(k for k in range(n) if _exceeds(dij, di[k] + dj[k]))
                     raise InvalidParameter(
                         f"triangle inequality fails at "
@@ -131,7 +133,11 @@ class FiniteMetricSpace:
 
 
 def _exceeds(dij, s) -> bool:
-    """dij > s + TRIANGLE_TOL; an int s past float range lies above any dij."""
+    """dij > s + TRIANGLE_TOL, or exactly dij > s when both are ints: an int
+    that a float cannot hold must not be rounded. An int s past float range
+    lies above any dij."""
+    if isinstance(dij, int) and isinstance(s, int):
+        return dij > s
     try:
         return dij > s + TRIANGLE_TOL
     except OverflowError:

@@ -39,6 +39,13 @@ The generating sets are inversion-closed, so the Cayley graph is undirected:
 every neighbor of sphere r lies in sphere r - 1, r or r + 1, and a search
 building sphere r + 1 may forget every sphere older than r - 1.
 
+``oracle.bipartite`` is True when every relator of the presentation has even
+length (z, z_pow, free, dihedral_inf, trivial; lamplighter, z_cross_cyclic
+and cyclic_finite for even m; a product of two such). Word-length parity is
+then a homomorphism onto Z/2, so no edge joins two vertices of one sphere and
+every neighbor of sphere r lies in sphere r - 1 or r + 1. It is a property
+of the presentation, checked against a plain BFS in the test suite.
+
 Codes by family (w = 2 * radius + 1, o = radius):
 
 * ``trivial`` 0; ``cyclic_finite`` the residue; ``z`` ``g + o``
@@ -239,6 +246,7 @@ class GroupOracle:
     spec: GroupSpec
     generators: tuple          # inversion closed, identity excluded
     axis_word: Optional[tuple] # generator sequence spelling a geodesic axis
+    bipartite: bool            # every relator has even length (module docstring)
 
     #: None for infinite groups, the group order otherwise.
     order: Optional[int] = None
@@ -288,6 +296,7 @@ class _TrivialOracle(GroupOracle):
         self.spec = spec
         self.generators = ()
         self.axis_word = None
+        self.bipartite = True
 
     def identity(self):
         return 0
@@ -312,6 +321,7 @@ class _CyclicOracle(GroupOracle):
         self.order = spec.m
         self.generators = tuple(dict.fromkeys((1 % self.m, (-1) % self.m)))
         self.axis_word = None
+        self.bipartite = self.m % 2 == 0
 
     def identity(self):
         return 0
@@ -336,6 +346,7 @@ class _ZOracle(GroupOracle):
         self.spec = spec
         self.generators = (1, -1)
         self.axis_word = (1,)
+        self.bipartite = True
 
     def identity(self):
         return 0
@@ -368,6 +379,7 @@ class _ZPowOracle(GroupOracle):
             gens.append(tuple(e))
         self.generators = tuple(gens)
         self.axis_word = (self.generators[0],)
+        self.bipartite = True
 
     def identity(self):
         return (0,) * self.k
@@ -419,6 +431,7 @@ class _FreeOracle(GroupOracle):
             gens.append((-i,))
         self.generators = tuple(gens)
         self.axis_word = ((1,),)
+        self.bipartite = True
 
     def identity(self):
         return ()
@@ -493,6 +506,7 @@ class _DihedralOracle(GroupOracle):
         self.spec = spec
         self.generators = ((0, 1), (-1, 1))  # s, t
         self.axis_word = ((0, 1), (-1, 1))   # alternating word st
+        self.bipartite = True
 
     def identity(self):
         return (0, 0)
@@ -538,6 +552,7 @@ class _ZCrossCyclicOracle(GroupOracle):
             dict.fromkeys(((1, 0), (-1, 0), (0, 1 % self.m), (0, (-1) % self.m)))
         )
         self.axis_word = ((1, 0),)
+        self.bipartite = self.m % 2 == 0
 
     def identity(self):
         return (0, 0)
@@ -590,6 +605,7 @@ class _LamplighterOracle(GroupOracle):
         a_inv = (0, 0, self.m - 1)
         self.generators = tuple(dict.fromkeys(((1, 0, 0), (-1, 0, 0), (0, 0, 1), a_inv)))
         self.axis_word = ((1, 0, 0),)
+        self.bipartite = self.m % 2 == 0
 
     def identity(self):
         return (0, 0, 0)
@@ -724,6 +740,7 @@ class _ProductOracle(GroupOracle):
         gens += [(el, h) for h in right.generators]
         self.generators = tuple(gens)
         self.axis_word = None
+        self.bipartite = left.bipartite and right.bipartite
         if left.order is not None and right.order is not None:
             self.order = left.order * right.order
 

@@ -9,7 +9,7 @@ import pytest
 
 from endslab import cli
 from endslab.cli import fix_mmap_threshold, main
-from endslab.explore import build_axis
+from endslab.explore import BallTable, build_axis
 from endslab.glpartition import FiniteMetricSpace
 
 from oracles import clustered_plane_space, line_witness
@@ -148,6 +148,30 @@ def test_obss_pair_beyond_truncation_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("K", [], "items[1].K must name at least one vertex"),
+    ("A", [], "items[1].A must name at least one vertex"),
+    ("B", [], "items[1].B must name at least one vertex"),
+    ("r", "x", "items[1].r must be an integer >= 1, got 'x'"),
+    ("r", 2.5, "items[1].r must be an integer >= 1, got 2.5"),
+    ("K", "0", "items[1].K must be a list of vertex keys, got '0'"),
+    ("A", [[-3]], "items[1].A must be a list of vertex keys, got [[-3]]"),
+])
+def test_obss_malformed_item_exit_2(tmp_path, capsys, field, value, message):
+    items = [{"K": ["0"], "r": 2, "A": ["-2"], "B": ["2"]},
+             {"K": ["0"], "r": 3, "A": ["-3"], "B": ["3"]}]
+    items[1][field] = value
+    wfile = tmp_path / "witness.json"
+    wfile.write_text(json.dumps({"n": 2, "truncation": 12, "items": items}))
+    out = tmp_path / "never.json"
+    assert main(["obss", "--group", '{"family":"z"}', "--witness", str(wfile),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_obss_requires_truncation(tmp_path, z_oracle, z_table_30):
     axis = build_axis(z_oracle, z_table_30, 14)
     witness = line_witness(z_oracle, axis, range(2, 4))
@@ -246,6 +270,55 @@ def test_end_depth_golden_bytes(tmp_path, group, options, digest):
     code, out = run(tmp_path, "golden.json", ["end-depth", "--group", group, *options])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of ends reports: bipartite (z, free, lamplighter(2)) and not
+# (z_cross_cyclic(3)) families, and finite groups whose last truncation is
+# beyond (cyclic_finite(12)) or exactly at (cyclic_finite(7)) the diameter
+ENDS_GOLDEN = [
+    ('{"family":"z"}', ["--rmax", "5"],
+     "f02cb177e581fa3afa73713c6802f4aeb308d6fe432e329747ce380a1ed667bb"),
+    ('{"family":"free","k":2}', ["--rmax", "3"],
+     "aa956df5799d63af412bb1b670b6ee1ef68fe0c3d67e195af6665e03bd48dc81"),
+    ('{"family":"lamplighter","m":2}', ["--rmax", "3"],
+     "59148c05e4d55a6ecb94a1e9fa226f867f38e27235a6a937dcba0bf121ab780c"),
+    ('{"family":"z_cross_cyclic","m":3}', ["--rmax", "4"],
+     "53829270bf73b746369e21f10ddf0b31355c5d2ebf7e3473347e79df063e2f0f"),
+    ('{"family":"cyclic_finite","m":12}', ["--rmax", "2"],
+     "1bcf9f4ba3d4a98821d9847efa5c7cb4ab3b874fa71cfcb94d7255d0e10eb4dc"),
+    ('{"family":"cyclic_finite","m":7}', ["--rmax", "1", "--schedule", "2,3"],
+     "d547a0a16cb4083f458a4eed0798d784258b6d84189283d363f75a91d66f3883"),
+]
+
+
+@pytest.mark.parametrize("group,options,digest", ENDS_GOLDEN,
+                         ids=[" ".join([g, *o]) for g, o, _ in ENDS_GOLDEN])
+def test_ends_golden_bytes(tmp_path, group, options, digest):
+    code, out = run(tmp_path, "golden.json", ["ends", "--group", group, *options])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,options", [("end-depth", ["--rmax", "2"]),
+                                             ("ends", ["--rmax", "2"])])
+def test_outer_sphere_wired_only_where_read(tmp_path, monkeypatch, command, options):
+    # the rows of the outermost sphere are built once, and only for a family
+    # with edges inside a sphere; every other row is an implicit slice
+    wired = []
+    wire = BallTable._wire_outer
+
+    def counting(table):
+        wired.append(table.oracle.label())
+        assert not hasattr(table, "_adj_indptr")
+        return wire(table)
+
+    monkeypatch.setattr(BallTable, "_wire_outer", counting)
+    for group in ('{"family":"z"}', '{"family":"free","k":2}',
+                  '{"family":"lamplighter","m":2}', '{"family":"dihedral_inf"}',
+                  '{"family":"z_cross_cyclic","m":4}', '{"family":"z_cross_cyclic","m":3}'):
+        code, _ = run(tmp_path, "out.json", [command, "--group", group, *options])
+        assert code == 0
+    assert wired == ["z_cross_cyclic(3)"]
 
 
 # SHA-256 of glpartition reports on spaces built here: multi-block, line, collapsing
@@ -397,6 +470,24 @@ def test_distances_past_float_range_exit_2(tmp_path, capsys):
         [0, 10, big, 1], [10, 0, big, 1], [big, big, 0, big], [1, 1, big, 0]]}))
     assert main(["glpartition", "--input", str(path), "--a", "3", "--out", str(out)]) == 2
     assert "triangle inequality fails at (a, b, d)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_distances_beyond_2_53_compared_exactly(tmp_path, capsys):
+    # 2**53 + 1 rounds to 2**53 as a float; the triangle (a, b, a) holds exactly
+    out = tmp_path / "pair.json"
+    assert main(["glpartition", "--input", str(_space_file(tmp_path, [[0, 2 ** 53 + 1],
+                                                                      [2 ** 53 + 1, 0]])),
+                 "--a", "3", "--out", str(out)]) == 0
+    assert load(out)["report"]["verification"]["passed"]
+    # d(a, c) + d(c, b) = 2**53 + 3 rounds up to d(a, b) = 2**53 + 4 as a float
+    big = 2 ** 53
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"points": ["a", "b", "c"], "distances": [
+        [0, big + 4, big + 2], [big + 4, 0, 1], [big + 2, 1, 0]]}))
+    out = tmp_path / "never.json"
+    assert main(["glpartition", "--input", str(path), "--a", "3", "--out", str(out)]) == 2
+    assert "triangle inequality fails at (a, b, c)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 """Complement components, end depth, ends estimates, witness checking."""
 
 import random
+from array import array
+from itertools import chain
 
 import pytest
 
@@ -9,8 +11,8 @@ from endslab.ends import (ObssWitness, WitnessItem, _complement_sweep,
                           check_obss_witness, end_count_estimate, end_depth,
                           end_depth_profile)
 from endslab.errors import InvalidParameter, TruncationTooSmall
-from endslab.explore import build_axis, explore
-from endslab.groups import make_group
+from endslab.explore import BallTable, build_axis, explore
+from endslab.groups import Codec, make_group
 
 from oracles import complement_components, line_witness
 
@@ -69,6 +71,12 @@ def test_component_soundness_paths_must_cross_ball(f2_table_8):
     ({"family": "dihedral_inf"}, 20),
     ({"family": "cyclic_finite", "m": 12}, 9),  # complete: reached is the diameter 6
     ({"family": "lamplighter", "m": 2}, 12),
+    # not bipartite: the sweep reads rows of S(reached), wired on first use
+    ({"family": "z_cross_cyclic", "m": 3}, 12),
+    ({"family": "lamplighter", "m": 3}, 7),
+    ({"family": "cyclic_finite", "m": 7}, 3),  # complete, with the edge {3, 4} in S(3)
+    ({"family": "product", "left": {"family": "z"},
+      "right": {"family": "z_cross_cyclic", "m": 3}}, 8),
 ], ids=str)
 def test_sweep_matches_full_decomposition(spec, radius):
     # the incremental outside-in pass and the direct per-radius union-find
@@ -85,6 +93,27 @@ def test_sweep_matches_full_decomposition(spec, radius):
             assert touch_count == decomp.touching_count, (trunc, r)
             bounded = decomp.bounded_ids()
             assert bounded_max == (max(bounded) if bounded else None), (trunc, r)
+
+
+@pytest.mark.parametrize("spec", [{"family": "z"}, {"family": "z_cross_cyclic", "m": 3}],
+                         ids=str)
+def test_sweep_finds_bounded_root_at_top_of_inner_sphere(spec):
+    # id 4, the last of S(2), is a dead end: its component in B(3) \ B(1)
+    # misses S(3). No built-in family puts one there, so the table is built
+    # by hand: layers {0}, {1, 2}, {3, 4}, {5}, rows of k = 2 ids, all
+    # wired; the oracle only selects the bipartite or the general path
+    rows = [[1, 2], [0, 3], [0, 4], [1, 5], [2, 2], [3, 3]]
+    table = BallTable(make_group(spec), 4, 3, True, Codec(6, 0, (None, None), None, None),
+                      list(range(6)), {}, array("i", [0, 1, 1, 2, 2, 3]), [0, 1, 3, 5, 6],
+                      6, array("i", chain.from_iterable(rows)))
+    for trunc in (2, 3):
+        sweep = _complement_sweep(table, range(trunc), trunc)
+        for r in range(trunc):
+            decomp = complement_components(table, r, trunc)
+            bounded = decomp.bounded_ids()
+            assert sweep[r] == (len(decomp.components), decomp.touching_count,
+                                max(bounded) if bounded else None), (trunc, r)
+    assert _complement_sweep(table, [1], 3)[1] == (2, 1, 4)
 
 
 def test_complement_rejects_bad_radius(z_table_30):

@@ -23,6 +23,7 @@ REFERENCE_CASES = [
     ({"family": "cyclic_finite", "m": 12}, 8),
     ({"family": "cyclic_finite", "m": 12}, 6),
     ({"family": "cyclic_finite", "m": 2}, 3),
+    ({"family": "cyclic_finite", "m": 7}, 3),  # complete, with an edge inside S(3)
     ({"family": "z"}, 12),
     ({"family": "z_pow", "k": 2}, 7),
     ({"family": "z_pow", "k": 3}, 4),
@@ -279,6 +280,16 @@ def test_packed_explore_matches_tuple_reference(spec, radius):
         assert table.element(v) == g
         assert table.key_of(v) == oracle.key_str(g)
         assert table.id_of(g) == v
+
+
+@pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
+def test_bipartite_matches_tuple_reference(spec, radius):
+    # bipartite families have no edge inside a sphere; the others show one
+    # within the tested radius
+    oracle = make_group(spec)
+    _, dist, rows, _ = reference_ball(oracle, radius)
+    same_layer = [(u, v) for u, row in enumerate(rows) for v in row if dist[u] == dist[v]]
+    assert oracle.bipartite == (not same_layer)
 
 
 @pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
