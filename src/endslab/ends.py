@@ -124,7 +124,6 @@ class EndDepthResult:
     bounded_count: int
     ends_classification: Optional[str]
     not_one_ended_warning: bool
-    nodes_explored: int
 
     def to_dict(self) -> dict:
         return {
@@ -154,7 +153,7 @@ def end_depth(oracle: GroupOracle, r: int, truncation: Optional[int] = None,
     """
     table, truncation = _depth_table(oracle, r, truncation, budget, table)
     if table.complete_group and table.reached <= r:
-        return EndDepthResult(r, r, False, table.reached, 0, CLASS_ZERO, True, table.size)
+        return EndDepthResult(r, r, False, table.reached, 0, CLASS_ZERO, True)
     profile = end_depth_profile(oracle, r, budget=budget, one_ended=one_ended,
                                 table=table, truncation=truncation)
     return profile.entries[-1]
@@ -259,7 +258,7 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
         certified = one_ended_evidence and truncation >= default_truncation(r)
         entries.append(EndDepthResult(
             r, value, certified, truncation, bounded_count, classification,
-            not one_ended_evidence, table.size))
+            not one_ended_evidence))
 
     return EndDepthProfile(oracle.label(), generator_words(oracle), entries,
                            classification, truncation, table.size)
@@ -512,10 +511,17 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
     """Check every separating condition of a witness against a ball table.
 
     Set diameters are word-metric distances |x^-1 y| read from the table:
-    exact when x^-1 y lies in it. A pair further apart than the truncation
-    raises TruncationTooSmall, naming the item and the set, as does a K
-    whose reach leaves the truncation. An r that is not a positive integer,
-    or an empty K, A or B, raises InvalidParameter naming the item's field.
+    exact when x^-1 y lies in it. The neighborhood {v : d(v, K) < r} is the
+    union of the left translates k S(e, j), j < r, and the components of the
+    neighborhood minus K come from the sweep's union-find over
+    ``BallTable.neighbors``. Both are exact: the guard |k| + r <= reached
+    keeps every translate and every geodesic from K inside the table, so
+    distances in the truncated graph equal word distances there.
+
+    A pair further apart than the truncation raises TruncationTooSmall,
+    naming the item and the set, as does a K whose reach leaves the
+    truncation. An r that is not a positive integer, or an empty K, A or B,
+    raises InvalidParameter naming the item's field.
     """
     if not witness.items:
         raise InvalidParameter("witness has no items")
@@ -539,8 +545,9 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
                 f"items[{idx}]: need radius {max_dist + it.r}, table has {table.reached}")
 
         diam_K = _diameter(table, K, f"items[{idx}].K")
-        # neighborhood with strict inequality: d(v, K) < r
-        hood = set(table.bfs_from(K, max_depth=it.r - 1))
+        # d(v, K) < r; the guard above keeps every translate inside the table
+        hood = {v for k in K for j in range(it.r)
+                for v in table.sphere_around(table.element(k), j)}
         region = hood.difference(K)
         comp_of = _component_map(table, region)
 
@@ -585,11 +592,10 @@ def _diameter(table: BallTable, ids: list, where: str) -> int:
 
 
 def _component_map(table: BallTable, region: set) -> dict:
-    """Map each vertex of the region to a component representative."""
-    comp_of = {}
-    for start in sorted(region):
-        if start in comp_of:
-            continue
-        for v in table.bfs_from([start], allowed=region):
-            comp_of[v] = start
-    return comp_of
+    """Map each vertex of the region to the root of its component."""
+    parent = {v: v for v in region}
+    for u in region:
+        for v in table.neighbors(u):
+            if v in parent:
+                parent[_find(parent, u)] = _find(parent, v)
+    return {v: _find(parent, v) for v in region}

@@ -22,7 +22,8 @@ k = len(steps) neighbors in the ball, so its row is the implicit slice
 that leave the ball and are wired once, on first use, by
 ``BallTable._wire_outer``. The complement sweep in ``ends`` never reads
 them on a bipartite family (``GroupOracle.bipartite``), where S(R) has no
-edge inside itself.
+edge inside itself, and the ``obss`` witness check reads rows within
+radius R - 1 only.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class BallTable:
     unexhausted ball, are compressed sparse rows built on first use (module
     docstring). Instances are otherwise immutable and safe to share: a
     concurrent first use at worst wires the outer rows twice.
+
+    Nothing searches a finished table: distances between its elements are
+    read by left invariance (``distances_from``), and spheres around any
+    element are left translates of its layers (``sphere_around``).
     """
 
     def __init__(self, oracle, radius, reached, complete_group, codec, codes,
@@ -111,7 +116,9 @@ class BallTable:
 
     def _wire_outer(self) -> tuple:
         """Rows of the ids from ``_wired`` on: (offsets, neighbor ids), with
-        the steps that leave the ball dropped. Built once, on first use."""
+        the steps that leave the ball dropped. Built once, on first use by
+        ``neighbors``: the complement sweep on a family that is not
+        bipartite, ``degree`` and ``dump_csv``."""
         get = self._index.get
         steps = self._codec.steps
         indptr = array("l", [0])
@@ -146,32 +153,6 @@ class BallTable:
         for vid in range(self.size):
             g = self.element(vid)
             yield key_str(g), g, self.dist[vid]
-
-    def bfs_from(self, sources: Iterable[int], max_depth: Optional[int] = None,
-                 allowed=None) -> dict:
-        """Distances from a source set over the truncated graph.
-
-        ``allowed`` restricts the search to a vertex id set (sources included);
-        ``max_depth`` cuts the search off. Returns {id: distance}.
-        """
-        seen = {}
-        frontier = []
-        for s in sources:
-            if s not in seen and (allowed is None or s in allowed):
-                seen[s] = 0
-                frontier.append(s)
-        depth = 0
-        neighbors = self.neighbors
-        while frontier and (max_depth is None or depth < max_depth):
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for v in neighbors(u):
-                    if v not in seen and (allowed is None or v in allowed):
-                        seen[v] = depth
-                        nxt.append(v)
-            frontier = nxt
-        return seen
 
     def sphere_around(self, center: Element, r: int) -> list:
         """Ids of the sphere center * S(e, r), a left translate of layer r

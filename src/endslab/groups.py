@@ -16,7 +16,9 @@ Canonical element forms:
 * ``free(k)``          -- freely reduced tuple of nonzero letters, letter
                           ``+i``/``-i`` meaning the i-th generator / inverse
 * ``dihedral_inf``     -- pair ``(p, f)`` for the normal form ``(st)^p s^f``
-* ``z_cross_cyclic(m)``-- pair ``(n, c)`` with ``c`` a residue mod m
+* ``z_cross_cyclic(m)``-- pair ``(n, c)`` with ``c`` a residue mod m: the
+                          product of ``z`` and ``cyclic_finite(m)``, keyed
+                          ``n,c``
 * ``lamplighter(m)``   -- triple ``(cursor, base, mask)``: the lamp map sends
                           ``base + i`` to digit i of ``mask`` written base m,
                           with the lowest digit nonzero (``(c, 0, 0)`` when no
@@ -54,7 +56,7 @@ Codes by family (w = 2 * radius + 1, o = radius):
                         2i, first letter highest; a step appends a digit or
                         drops the last one
 * ``dihedral_inf``   -- ``2 * (p + o) + f``
-* ``z_cross_cyclic`` -- ``(n + o) * m + c``
+* ``z_cross_cyclic`` -- ``(n + o) * m + c``, the product code of its factors
 * ``lamplighter(m)`` -- ``lamps * w + cursor + o``: written base m, digit 2i
                         of ``lamps`` is the lamp at position i >= 0 and digit
                         -2i - 1 the lamp at i < 0, so codes stay as short as
@@ -112,12 +114,9 @@ class GroupSpec:
         for name in ("m", "k", "left", "right"):
             if getattr(self, name) is not None and name not in FAMILIES[self.family]:
                 raise InvalidParameter(f"{self.family} takes no parameter {name!r}")
-        if self.family in ("cyclic_finite", "lamplighter"):
+        if self.family in ("cyclic_finite", "z_cross_cyclic", "lamplighter"):
             if not _is_int(self.m) or self.m < 2:
                 raise InvalidParameter(f"{self.family} requires integer m >= 2, got {self.m!r}")
-        elif self.family == "z_cross_cyclic":
-            if not _is_int(self.m) or self.m < 2:
-                raise InvalidParameter(f"z_cross_cyclic requires integer m >= 2, got {self.m!r}")
         elif self.family in ("z_pow", "free"):
             if not _is_int(self.k) or self.k < 1:
                 raise InvalidParameter(f"{self.family} requires integer k >= 1, got {self.k!r}")
@@ -544,52 +543,6 @@ class _DihedralOracle(GroupOracle):
         return Codec(2 * (2 * o + 1), 2 * o, (s, t), encode, decode)
 
 
-class _ZCrossCyclicOracle(GroupOracle):
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-        self.m = spec.m
-        self.generators = tuple(
-            dict.fromkeys(((1, 0), (-1, 0), (0, 1 % self.m), (0, (-1) % self.m)))
-        )
-        self.axis_word = ((1, 0),)
-        self.bipartite = self.m % 2 == 0
-
-    def identity(self):
-        return (0, 0)
-
-    def multiply(self, g, h):
-        return (g[0] + h[0], (g[1] + h[1]) % self.m)
-
-    def invert(self, g):
-        return (-g[0], (-g[1]) % self.m)
-
-    def key_str(self, g):
-        return f"{g[0]},{g[1]}"
-
-    def codec(self, radius):
-        o, m = radius, self.m
-
-        def encode(g):
-            n, c = g
-            return (n + o) * m + c if -o <= n <= o else None
-
-        def decode(v):
-            q, c = divmod(v, m)
-            return (q - o, c)
-
-        def step(dn, dc):
-            if not dc:
-                return _shift(dn * m)
-
-            def turn(v):
-                c = v % m
-                return v - c + (c + dc) % m
-            return turn
-
-        steps = tuple(step(dn, dc) for dn, dc in self.generators)
-        return Codec((2 * o + 1) * m, o * m, steps, encode, decode)
-
-
 class _LamplighterOracle(GroupOracle):
     """Wreath product (Z/m) wr Z with cursor shift t and lamp increment a.
 
@@ -778,6 +731,19 @@ class _ProductOracle(GroupOracle):
         bounds = [b for b in (self.left.radius_bound(budget), self.right.radius_bound(budget))
                   if b is not None]
         return min(bounds, default=None)
+
+
+class _ZCrossCyclicOracle(_ProductOracle):
+    """Z x Z/m: the product of ``z`` and ``cyclic_finite(m)``, keyed ``n,c``,
+    with the Z factor as its axis."""
+
+    def __init__(self, spec: GroupSpec):
+        super().__init__(spec, _ZOracle(GroupSpec("z")),
+                         _CyclicOracle(GroupSpec("cyclic_finite", m=spec.m)))
+        self.axis_word = ((1, 0),)
+
+    def key_str(self, g):
+        return f"{g[0]},{g[1]}"
 
 
 _ORACLES = {

@@ -3,10 +3,12 @@
 Nothing here touches the package's search machinery: sphere counts come from
 direct enumeration or combinatorial counting, complement components from a
 union-find of its own run one radius at a time, table distances from a
-breadth-first search per point over the stored adjacency, and metric-space
-answers from loops that read one matrix entry at a time, so agreement with
-the explorer, the left-invariant distances, the ends sweep and the
-row-at-a-time metric kernels is a real cross-check rather than a tautology.
+breadth-first search per point over the stored adjacency, ``obss``
+neighborhoods and their components from breadth-first searches over it, and
+metric-space answers from loops that read one matrix entry at a time, so
+agreement with the explorer, the left-invariant distances, the ends sweep,
+the witness check and the row-at-a-time metric kernels is a real
+cross-check rather than a tautology.
 """
 
 from dataclasses import dataclass
@@ -113,22 +115,23 @@ def reference_ball(oracle, radius):
     return elements, dist, rows, complete
 
 
-def reference_bfs(table, source, max_depth=None):
-    """{id: distance} from one vertex over the truncated graph.
+def reference_bfs(table, sources, max_depth=None, allowed=None):
+    """{id: distance} from a set of vertices over the truncated graph.
 
     A plain breadth-first search over ``BallTable.neighbors``; distances are
     those of the induced subgraph, which equal word-metric distances when
-    every geodesic involved stays inside the ball.
+    every geodesic involved stays inside the ball. ``allowed``, when given,
+    is the vertex set the search may enter (sources included).
     """
-    seen = {source: 0}
-    frontier = [source]
+    seen = {s: 0 for s in sources if allowed is None or s in allowed}
+    frontier = list(seen)
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1
         nxt = []
         for u in frontier:
             for v in table.neighbors(u):
-                if v not in seen:
+                if v not in seen and (allowed is None or v in allowed):
                     seen[v] = depth
                     nxt.append(v)
         frontier = nxt
@@ -142,11 +145,11 @@ def reference_sphere_space(table, center, r):
     exactly r, ordered by id; each row comes from a search to depth 2r from
     its point.
     """
-    reach = reference_bfs(table, table.id_of(center), r)
+    reach = reference_bfs(table, [table.id_of(center)], r)
     points = sorted(v for v, d in reach.items() if d == r)
     rows = []
     for v in points:
-        dmap = reference_bfs(table, v, 2 * r)
+        dmap = reference_bfs(table, [v], 2 * r)
         rows.append(tuple(dmap[w] for w in points))
     return tuple(table.key_of(v) for v in points), tuple(rows)
 
@@ -155,7 +158,7 @@ def reference_set_diameter(table, ids):
     """Max pairwise truncated-graph distance: a full search from every point."""
     best = 0
     for s in ids:
-        dmap = reference_bfs(table, s)
+        dmap = reference_bfs(table, [s])
         best = max([best] + [dmap[t] for t in ids])
     return best
 
@@ -229,6 +232,29 @@ def complement_components(table, r: int,
          for ids in groups.values()),
         key=lambda c: c.ids[0])
     return ComponentDecomposition(r, truncation, tuple(comps))
+
+
+def reference_obss_components(table, item):
+    """(A in one component, B in one component, A and B in different ones)
+    for one witness item, the way ``check_obss_witness`` reports them.
+
+    The neighborhood {v : d(v, K) < r} comes from one search from all of K
+    to depth r - 1, and the components of the neighborhood minus K from one
+    search inside it per component.
+    """
+    ids = lambda keys: [table.id_of_key(key) for key in keys]
+    K, A, B = ids(item.K), ids(item.A), ids(item.B)
+    region = set(reference_bfs(table, K, item.r - 1)).difference(K)
+    comp_of = {}
+    for start in sorted(region):
+        if start not in comp_of:
+            for v in reference_bfs(table, [start], allowed=region):
+                comp_of[v] = start
+    a_comps = {comp_of.get(v) for v in A}
+    b_comps = {comp_of.get(v) for v in B}
+    a_single = len(a_comps) == 1 and None not in a_comps
+    b_single = len(b_comps) == 1 and None not in b_comps
+    return a_single, b_single, a_single and b_single and a_comps != b_comps
 
 
 def line_witness(oracle, axis, indices, n=2, r_of=None, a_of=None, b_of=None) -> ObssWitness:

@@ -95,7 +95,7 @@ def test_domination_respects_bounds():
 
 
 def _profile_with(values):
-    entries = [EndDepthResult(r, v, True, 4 * r + 2, 0, "one", False, 0)
+    entries = [EndDepthResult(r, v, True, 4 * r + 2, 0, "one", False)
                for r, v in enumerate(values, start=1)]
     return EndDepthProfile("synthetic", [], entries, "one", 4 * len(values) + 2, 0)
 

@@ -319,6 +319,16 @@ def test_outer_sphere_wired_only_where_read(tmp_path, monkeypatch, command, opti
         code, _ = run(tmp_path, "out.json", [command, "--group", group, *options])
         assert code == 0
     assert wired == ["z_cross_cyclic(3)"]
+    # a witness check reads rows within radius R - 1 only, even on a family
+    # with edges inside S(R): the second item's reach |k| + r is R = 8
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"n": 2, "truncation": 8, "items": [
+        {"K": ["2,0", "2,1", "2,2"], "r": 2, "A": ["1,0"], "B": ["3,0"]},
+        {"K": ["3,0", "3,1", "3,2"], "r": 4, "A": ["1,0", "2,0"], "B": ["4,0", "5,0"]}]}))
+    code, _ = run(tmp_path, "obss.json", ["obss", "--group", '{"family":"z_cross_cyclic","m":3}',
+                                          "--witness", str(witness)])
+    assert code == 0
+    assert wired == ["z_cross_cyclic(3)"]
 
 
 # SHA-256 of glpartition reports on spaces built here: multi-block, line, collapsing

@@ -3,6 +3,7 @@
 import random
 from array import array
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,8 @@ from endslab.errors import InvalidParameter, TruncationTooSmall
 from endslab.explore import BallTable, build_axis, explore
 from endslab.groups import Codec, make_group
 
-from oracles import complement_components, line_witness
+from oracles import (complement_components, line_witness, reference_bfs,
+                     reference_obss_components)
 
 
 def test_line_complement_two_rays(z_table_30):
@@ -60,7 +62,7 @@ def test_component_soundness_paths_must_cross_ball(f2_table_8):
         allowed.update(comp.ids)
     for a, b in zip(comps, comps[1:]):
         u, v = a.ids[0], b.ids[0]
-        reached = f2_table_8.bfs_from([u], allowed=allowed)
+        reached = reference_bfs(f2_table_8, [u], allowed=allowed)
         assert v not in reached
 
 
@@ -333,3 +335,58 @@ def test_witness_json_round_trip(z_oracle, z_table_30):
     report = check_obss_witness(z_table_30, again)
     assert report.passed
     assert "evidence" in report.note
+
+
+def _random_item(rng, table):
+    """K near the identity, a reach r with |k| + r inside the truncation,
+    and sides A, B within radius R // 2, so every diameter is exact."""
+    pick = lambda radius, count: tuple(
+        table.key_of(v) for v in rng.sample(range(table.ball_size(radius)),
+                                            min(count, table.ball_size(radius))))
+    K = pick(table.reached // 3, rng.randint(1, 3))
+    far = max(table.dist[table.id_of_key(key)] for key in K)
+    r = rng.randint(1, table.reached - far)
+    side = min(table.reached // 2, far + r)
+    return WitnessItem(K, r, pick(side, rng.randint(1, 4)), pick(side, rng.randint(1, 4)))
+
+
+def _line(oracle, table, extent):
+    """The designated axis, or the powers of the first generator for a
+    family without one."""
+    if oracle.axis_word is not None:
+        return build_axis(oracle, table, extent)
+    g = oracle.generators[0]
+    vertices = [oracle.identity()]
+    for _ in range(extent):
+        vertices.append(oracle.multiply(vertices[-1], g))
+    return SimpleNamespace(vertex=vertices.__getitem__)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ({"family": "z_pow", "k": 2}, 12),
+    ({"family": "free", "k": 2}, 7),
+    ({"family": "dihedral_inf"}, 20),
+    ({"family": "lamplighter", "m": 2}, 10),
+    ({"family": "lamplighter", "m": 3}, 7),
+    ({"family": "z_cross_cyclic", "m": 3}, 12),  # not bipartite
+    ({"family": "cyclic_finite", "m": 12}, 9),  # complete: reached is 6
+    ({"family": "product", "left": {"family": "z"}, "right": {"family": "free", "k": 2}}, 6),
+], ids=str)
+def test_obss_components_match_reference(spec, radius):
+    # neighborhoods as left translates and components by union-find, against
+    # a multi-source search and a search per component; random items seldom
+    # separate, the items along a line through the identity often do
+    oracle = make_group(spec)
+    table = explore(oracle, radius)
+    rng = random.Random(radius)
+    items = [_random_item(rng, table) for _ in range(60)]
+    last = (table.reached - 1) // 2  # |K| + r = 2i + 1 within the table
+    items += line_witness(oracle, _line(oracle, table, 2 * last), range(2, last + 1)).items
+    separated = 0
+    for item in items:
+        report = check_obss_witness(table, ObssWitness(2, [item])).items[0]
+        got = (report.A_single_component, report.B_single_component,
+               report.distinct_components)
+        assert got == reference_obss_components(table, item), item
+        separated += got[2]
+    assert separated

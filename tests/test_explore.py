@@ -164,7 +164,7 @@ def test_left_invariance_spot_check(z2_oracle, z2_table_22):
         g, h = table.element(gu), table.element(gv)
         shifted = z2_oracle.multiply(z2_oracle.invert(g), h)
         expected = fresh.dist[fresh.id_of(shifted)]
-        assert reference_bfs(table, gu)[gv] == expected
+        assert reference_bfs(table, [gu])[gv] == expected
 
 
 @pytest.mark.parametrize("spec,radius", [
