@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import InvalidParameter, TruncationTooSmall
@@ -49,63 +50,107 @@ def _find(parent, x):
     return x
 
 
-def _complement_sweep(table: BallTable, snapshots: Sequence[int], truncation: int) -> dict:
-    """One outside-in union-find pass; per snapshot radius r returns
-    (component count, touching count, deepest bounded vertex id or None)
-    for B(truncation) \\ B(r).
+def _complement_sweep(table: BallTable, snapshots: Sequence[int],
+                      truncations: Sequence[int]) -> dict:
+    """One outside-in union-find pass over every truncation T: per T and per
+    snapshot radius r, (component count, touching count, deepest bounded
+    vertex id or None) for B(T) \\ B(r).
 
-    Each edge is processed once for the whole sweep, from its lower end, and
-    a snapshot's triple does not depend on which other snapshots the pass
-    takes. On a bipartite family S(truncation) has no edge inside itself, so
-    its vertices start as singleton touching components and their rows are
-    never read; otherwise ``BallTable.neighbors`` serves the rows of the
-    outermost sphere, wiring them on first use. The deepest bounded root is
-    found by one pointer that only moves down: a merged id never becomes a
-    root again, and the deepest bounded root can only merge into a touching
-    one. The test suite checks the pass against ``complement_components`` in
-    ``tests/oracles.py``, a separate per-radius decomposition.
+    Vertices are activated top-down and each edge is read from its lower
+    end. A union keeps the larger root, so every root is the largest id of
+    its component whatever order the edges come in, and a triple depends
+    only on the partition. The pass sweeps B(T0), the smallest truncation,
+    down to the highest snapshot and splits there. Each truncation finishes
+    its snapshots on a copy of the union-find, the last one in place; the
+    next truncation T extends the original by the ids of B(T) \\ B(T0),
+    links the rows of S(T0) to them and carries on. At the split every root
+    lies below S(T), so the touching count restarts from S(T) alone.
+
+    On a bipartite family S(T) has no edge inside itself, so its vertices
+    start as singleton touching components and their rows are read only if
+    a larger truncation follows; otherwise ``BallTable.neighbors`` serves
+    the rows of the outermost sphere, wiring them on first use. The deepest
+    bounded root is found by one pointer per truncation that only moves
+    down: a merged id never becomes a root again, and the deepest bounded
+    root can only merge into a touching one. The test suite checks the pass
+    against ``complement_components`` in ``tests/oracles.py``, a separate
+    per-radius decomposition.
     """
-    if truncation > table.reached:
+    truncs = sorted(set(truncations))
+    if not truncs:
+        return {}
+    if truncs[-1] > table.reached:
         raise TruncationTooSmall(
-            f"truncation {truncation} beyond explored radius {table.reached}")
+            f"truncation {truncs[-1]} beyond explored radius {table.reached}")
     snaps = sorted(set(snapshots), reverse=True)
-    if not snaps or snaps[0] >= truncation or snaps[-1] < 0:
-        raise InvalidParameter(f"snapshots {snapshots} outside 0..{truncation - 1}")
+    if not snaps or snaps[0] >= truncs[0] or snaps[-1] < 0:
+        raise InvalidParameter(f"snapshots {snapshots} outside 0..{truncs[0] - 1}")
 
-    hi = table.ball_size(truncation)
-    touch_lo = table.ball_size(truncation - 1)
-    parent = array("i", range(hi))
-    k, wired, adj = table._k, table._wired, table._adj
-    neighbors = table.neighbors
-
+    split_lo = table.ball_size(snaps[0])
+    parent = array("i")
+    components = touch_lo = 0
     results = {}
-    if table.oracle.bipartite:
-        components = touching = hi - touch_lo
-        active_lo = touch_lo
-    else:
-        components = touching = 0
-        active_lo = hi
+    for trunc in truncs:
+        old_touch_lo, old_hi = touch_lo, len(parent)
+        hi, touch_lo = table.ball_size(trunc), table.ball_size(trunc - 1)
+        parent.extend(range(old_hi, hi))
+        lo = old_hi or split_lo
+        # each new id starts as its own component, a touching one in S(T)
+        merged, touched = _link(table, parent, lo, touch_lo if table.oracle.bipartite else hi,
+                                hi, touch_lo)
+        if old_hi:  # the rows of the previous S(T) reach the new ids
+            more = _link(table, parent, old_touch_lo, old_hi, hi, touch_lo)
+            merged, touched = merged + more[0], touched + more[1]
+        components += hi - lo - merged
+        results[trunc] = _finish(table, parent if trunc == truncs[-1] else parent[:],
+                                 snaps, split_lo, hi, touch_lo,
+                                 components, hi - touch_lo - touched)
+    return results
+
+
+def _link(table: BallTable, parent: array, lo: int, top: int, hi: int,
+          touch_lo: int) -> tuple:
+    """Union each id u in lo..top - 1 with its neighbors v, u < v < hi;
+    returns (merges, merges of two roots from ``touch_lo`` on).
+
+    Rows are read top-down, the wired ones backwards off one view of the
+    adjacency. u's root is carried across its row: after a merge it is
+    still the larger root, so only v needs a find.
+    """
+    k, mid = table._k, min(max(lo, table._wired), top)
+    rows = chain(((u, table.neighbors(u)) for u in range(top - 1, mid - 1, -1)),
+                 zip(range(mid - 1, lo - 1, -1),
+                     zip(*[reversed(memoryview(table._adj)[k * lo:k * mid])] * k)))
+    merged = touched = 0
+    for u, row in rows:
+        ru = u if parent[u] == u else _find(parent, u)
+        for v in row:
+            if u < v < hi:
+                rv = parent[v]
+                if parent[rv] != rv:
+                    rv = _find(parent, rv)
+                if ru == rv:
+                    continue
+                if ru < rv:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                merged += 1
+                if rv >= touch_lo:  # both merged roots touched the boundary
+                    touched += 1
+    return merged, touched
+
+
+def _finish(table: BallTable, parent: array, snaps: list, active_lo: int, hi: int,
+            touch_lo: int, components: int, touching: int) -> dict:
+    """The snapshots of one truncation, from a union-find swept down to
+    ``active_lo``, the ball of the highest snapshot."""
+    results = {}
     deepest = touch_lo - 1  # no id above it and below touch_lo is a root
     for r in snaps:
         new_lo = table.ball_size(r)
-        # activate ids top-down so every neighbor v > u is already active
-        for u in range(active_lo - 1, new_lo - 1, -1):
-            components += 1
-            if u >= touch_lo:
-                touching += 1
-            ru = u
-            for v in adj[k * u:k * u + k] if u < wired else neighbors(u):
-                if u < v < hi:
-                    ru = _find(parent, ru)
-                    rv = _find(parent, v)
-                    if ru == rv:
-                        continue
-                    if ru < rv:
-                        ru, rv = rv, ru
-                    parent[rv] = ru
-                    components -= 1
-                    if rv >= touch_lo:  # both merged roots touched the boundary
-                        touching -= 1
+        merged, touched = _link(table, parent, new_lo, active_lo, hi, touch_lo)
+        components += active_lo - new_lo - merged
+        touching -= touched
         active_lo = new_lo
         while deepest >= active_lo and parent[deepest] != deepest:
             deepest -= 1
@@ -233,13 +278,15 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
             f"got truncation {truncation} for r_max={r_max}")
 
     radii = range(1, r_max + 1)
-    # snapshot r - 1 also gives the ends estimate its count e(r) at truncation
-    sweep = _complement_sweep(table, range(r_max + 1), truncation)
+    # snapshots 0..r_max - 1 also give the ends estimate its counts e(r)
+    estimate = not finite and one_ended is None
+    sweeps = _complement_sweep(table, range(r_max + 1),
+                               (truncation - 1, truncation) if estimate else (truncation,))
+    sweep = sweeps[truncation]
     if finite:
         classification, one_ended_evidence = CLASS_ZERO, False
-    elif one_ended is None:
-        last = [sweep[r - 1][1] for r in radii]
-        prev = _open_ball_counts(table, r_max, truncation - 1)
+    elif estimate:
+        prev, last = ([sweeps[t][r - 1][1] for r in radii] for t in (truncation - 1, truncation))
         classification = _classify_counts(prev, last)[1]
         one_ended_evidence = classification == CLASS_ONE
     else:
@@ -329,12 +376,11 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
     if table is None or (table.reached < schedule[-1] and not table.complete_group):
         table = explore(oracle, schedule[-1], budget)
 
-    counts = {}
-    for trunc in schedule:
-        if table.complete_group and trunc > table.reached:
-            counts[trunc] = None  # complement empty beyond the whole group
-        else:
-            counts[trunc] = _open_ball_counts(table, r_max, trunc)
+    # the complement is empty beyond a whole finite group: no count there
+    sweeps = _complement_sweep(table, range(r_max), [
+        t for t in schedule if t <= table.reached or not table.complete_group])
+    counts = {t: [sweeps[t][r][1] for r in range(r_max)] if t in sweeps else None
+              for t in schedule}
 
     if table.complete_group:
         return EndsEstimate(oracle.label(), r_max, schedule, counts, [],
@@ -343,12 +389,6 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
         counts[schedule[-2]], counts[schedule[-1]])
     return EndsEstimate(oracle.label(), r_max, schedule, counts, stable,
                         classification, stabilized, False, table.size)
-
-
-def _open_ball_counts(table: BallTable, r_max: int, truncation: int) -> list:
-    """[e(1), ..., e(r_max)]: touching components of {v : d(v) >= r} in B(truncation)."""
-    sweep = _complement_sweep(table, range(r_max), truncation)
-    return [sweep[r][1] for r in range(r_max)]
 
 
 def _classify_counts(prev: list, last: list) -> tuple:
@@ -512,7 +552,7 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
 
     Set diameters are word-metric distances |x^-1 y| read from the table:
     exact when x^-1 y lies in it. The neighborhood {v : d(v, K) < r} is the
-    union of the left translates k S(e, j), j < r, and the components of the
+    union of the left translates k B(e, r - 1), and the components of the
     neighborhood minus K come from the sweep's union-find over
     ``BallTable.neighbors``. Both are exact: the guard |k| + r <= reached
     keeps every translate and every geodesic from K inside the table, so
@@ -528,6 +568,7 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
     if not _is_int(witness.n) or witness.n < 1:
         raise InvalidParameter(f"witness bound n must be a positive integer, got {witness.n!r}")
 
+    multiply = table.oracle.multiply
     item_reports = []
     diams_A, diams_B = [], []
     for idx, it in enumerate(witness.items):
@@ -545,9 +586,10 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
                 f"items[{idx}]: need radius {max_dist + it.r}, table has {table.reached}")
 
         diam_K = _diameter(table, K, f"items[{idx}].K")
-        # d(v, K) < r; the guard above keeps every translate inside the table
-        hood = {v for k in K for j in range(it.r)
-                for v in table.sphere_around(table.element(k), j)}
+        # d(v, K) < r: the translates k B(e, r - 1), each element decoded
+        # once; the guard above keeps every translate inside the table
+        ball = [table.element(v) for v in range(table.ball_size(it.r - 1))]
+        hood = {table.id_of(multiply(x, g)) for x in map(table.element, K) for g in ball}
         region = hood.difference(K)
         comp_of = _component_map(table, region)
 

@@ -274,7 +274,9 @@ def test_end_depth_golden_bytes(tmp_path, group, options, digest):
 
 # SHA-256 of ends reports: bipartite (z, free, lamplighter(2)) and not
 # (z_cross_cyclic(3)) families, and finite groups whose last truncation is
-# beyond (cyclic_finite(12)) or exactly at (cyclic_finite(7)) the diameter
+# beyond (cyclic_finite(12)) or exactly at (cyclic_finite(7)) the diameter;
+# then schedules of three or four truncations, which one sweep serves, the
+# last with one truncation at the diameter 6 and one beyond it (null)
 ENDS_GOLDEN = [
     ('{"family":"z"}', ["--rmax", "5"],
      "f02cb177e581fa3afa73713c6802f4aeb308d6fe432e329747ce380a1ed667bb"),
@@ -288,6 +290,14 @@ ENDS_GOLDEN = [
      "1bcf9f4ba3d4a98821d9847efa5c7cb4ab3b874fa71cfcb94d7255d0e10eb4dc"),
     ('{"family":"cyclic_finite","m":7}', ["--rmax", "1", "--schedule", "2,3"],
      "d547a0a16cb4083f458a4eed0798d784258b6d84189283d363f75a91d66f3883"),
+    ('{"family":"z_cross_cyclic","m":3}', ["--rmax", "4", "--schedule", "5,6,7,9"],
+     "4ccf4c7d7012046c22e6ea9ff5155b8fcfb97cae30a9fe559d22613a169c6ff9"),
+    ('{"family":"lamplighter","m":2}', ["--rmax", "3", "--schedule", "4,5,6,8"],
+     "08b76a689e775659df4fdc119203e3ff62dd9fd30cafd6321d8344c02782691f"),
+    ('{"family":"lamplighter","m":2}', ["--rmax", "4", "--schedule", "5,6,7"],
+     "dcd9e71908668538a322a7e569bc5111a6d7af4f363c3ebbbe3b647dd043251e"),
+    ('{"family":"cyclic_finite","m":12}', ["--rmax", "2", "--schedule", "3,4,6,8"],
+     "9f292a1cad99e3bb50d1446cd0d4da29c50e1469313aab0e6ae1ce2fcbc87076"),
 ]
 
 

@@ -83,18 +83,22 @@ def test_component_soundness_paths_must_cross_ball(f2_table_8):
 def test_sweep_matches_full_decomposition(spec, radius):
     # the incremental outside-in pass and the direct per-radius union-find
     # must agree on counts, touching flags and the deepest bounded vertex,
-    # at every snapshot from 0 and at the last two truncations
+    # at every snapshot from 0, at each of the last two truncations alone
+    # and at the last three in one nested pass
     table = explore(make_group(spec), radius)
-    for trunc in (table.reached - 1, table.reached):
-        snapshots = list(range(trunc))
-        sweep = _complement_sweep(table, snapshots, trunc)
-        for r in snapshots:
-            decomp = complement_components(table, r, trunc)
-            comp_count, touch_count, bounded_max = sweep[r]
-            assert comp_count == len(decomp.components), (trunc, r)
-            assert touch_count == decomp.touching_count, (trunc, r)
-            bounded = decomp.bounded_ids()
-            assert bounded_max == (max(bounded) if bounded else None), (trunc, r)
+    reached = table.reached
+    for truncs in ((reached - 1,), (reached,), (reached - 2, reached - 1, reached)):
+        snapshots = list(range(truncs[0]))
+        sweeps = _complement_sweep(table, snapshots, truncs)
+        assert sorted(sweeps) == list(truncs)
+        for trunc in truncs:
+            for r in snapshots:
+                decomp = complement_components(table, r, trunc)
+                comp_count, touch_count, bounded_max = sweeps[trunc][r]
+                assert comp_count == len(decomp.components), (truncs, trunc, r)
+                assert touch_count == decomp.touching_count, (truncs, trunc, r)
+                bounded = decomp.bounded_ids()
+                assert bounded_max == (max(bounded) if bounded else None), (truncs, trunc, r)
 
 
 @pytest.mark.parametrize("spec", [{"family": "z"}, {"family": "z_cross_cyclic", "m": 3}],
@@ -108,14 +112,17 @@ def test_sweep_finds_bounded_root_at_top_of_inner_sphere(spec):
     table = BallTable(make_group(spec), 4, 3, True, Codec(6, 0, (None, None), None, None),
                       list(range(6)), {}, array("i", [0, 1, 1, 2, 2, 3]), [0, 1, 3, 5, 6],
                       6, array("i", chain.from_iterable(rows)))
-    for trunc in (2, 3):
-        sweep = _complement_sweep(table, range(trunc), trunc)
-        for r in range(trunc):
-            decomp = complement_components(table, r, trunc)
-            bounded = decomp.bounded_ids()
-            assert sweep[r] == (len(decomp.components), decomp.touching_count,
-                                max(bounded) if bounded else None), (trunc, r)
-    assert _complement_sweep(table, [1], 3)[1] == (2, 1, 4)
+    for truncs in ((2,), (3,), (2, 3)):
+        sweeps = _complement_sweep(table, range(truncs[0]), truncs)
+        for trunc in truncs:
+            for r in range(truncs[0]):
+                decomp = complement_components(table, r, trunc)
+                bounded = decomp.bounded_ids()
+                assert sweeps[trunc][r] == (
+                    len(decomp.components), decomp.touching_count,
+                    max(bounded) if bounded else None), (truncs, trunc, r)
+    assert _complement_sweep(table, [1], [3])[3][1] == (2, 1, 4)
+    assert _complement_sweep(table, [1], [2, 3])[3][1] == (2, 1, 4)
 
 
 def test_complement_rejects_bad_radius(z_table_30):
@@ -200,19 +207,27 @@ def test_profile_classification_matches_estimate(spec, r_max, trunc):
     assert profile.classification == estimate.classification
 
 
-def test_profile_sweeps_once_per_truncation(z2_oracle, monkeypatch):
+def test_one_sweep_per_command(z2_oracle, monkeypatch):
     calls = []
 
-    def counted(table, snapshots, truncation):
-        calls.append(truncation)
-        return _complement_sweep(table, snapshots, truncation)
+    def counted(table, snapshots, truncations):
+        calls.append(tuple(truncations))
+        return _complement_sweep(table, snapshots, truncations)
 
     monkeypatch.setattr(ends, "_complement_sweep", counted)
     end_depth_profile(z2_oracle, 3)
-    assert calls == [14, 13]
+    assert calls == [(13, 14)]
     calls.clear()
     end_depth_profile(z2_oracle, 3, one_ended=True)
-    assert calls == [14]
+    assert calls == [(14,)]
+    calls.clear()
+    end_count_estimate(z2_oracle, 3, schedule=(5, 7, 9))
+    assert calls == [(5, 7, 9)]
+    calls.clear()
+    # no count beyond the diameter 6 of a finite group
+    end_count_estimate(make_group({"family": "cyclic_finite", "m": 12}), 2,
+                       schedule=(3, 4, 6, 8))
+    assert calls == [(3, 4, 6)]
 
 
 def test_profile_rejects_zero_rmax(z2_oracle):
