@@ -348,9 +348,8 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
     steps.append(DemoStep("common_diameter_bound", same_D, {"D": D}))
 
     ball_ids = range(table.ball_size(39 * D))
-    covered: set = set()
-    for i in range(-40 * D, 40 * D + 1):
-        covered.update(table.sphere_around(axis.vertex(i), D))
+    covered = set(table.translates(map(axis.vertex, range(-40 * D, 40 * D + 1)),
+                                   table.layer_ids(D)))
     missing = [v for v in ball_ids if v not in covered]
     covering_ok = not missing
     steps.append(DemoStep(

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import InvalidParameter, TruncationTooSmall
@@ -68,13 +67,14 @@ def _complement_sweep(table: BallTable, snapshots: Sequence[int],
 
     On a bipartite family S(T) has no edge inside itself, so its vertices
     start as singleton touching components and their rows are read only if
-    a larger truncation follows; otherwise ``BallTable.neighbors`` serves
-    the rows of the outermost sphere, wiring them on first use. The deepest
-    bounded root is found by one pointer per truncation that only moves
-    down: a merged id never becomes a root again, and the deepest bounded
-    root can only merge into a touching one. The test suite checks the pass
-    against ``complement_components`` in ``tests/oracles.py``, a separate
-    per-radius decomposition.
+    a larger truncation follows. Otherwise the rows of S(T) are read too,
+    and ``BallTable.rows_down`` wires them on first use when S(T) is the
+    table's outermost sphere. The deepest bounded root is found by one
+    pointer per truncation that only moves down: a merged id never becomes
+    a root again, and the deepest bounded root can only merge into a
+    touching one. The test suite checks the pass against
+    ``complement_components`` in ``tests/oracles.py``, a separate per-radius
+    decomposition.
     """
     truncs = sorted(set(truncations))
     if not truncs:
@@ -113,16 +113,13 @@ def _link(table: BallTable, parent: array, lo: int, top: int, hi: int,
     """Union each id u in lo..top - 1 with its neighbors v, u < v < hi;
     returns (merges, merges of two roots from ``touch_lo`` on).
 
-    Rows are read top-down, the wired ones backwards off one view of the
-    adjacency. u's root is carried across its row: after a merge it is
-    still the larger root, so only v needs a find.
+    Rows come top-down from ``BallTable.rows_down``; the test u < v < hi
+    also drops the -1 of a step that leaves the ball. u's root is carried
+    across its row: after a merge it is still the larger root, so only v
+    needs a find.
     """
-    k, mid = table._k, min(max(lo, table._wired), top)
-    rows = chain(((u, table.neighbors(u)) for u in range(top - 1, mid - 1, -1)),
-                 zip(range(mid - 1, lo - 1, -1),
-                     zip(*[reversed(memoryview(table._adj)[k * lo:k * mid])] * k)))
     merged = touched = 0
-    for u, row in rows:
+    for u, row in table.rows_down(lo, top):
         ru = u if parent[u] == u else _find(parent, u)
         for v in row:
             if u < v < hi:
@@ -552,11 +549,12 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
 
     Set diameters are word-metric distances |x^-1 y| read from the table:
     exact when x^-1 y lies in it. The neighborhood {v : d(v, K) < r} is the
-    union of the left translates k B(e, r - 1), and the components of the
-    neighborhood minus K come from the sweep's union-find over
-    ``BallTable.neighbors``. Both are exact: the guard |k| + r <= reached
-    keeps every translate and every geodesic from K inside the table, so
-    distances in the truncated graph equal word distances there.
+    union of the left translates k B(e, r - 1) (``BallTable.translates``),
+    and the components of the neighborhood minus K come from the sweep's
+    union-find over ``BallTable.neighbors``. Both are exact: the guard
+    |k| + r <= reached keeps every translate and every geodesic from K
+    inside the table, so distances in the truncated graph equal word
+    distances there.
 
     A pair further apart than the truncation raises TruncationTooSmall,
     naming the item and the set, as does a K whose reach leaves the
@@ -568,7 +566,6 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
     if not _is_int(witness.n) or witness.n < 1:
         raise InvalidParameter(f"witness bound n must be a positive integer, got {witness.n!r}")
 
-    multiply = table.oracle.multiply
     item_reports = []
     diams_A, diams_B = [], []
     for idx, it in enumerate(witness.items):
@@ -586,11 +583,10 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
                 f"items[{idx}]: need radius {max_dist + it.r}, table has {table.reached}")
 
         diam_K = _diameter(table, K, f"items[{idx}].K")
-        # d(v, K) < r: the translates k B(e, r - 1), each element decoded
-        # once; the guard above keeps every translate inside the table
-        ball = [table.element(v) for v in range(table.ball_size(it.r - 1))]
-        hood = {table.id_of(multiply(x, g)) for x in map(table.element, K) for g in ball}
-        region = hood.difference(K)
+        # d(v, K) < r: the translates k B(e, r - 1); the guard above keeps
+        # every translate inside the table
+        hood = table.translates(map(table.element, K), range(table.ball_size(it.r - 1)))
+        region = set(hood).difference(K)
         comp_of = _component_map(table, region)
 
         nonempty = bool(A) and bool(B)

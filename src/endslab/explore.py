@@ -14,16 +14,19 @@ The search runs on the packed int codes of ``GroupOracle.codec`` and steps
 them with one int function per generator; elements are decoded only when a
 caller asks for one.
 
-Adjacency is built only where a consumer reads it. The search wires every
-vertex it expands: every vertex inside the outermost sphere S(R), or every
-vertex of a finite group exhausted before R. Such a vertex has all
-k = len(steps) neighbors in the ball, so its row is the implicit slice
-``adj[k*u:k*u + k]`` and needs no offsets. The rows of S(R) lose the steps
-that leave the ball and are wired once, on first use, by
-``BallTable._wire_outer``. The complement sweep in ``ends`` never reads
-them on a bipartite family (``GroupOracle.bipartite``), where S(R) has no
-edge inside itself, and the ``obss`` witness check reads rows within
-radius R - 1 only.
+Adjacency is one flat array of rows, k = len(steps) slots per vertex in
+generator order, so the row of u is the implicit slice ``adj[k*u:k*u + k]``
+and needs no offsets. The search writes the row of every vertex it expands:
+every vertex inside the outermost sphere S(R), or every vertex of a finite
+group exhausted before R. The rows of S(R) are appended once, on first use,
+by ``BallTable._wire_outer``, with -1 in the slot of a step that leaves the
+ball. The complement sweep in ``ends`` never reads them on a bipartite
+family (``GroupOracle.bipartite``), where S(R) has no edge inside itself,
+and the ``obss`` witness check reads rows within radius R - 1 only.
+
+Other modules read a table through three methods: ``rows_down`` for
+adjacency, ``translates`` for left translates c * g of table elements, and
+``distance_rows`` for pairwise distances.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
                      TruncationTooSmall)
-from .groups import Codec, Element, GroupOracle
+from .groups import Codec, Element, GroupOracle, _is_int
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -45,16 +48,20 @@ class BallTable:
 
     Vertices are stored as the int codes of ``codec`` and decoded only on
     request. Layers are contiguous id ranges; adjacency covers exactly the
-    edges of the induced subgraph on the ball. The first ``_wired`` ids have
-    implicit rows of ``_k`` neighbor ids each, in generator order, in
-    ``_adj``; the rows of the remaining ids, the outermost sphere of an
-    unexhausted ball, are compressed sparse rows built on first use (module
-    docstring). Instances are otherwise immutable and safe to share: a
-    concurrent first use at worst wires the outer rows twice.
+    edges of the induced subgraph on the ball. ``_adj`` holds ``_k`` slots
+    per id for the first ``_wired`` ids; the rows of the outermost sphere of
+    an unexhausted ball are appended on first use (module docstring).
+
+    Wiring those rows is the only change to a table after ``explore``. It
+    runs at most once and leaves every earlier row as it was, but it is not
+    thread-safe: it appends to ``_adj`` in batches, so two threads wiring at
+    once can interleave rows, and an append while another thread iterates
+    ``rows_down`` raises BufferError. A table shared between threads should
+    be wired first, by ``neighbors`` on its last id.
 
     Nothing searches a finished table: distances between its elements are
-    read by left invariance (``distances_from``), and spheres around any
-    element are left translates of its layers (``sphere_around``).
+    read by left invariance (``distance_rows``), and spheres around any
+    element are left translates of its layers (``translates``).
     """
 
     def __init__(self, oracle, radius, reached, complete_group, codec, codes,
@@ -71,7 +78,6 @@ class BallTable:
         self._codes = codes
         self._index = index
         self._layer_start = layer_start
-        self._outer = None
         self._key_index = None
 
     def __len__(self):
@@ -97,40 +103,36 @@ class BallTable:
             return range(0)
         return range(self._layer_start[r], self._layer_start[r + 1])
 
-    def distance(self, vid: int) -> int:
-        return self.dist[vid]
-
     def element(self, vid: int) -> Element:
         return self._codec.decode(self._codes[vid])
 
-    def neighbors(self, vid: int):
+    def neighbors(self, vid: int) -> list:
         """Neighbor ids of a vertex within the ball, in generator order."""
-        if vid < self._wired:
-            return self._adj[self._k * vid:self._k * vid + self._k]
-        indptr, adj = self._outer or self._wire_outer()
-        i = vid - self._wired
-        return adj[indptr[i]:indptr[i + 1]]
+        if vid >= self._wired:
+            self._wire_outer()
+        return [v for v in self._adj[self._k * vid:self._k * vid + self._k] if v >= 0]
 
-    def degree(self, vid: int) -> int:
-        return len(self.neighbors(vid))
+    def rows_down(self, lo: int, top: int):
+        """(u, row) for every id u from top - 1 down to lo, off one view of
+        the adjacency: the ``_k`` slots of u in reverse generator order, -1
+        for a step that leaves the ball. Wires the outermost sphere first
+        if the range reaches it; the caller must not wire while iterating."""
+        if top > self._wired:
+            self._wire_outer()
+        k = self._k
+        view = memoryview(self._adj)[k * lo:k * top]
+        return zip(range(top - 1, lo - 1, -1), zip(*[reversed(view)] * k))
 
-    def _wire_outer(self) -> tuple:
-        """Rows of the ids from ``_wired`` on: (offsets, neighbor ids), with
-        the steps that leave the ball dropped. Built once, on first use by
-        ``neighbors``: the complement sweep on a family that is not
-        bipartite, ``degree`` and ``dump_csv``."""
-        get = self._index.get
-        steps = self._codec.steps
-        indptr = array("l", [0])
-        adj = array("i")
-        for u in self._codes[self._wired:]:
-            for s in steps:
-                v = get(s(u))
-                if v is not None:
-                    adj.append(v)
-            indptr.append(len(adj))
-        self._outer = indptr, adj
-        return self._outer
+    def _wire_outer(self) -> None:
+        """Append the rows of the ids from ``_wired`` on, -1 for a step that
+        leaves the ball. Runs once, on first use by ``neighbors`` or
+        ``rows_down``: the complement sweep on a family that is not
+        bipartite, and ``dump_csv``."""
+        steps, get = self._codec.steps, self._index.get
+        for lo in range(self._wired, len(self._codes), _BATCH):
+            codes = _neighbor_codes(steps, self._codes[lo:lo + _BATCH])
+            self._adj.extend(map(get, codes, repeat(-1)))
+        self._wired = len(self._codes)
 
     def id_of(self, g: Element) -> Optional[int]:
         code = self._codec.encode(g)
@@ -154,43 +156,45 @@ class BallTable:
             g = self.element(vid)
             yield key_str(g), g, self.dist[vid]
 
-    def sphere_around(self, center: Element, r: int) -> list:
-        """Ids of the sphere center * S(e, r), a left translate of layer r
-        (None for a point outside the table)."""
-        multiply = self.oracle.multiply
-        return [self.id_of(multiply(center, self.element(v))) for v in self.layer_ids(r)]
+    def translates(self, centers: Iterable[Element], ids: Iterable[int]) -> list:
+        """Ids of c * g for every center c and every vertex g of ``ids``,
+        center by center (None for a point outside the table). Each vertex
+        is decoded once, however many centers there are."""
+        multiply, id_of = self.oracle.multiply, self.id_of
+        elements = [self.element(v) for v in ids]
+        return [id_of(multiply(c, g)) for c in centers for g in elements]
 
-    def distances_from(self, x: Element, ys: Iterable[Element]) -> list:
-        """Exact word-metric distances d(x, y) = |x^-1 y|, one per y; None
-        where x^-1 y lies outside the table, further than the truncation."""
-        multiply, x_inv = self.oracle.multiply, self.oracle.invert(x)
-        ids = [self.id_of(multiply(x_inv, y)) for y in ys]
-        return [None if v is None else self.dist[v] for v in ids]
-
-    def set_diameter(self, ids: Sequence[int]) -> int:
-        """Max pairwise word-metric distance of a vertex set.
+    def distance_rows(self, ids: Sequence[int]) -> list:
+        """Pairwise word-metric distances of a vertex set, upper triangle:
+        row i holds d(ids[i], ids[j]) = |x^-1 y| for every j > i.
 
         Exact, read by left invariance: raises TruncationTooSmall naming a
         pair that lies further apart than the truncation radius.
         """
+        multiply, invert, id_of = self.oracle.multiply, self.oracle.invert, self.id_of
         points = [self.element(v) for v in ids]
-        best = 0
+        rows = []
         for i, x in enumerate(points):
-            row = self.distances_from(x, points[i + 1:])
+            x_inv = invert(x)
+            row = [id_of(multiply(x_inv, y)) for y in points[i + 1:]]
             if None in row:
                 far = ids[i + 1 + row.index(None)]
                 raise TruncationTooSmall(
                     f"{self.key_of(ids[i])} and {self.key_of(far)} lie more than "
                     f"the truncation radius {self.reached} apart")
-            best = max(best, max(row, default=0))
-        return best
+            rows.append([self.dist[v] for v in row])
+        return rows
+
+    def set_diameter(self, ids: Sequence[int]) -> int:
+        """Max pairwise word-metric distance of a vertex set (``distance_rows``)."""
+        return max((max(row, default=0) for row in self.distance_rows(ids)), default=0)
 
     def dump_csv(self, path) -> None:
         """Debug dump: one row per vertex (key, distance, neighbor count)."""
         with open(path, "w", encoding="ascii") as fh:
             fh.write("key,distance,neighbors\n")
             for vid in range(self.size):
-                fh.write(f"{self.key_of(vid)},{self.dist[vid]},{self.degree(vid)}\n")
+                fh.write(f"{self.key_of(vid)},{self.dist[vid]},{len(self.neighbors(vid))}\n")
 
 
 # Frontier vertices expanded per batch: the batch's neighbor codes are held
@@ -219,6 +223,17 @@ def _codec(oracle: GroupOracle, radius: int, budget: int) -> Codec:
     """
     bound = oracle.radius_bound(budget)
     return oracle.codec(radius if bound is None else min(radius, bound + 1))
+
+
+def _search_budget(radius: int, budget: Optional[int]) -> int:
+    """The node budget of a search to ``radius``, both arguments checked."""
+    if not _is_int(radius) or radius < 0:
+        raise InvalidParameter(f"radius must be a nonnegative integer, got {radius!r}")
+    if budget is None:
+        return DEFAULT_NODE_BUDGET
+    if not _is_int(budget) or budget < 1:
+        raise InvalidParameter("budget must be positive")
+    return budget
 
 
 def _search(codec: Codec, radius: int, budget: int, index: dict,
@@ -277,13 +292,7 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
     (default 5e6); the error reports the last fully explored radius. A finite
     group that is exhausted early yields a table flagged ``complete_group``.
     """
-    if not isinstance(radius, int) or radius < 0:
-        raise InvalidParameter(f"radius must be a nonnegative integer, got {radius!r}")
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    if budget < 1:
-        raise InvalidParameter("budget must be positive")
-
+    budget = _search_budget(radius, budget)
     codec = _codec(oracle, radius + 1, budget)  # the outermost sphere's neighbors too
     index: dict = {}
     codes = [codec.identity]
@@ -328,9 +337,6 @@ class SphereSizeSeries:
     def ball(self, r: int) -> int:
         return sum(self.sizes[: r + 1])
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(enumerate(self.sizes))
-
 
 def sphere_size_series(oracle: GroupOracle, radius: int,
                        budget: Optional[int] = None) -> SphereSizeSeries:
@@ -340,10 +346,7 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
     far beyond what a full table can hold; ``nodes`` still counts every
     vertex of the ball against the budget.
     """
-    if not isinstance(radius, int) or radius < 0:
-        raise InvalidParameter(f"radius must be a nonnegative integer, got {radius!r}")
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
+    budget = _search_budget(radius, budget)
     sizes = _search(_codec(oracle, radius, budget), radius, budget, {})
     return SphereSizeSeries(radius, sizes, len(sizes) <= radius, sum(sizes))
 
@@ -363,9 +366,6 @@ class GeodesicAxis:
 
     def vertex(self, i: int) -> Element:
         return self._vertices[i + self.extent]
-
-    def indices(self) -> range:
-        return range(-self.extent, self.extent + 1)
 
 
 def build_axis(oracle: GroupOracle, table: BallTable, extent: int) -> GeodesicAxis:

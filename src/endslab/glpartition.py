@@ -352,16 +352,11 @@ def sphere_as_metric_space(oracle: GroupOracle, table: BallTable,
             f"need radius {table.dist[cid] + 3 * r} for exact sphere distances, "
             f"table has {table.reached}")
 
-    points = sorted(table.sphere_around(center, r))
+    points = sorted(table.translates([center], table.layer_ids(r)))
     if not points:
         raise InvalidParameter(f"sphere of radius {r} around the center is empty")
-    elements = [table.element(v) for v in points]
     dist = [[0] * len(points) for _ in points]
-    for i, x in enumerate(elements):
-        row = table.distances_from(x, elements[i + 1:])
-        if None in row:
-            raise TruncationTooSmall(
-                "sphere points not mutually reachable within the truncation")
+    for i, row in enumerate(table.distance_rows(points)):
         dist[i][i + 1:] = row
         for j, d in enumerate(row, i + 1):
             dist[j][i] = d

@@ -132,29 +132,15 @@ class GroupSpec:
         return 1 + max(self.left.depth(), self.right.depth())
 
     def label(self) -> str:
-        if self.family == "cyclic_finite":
-            return f"cyclic_finite({self.m})"
-        if self.family == "z_pow":
-            return f"z_pow({self.k})"
-        if self.family == "free":
-            return f"free({self.k})"
-        if self.family == "z_cross_cyclic":
-            return f"z_cross_cyclic({self.m})"
-        if self.family == "lamplighter":
-            return f"lamplighter({self.m})"
-        if self.family == "product":
-            return f"product({self.left.label()}, {self.right.label()})"
-        return self.family
+        values = [getattr(self, name) for name in FAMILIES[self.family]]
+        labels = [v.label() if isinstance(v, GroupSpec) else str(v) for v in values]
+        return f"{self.family}({', '.join(labels)})" if labels else self.family
 
     def to_dict(self) -> dict:
         d: dict = {"family": self.family}
-        if self.m is not None:
-            d["m"] = self.m
-        if self.k is not None:
-            d["k"] = self.k
-        if self.family == "product":
-            d["left"] = self.left.to_dict()
-            d["right"] = self.right.to_dict()
+        for name in FAMILIES[self.family]:
+            value = getattr(self, name)
+            d[name] = value.to_dict() if isinstance(value, GroupSpec) else value
         return d
 
     @classmethod

@@ -1,10 +1,13 @@
 """Exploration engine: sphere sizes against independent oracles, table
 structure invariants, axes, budgets."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import endslab
 from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis, TruncationTooSmall
 from endslab.explore import build_axis, explore, sphere_size_series, sphere_sizes
 from endslab.groups import make_group
@@ -189,7 +192,53 @@ def test_set_diameter_beyond_truncation_raises(z_oracle):
     with pytest.raises(TruncationTooSmall,
                        match="-8 and 8 lie more than the truncation radius 12"):
         table.set_diameter(ids)
+    with pytest.raises(TruncationTooSmall, match="-8 and 8 lie more than"):
+        table.distance_rows(ids)
     assert table.set_diameter(ids[1:]) == 5
+    assert table.distance_rows(ids[1:]) == [[5], []]
+
+
+READER_CASES = [
+    ({"family": "z_pow", "k": 2}, 12),
+    ({"family": "free", "k": 2}, 7),
+    ({"family": "lamplighter", "m": 2}, 9),
+    ({"family": "z_cross_cyclic", "m": 3}, 12),
+    ({"family": "product", "left": {"family": "z"}, "right": {"family": "free", "k": 2}}, 6),
+]
+
+
+@pytest.mark.parametrize("spec,radius", READER_CASES, ids=str)
+def test_translates_match_reference_spheres(spec, radius):
+    # c * S(e, r) is the sphere of radius r around c: |c| + r <= R keeps
+    # every geodesic from c inside the table
+    table = explore(make_group(spec), radius)
+    centers = random.Random(radius).sample(range(1, table.ball_size(radius // 3)), 3)
+    spheres = {}
+    for c in centers:
+        reach = reference_bfs(table, [c])
+        for r in range(radius - table.dist[c] + 1):
+            spheres[c, r] = sorted(v for v, d in reach.items() if d == r)
+            assert sorted(table.translates([table.element(c)], table.layer_ids(r))) \
+                == spheres[c, r], (c, r)
+    # several centers: every translate, center by center
+    r = radius - max(table.dist[c] for c in centers)
+    n = table.sphere_size(r)
+    got = table.translates(map(table.element, centers), table.layer_ids(r))
+    assert [sorted(got[i * n:i * n + n]) for i in range(len(got) // n)] == \
+        [spheres[c, r] for c in centers]
+
+
+@pytest.mark.parametrize("spec,radius", READER_CASES, ids=str)
+def test_distance_rows_match_reference_search(spec, radius):
+    # within a third of the radius every geodesic between two points stays inside
+    table = explore(make_group(spec), radius)
+    inner = range(table.ball_size(radius // 3))
+    ids = random.Random(radius).sample(inner, min(8, len(inner)))
+    expected = []
+    for i, s in enumerate(ids):
+        reach = reference_bfs(table, [s])
+        expected.append([reach[t] for t in ids[i + 1:]])
+    assert table.distance_rows(ids) == expected
 
 
 def test_budget_exceeded_reports_radius():
@@ -204,6 +253,41 @@ def test_budget_exceeded_reports_radius():
 def test_explore_rejects_bad_radius(z_oracle):
     with pytest.raises(InvalidParameter):
         explore(z_oracle, -1)
+
+
+@pytest.mark.parametrize("search", [explore, sphere_size_series])
+@pytest.mark.parametrize("radius,budget,message", [
+    (5, 0, "budget must be positive"),
+    (5, -3, "budget must be positive"),
+    (True, None, "radius must be a nonnegative integer, got True"),
+])
+def test_search_arguments_checked_alike(z_oracle, search, radius, budget, message):
+    # a bad budget is a usage error on both searches, never BudgetExceeded
+    with pytest.raises(InvalidParameter, match=message):
+        search(z_oracle, radius, budget)
+
+
+def test_only_explore_reads_table_internals():
+    # every other module reads a ball table through its public methods
+    src = Path(endslab.__file__).parent
+    tree = ast.parse((src / "explore.py").read_text())
+    table_class = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "BallTable")
+    private = {node.attr for node in ast.walk(table_class)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")}
+    private |= {node.name for node in table_class.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    private -= {name for name in private if name.startswith("__")}
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "explore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and (
+                    node.attr in private
+                    or isinstance(node.value, ast.Name) and node.value.id == "table"):
+                reads.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert reads == []
 
 
 def test_axis_families(z_table_30, z2_table_22, dihedral_oracle, lamp_oracle):

@@ -246,6 +246,31 @@ def test_valid_spec_bytes_unchanged():
         assert json.dumps(parse_group_spec(spec).to_dict()) == json.dumps(spec)
 
 
+NESTED_SPEC = {"family": "product",
+               "left": {"family": "product", "left": {"family": "z_pow", "k": 2},
+                        "right": {"family": "lamplighter", "m": 3}},
+               "right": {"family": "product", "left": {"family": "dihedral_inf"},
+                         "right": {"family": "trivial"}}}
+
+SPEC_LABELS = [
+    "trivial", "cyclic_finite(5)", "cyclic_finite(2)", "z", "z_pow(1)", "z_pow(3)",
+    "free(2)", "dihedral_inf", "z_cross_cyclic(3)", "z_cross_cyclic(2)",
+    "lamplighter(2)", "lamplighter(3)", "product(z, cyclic_finite(3))",
+    "product(lamplighter(2), free(2))",
+    "product(product(z_pow(2), lamplighter(3)), product(dihedral_inf, trivial))",
+]
+
+
+@pytest.mark.parametrize("spec,label", zip(ALL_SPECS + [NESTED_SPEC], SPEC_LABELS),
+                         ids=SPEC_LABELS)
+def test_spec_label_and_dict_pinned(spec, label):
+    # label and to_dict come from the family's parameter list in FAMILIES
+    parsed = parse_group_spec(spec)
+    assert parsed.label() == label
+    assert make_group(spec).label() == label
+    assert json.dumps(parsed.to_dict()) == json.dumps(spec)
+
+
 def test_product_depth_limit():
     deep = {"family": "z"}
     for _ in range(3):
