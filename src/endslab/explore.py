@@ -378,6 +378,8 @@ def build_axis(oracle: GroupOracle, table: BallTable, extent: int) -> GeodesicAx
     word = oracle.axis_word
     if word is None:
         raise NoAxis(f"{oracle.label()} has no designated geodesic axis")
+    if not _is_int(extent):
+        raise InvalidParameter(f"axis extent must be an integer, got {extent!r}")
     if extent < 0 or extent > table.reached:
         raise InvalidParameter(f"axis extent {extent} outside explored radius {table.reached}")
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import Infeasible, InvalidParameter, TruncationTooSmall
 from .explore import BallTable
-from .groups import Element, GroupOracle
+from .groups import Element, GroupOracle, _is_int
 
 TRIANGLE_TOL = 1e-9
 ISOMETRY_MAX_BLOCK = 16
@@ -74,24 +74,18 @@ class FiniteMetricSpace:
                 if d[i][j] <= 0:
                     raise InvalidParameter(
                         f"non-positive distance between {self.labels[i]} and {self.labels[j]}")
-        # Triangle inequality, one row pair at a time: d[i][j] exceeds some
-        # d[i][k] + d[j][k] + TOL (compared exactly, without TOL, when both
-        # are ints) exactly when it exceeds the smallest of them so: float
-        # rounding of x + TOL is monotone in x, and an int exceeds an int by
-        # at least 1, far more than TOL. With d symmetric, a failing
-        # (j, i, k) makes (i, j, k) fail too, so the first failing triple in
-        # (i, j, k) order has i < j and only pairs j > i need checking; a
-        # failing pair is scanned for its first k.
-        for i in range(n):
-            di = d[i]
-            for j in range(i + 1, n):
-                dij = di[j]
-                dj = d[j]
-                if _exceeds(dij, min(map(add, di, dj))):
-                    k = next(k for k in range(n) if _exceeds(dij, di[k] + dj[k]))
-                    raise InvalidParameter(
-                        f"triangle inequality fails at "
-                        f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
+        # With d symmetric, a failing (j, i, k) makes (i, j, k) fail too, so
+        # the first failing triple in (i, j, k) order has i < j and only
+        # pairs j > i need checking; a failing pair is scanned for its first k.
+        exact = not any(isinstance(x, float) for row in d for x in row)
+        pair = (_first_failing_pair_packed if exact else _first_failing_pair)(d)
+        if pair is not None:
+            i, j = pair
+            di, dj, dij = d[i], d[j], d[i][j]
+            k = next(k for k in range(n) if _exceeds(dij, di[k] + dj[k]))
+            raise InvalidParameter(
+                f"triangle inequality fails at "
+                f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
 
     def index_of(self, label: str) -> int:
         try:
@@ -144,6 +138,46 @@ def _exceeds(dij, s) -> bool:
         return False
 
 
+def _first_failing_pair(d):
+    """The first pair i < j with d[i][j] exceeding some d[i][k] + d[j][k]
+    in the sense of ``_exceeds``, or None: one row pair at a time. That
+    holds exactly when d[i][j] exceeds the smallest such sum, since float
+    rounding of x + TRIANGLE_TOL is monotone in x and an int exceeds an int
+    by at least 1, far more than the tolerance."""
+    n = len(d)
+    for i in range(n):
+        di = d[i]
+        for j in range(i + 1, n):
+            if _exceeds(di[j], min(map(add, di, d[j]))):
+                return i, j
+    return None
+
+
+def _first_failing_pair_packed(d):
+    """``_first_failing_pair`` for a tuple of tuples of non-negative ints.
+
+    Each row is packed into one int, one field per entry, with fields wide
+    enough that 2 * max(d) stays below the field's top (guard) bit. For a
+    pair (i, j), field k of (P[i] + GUARD) + P[j] - d[i][j] * ONES is
+    GUARD + d[i][k] + d[j][k] - d[i][j], which lies in [0, 2 * GUARD), so no
+    field carries or borrows into the next, and its guard bit is set
+    exactly when d[i][k] + d[j][k] >= d[i][j].
+    """
+    n = len(d)
+    digits = (2 * max(map(max, d))).bit_length() // 4 + 1  # hex digits per field
+    field = f"%0{digits}x" * n
+    packed = [int(field % row, 16) for row in d]
+    guard = int(("8" + "0" * (digits - 1)) * n, 16)
+    ones = int(("0" * (digits - 1) + "1") * n, 16)
+    for i in range(n):
+        gi = packed[i] + guard
+        di = d[i]
+        for j in range(i + 1, n):
+            if (gi + packed[j] - di[j] * ones) & guard != guard:
+                return i, j
+    return None
+
+
 @dataclass
 class GlPartition:
     """Blocks with their separation certificate.
@@ -188,7 +222,7 @@ class GlPartition:
 
 
 def _check_factor(a) -> None:
-    if not isinstance(a, int) or isinstance(a, bool) or a < 3:
+    if not _is_int(a) or a < 3:
         raise InvalidParameter(f"separation factor must be an integer >= 3, got {a!r}")
 
 
@@ -345,7 +379,7 @@ def sphere_as_metric_space(oracle: GroupOracle, table: BallTable,
     cid = table.id_of(center)
     if cid is None:
         raise TruncationTooSmall("center element not in the explored ball")
-    if not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise InvalidParameter(f"sphere radius must be a positive integer, got {r!r}")
     if not table.complete_group and table.dist[cid] + 3 * r > table.reached:
         raise TruncationTooSmall(

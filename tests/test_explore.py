@@ -330,6 +330,9 @@ def test_no_axis_for_finite_and_products():
 def test_axis_extent_bound(z_table_30):
     with pytest.raises(InvalidParameter):
         build_axis(z_table_30.oracle, z_table_30, 31)
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(InvalidParameter, match="axis extent must be an integer"):
+            build_axis(z_table_30.oracle, z_table_30, bad)
 
 
 def test_csv_dump(tmp_path, z_table_30):

@@ -125,6 +125,101 @@ def test_triangle_message_matches_reference_triple():
     assert failures > 100
 
 
+def _shortest_path_metric(rng, n, scale):
+    """A random integer metric: shortest paths over random positive edge
+    weights (many triangles hold with equality), times ``scale``."""
+    d = [[0 if i == j else rng.randint(1, 30) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            d[i][j] = d[j][i]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return [[x * scale for x in row] for row in d]
+
+
+def _expected_message(labels, dist, tol):
+    triple = reference_triangle_violation(dist, tol)
+    if triple is None:
+        return None
+    return "triangle inequality fails at ({})".format(", ".join(labels[x] for x in triple))
+
+
+def _validation_message(labels, dist):
+    try:
+        FiniteMetricSpace(labels, dist)
+    except InvalidParameter as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_triangle_check_matches_reference_triple():
+    rng = random.Random(40961)
+    outcomes = []
+    for trial in range(300):
+        n = rng.choice((1, 2, 3, rng.randint(3, 14)))
+        # entries stay below 2**1007, inside float range, so every one is finite
+        scale = rng.choice((1, 7, 2 ** 53, 2 ** 1000))
+        dist = _shortest_path_metric(rng, n, scale)
+        if n >= 3:
+            adjacent = rng.randrange(n - 1)
+            pairs = [(0, 1), (n - 2, n - 1), (adjacent, adjacent + 1),
+                     tuple(sorted(rng.sample(range(n), 2)))]
+            for i, j in rng.sample(pairs, rng.randint(0, 2)):
+                # by one unit a float would round away at the larger scales
+                change = rng.choice((1, -1, scale, rng.randint(1, 40) * scale))
+                dist[i][j] = dist[j][i] = max(dist[i][j] + change, 1)
+        labels = [f"p{x}" for x in range(n)]
+        # ints compare exactly: the reference needs no tolerance
+        expected = _expected_message(labels, dist, 0)
+        assert _validation_message(labels, dist) == expected, (trial, dist)
+        outcomes.append(expected is None)
+    assert outcomes.count(False) > 30 and outcomes.count(True) > 100
+
+
+def test_one_float_entry_takes_the_row_scan_to_the_same_triple(monkeypatch):
+    from endslab import glpartition
+
+    def unused(d):
+        raise AssertionError("the packed check must not see a float")
+
+    rng = random.Random(65537)
+    failures = 0
+    for _ in range(120):
+        n = rng.randint(3, 10)
+        dist = _shortest_path_metric(rng, n, 1)
+        i, j = sorted(rng.sample(range(n), 2))
+        dist[i][j] = dist[j][i] = max(dist[i][j] + rng.choice((0, 1, 5, -1)), 1)
+        labels = [f"p{x}" for x in range(n)]
+        expected = _validation_message(labels, dist)
+        assert expected == _expected_message(labels, dist, 0)
+        a, b = rng.randrange(n), rng.randrange(n)
+        mixed = [list(row) for row in dist]
+        mixed[a][b] = float(mixed[a][b])
+        with monkeypatch.context() as m:
+            m.setattr(glpartition, "_first_failing_pair_packed", unused)
+            assert _validation_message(labels, mixed) == expected
+        failures += expected is not None
+    assert failures > 30
+
+
+def test_valid_integer_space_skips_the_row_scan(monkeypatch):
+    from endslab import glpartition
+
+    calls = []
+    exceeds = glpartition._exceeds
+    monkeypatch.setattr(glpartition, "_exceeds",
+                        lambda dij, s: calls.append(1) or exceeds(dij, s))
+    rng = random.Random(193)
+    clustered_plane_space(rng, [20, 12, 6], [6, 4, 3])  # validated when built
+    FiniteMetricSpace([str(i) for i in range(12)], _shortest_path_metric(rng, 12, 2 ** 70))
+    assert calls == []
+    # the counter sees the row scan that a float matrix takes
+    FiniteMetricSpace.from_line([0.0, 1.5, 4.0])
+    assert calls
+
+
 def test_diameter_and_set_distance_read_the_matrix_as_given():
     rng = random.Random(8191)
     for _ in range(100):
@@ -244,6 +339,12 @@ def test_sphere_space_tree(f2_oracle):
 def test_sphere_space_window_guard(z2_oracle, z2_table_22):
     with pytest.raises(TruncationTooSmall):
         sphere_as_metric_space(z2_oracle, z2_table_22, (0, 0), 8)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 0, -1, "2"])
+def test_sphere_space_radius_must_be_a_positive_int(z_oracle, z_table_30, bad):
+    with pytest.raises(InvalidParameter, match="sphere radius must be a positive integer"):
+        sphere_as_metric_space(z_oracle, z_table_30, 0, bad)
 
 
 # (spec, table radius): every family, with a finite one whose table is complete
