@@ -12,8 +12,7 @@ from .ends import (EndDepthProfile, EndsEstimate, ObssWitness, WitnessItem,
 from .errors import (BudgetExceeded, EndslabError, Infeasible, InvalidParameter,
                      NoAxis, NotGeodesic, TruncationTooSmall, TrivialPartition)
 from .explore import (DEFAULT_NODE_BUDGET, BallTable, GeodesicAxis,
-                      SphereSizeSeries, build_axis, explore, sphere_size_series,
-                      sphere_sizes)
+                      SphereSizeSeries, build_axis, explore, sphere_size_series)
 from .glpartition import (FiniteMetricSpace, GlPartition, build_gl_partition,
                           similar_partitions, sphere_as_metric_space,
                           verify_gl_partition)

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import (BudgetExceeded, Infeasible, InvalidParameter, NotGeodesic,
-                     TrivialPartition)
+from .errors import BudgetExceeded, InvalidParameter, NotGeodesic, TrivialPartition
 from .explore import (DEFAULT_NODE_BUDGET, BallTable, GeodesicAxis, build_axis,
                       explore, sphere_size_series)
 from .ends import EndDepthProfile
@@ -260,8 +259,10 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
     the spheres centered along the axis admit proper separation-certified
     partitions, pairwise similar, with common block diameter bound D; and the
     ball of radius 39D is covered by the spheres of radius D centered at the
-    axis vertices between -40D and 40D. Each step's outcome is recorded; a
-    failed size hypothesis declines the demo rather than erroring.
+    axis vertices between -40D and 40D (``uncovered_ids``). Each step's
+    outcome is recorded; a failed size hypothesis declines the demo rather
+    than erroring. A search beyond the node budget raises BudgetExceeded, an
+    Infeasible that names the radius it reached.
     """
     if not isinstance(a, int) or isinstance(a, bool) or a < 3:
         raise InvalidParameter(f"need integer a >= 3, got {a!r}")
@@ -274,12 +275,7 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
         note = (f"separation factor a = {a} is below {CRITERION_MIN_FACTOR}: "
                 "mechanics demonstration only")
 
-    try:
-        series = sphere_size_series(oracle, rho, budget)
-    except BudgetExceeded as exc:
-        raise Infeasible(
-            f"sphere at radius {rho} needs more than the node budget "
-            f"(reached radius {exc.radius_reached})") from exc
+    series = sphere_size_series(oracle, rho, budget)
     size = series.sphere(rho)
     hypothesis_ok = size <= n
     steps.append(DemoStep("sphere_size_hypothesis", hypothesis_ok,
@@ -289,12 +285,7 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
                           nodes_explored=series.nodes, note=note)
 
     if table is None or table.reached < 3 * rho:
-        try:
-            table = explore(oracle, 3 * rho, budget)
-        except BudgetExceeded as exc:
-            raise Infeasible(
-                f"ball of radius {3 * rho} exceeds the node budget "
-                f"(reached {exc.radius_reached})") from exc
+        table = explore(oracle, 3 * rho, budget)
 
     base_space = sphere_as_metric_space(oracle, table, oracle.identity(), rho)
     base_partition = build_gl_partition(base_space, a)
@@ -305,12 +296,7 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
 
     horizon = 40 * D + 3 * rho
     if table.reached < horizon:
-        try:
-            table = explore(oracle, horizon, budget)
-        except BudgetExceeded as exc:
-            raise Infeasible(
-                f"ball of radius {horizon} exceeds the node budget "
-                f"(reached {exc.radius_reached})") from exc
+        table = explore(oracle, horizon, budget)
     extent = 40 * D + rho
     if axis is None:
         axis = build_axis(oracle, table, extent)
@@ -320,7 +306,7 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
     # a caller-supplied axis was verified against its own table; check it here
     for i in range(-40 * D, 40 * D + 1):
         vid = table.id_of(axis.vertex(i))
-        if vid is None or table.dist[vid] != abs(i):
+        if vid is None or table.dist_of(vid) != abs(i):
             raise NotGeodesic(f"axis vertex {i} off its sphere in the demo table")
 
     similar = True
@@ -347,17 +333,23 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
     same_D = {int(p.D) for p, _ in partitions.values()} == {D}
     steps.append(DemoStep("common_diameter_bound", same_D, {"D": D}))
 
-    ball_ids = range(table.ball_size(39 * D))
-    covered = set(table.translates(map(axis.vertex, range(-40 * D, 40 * D + 1)),
-                                   table.layer_ids(D)))
-    missing = [v for v in ball_ids if v not in covered]
+    missing = uncovered_ids(table, axis, D)
     covering_ok = not missing
     steps.append(DemoStep(
         "ball_covered_by_axis_spheres", covering_ok,
-        {"ball_radius": 39 * D, "ball_size": len(ball_ids),
+        {"ball_radius": 39 * D, "ball_size": table.ball_size(39 * D),
          "sphere_radius": D, "centers": [-40 * D, 40 * D],
          "missing": [table.key_of(v) for v in missing[:5]]}))
 
     passed = hypothesis_ok and similar and same_D and covering_ok
     return DemoReport(oracle.label(), a, n, rho, steps, passed, False,
                       D=D, nodes_explored=table.size, note=note)
+
+
+def uncovered_ids(table: BallTable, axis: GeodesicAxis, D: int) -> list:
+    """Ids of the ball of radius 39D, in id order, that lie on no sphere of
+    radius D centered at an axis vertex between -40D and 40D: the spheres
+    are left translates of the layer S(e, D)."""
+    covered = set(table.translates(map(axis.vertex, range(-40 * D, 40 * D + 1)),
+                                   table.layer_ids(D)))
+    return [v for v in range(table.ball_size(39 * D)) if v not in covered]

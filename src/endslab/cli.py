@@ -17,8 +17,8 @@ import time
 from pathlib import Path
 
 from . import classify, ends, glpartition, manifest
-from .errors import (BudgetExceeded, Infeasible, InvalidParameter, NoAxis,
-                     NotGeodesic, TruncationTooSmall, TrivialPartition)
+from .errors import (Infeasible, InvalidParameter, NoAxis, NotGeodesic,
+                     TruncationTooSmall, TrivialPartition)
 from .explore import DEFAULT_NODE_BUDGET, explore, sphere_size_series
 from .groups import generator_words, make_group, parse_group_spec
 
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     except (InvalidParameter, TruncationTooSmall, NoAxis, json.JSONDecodeError) as exc:
         print(f"endslab: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (BudgetExceeded, Infeasible) as exc:
+    except Infeasible as exc:
         print(f"endslab: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except MemoryError:

@@ -203,16 +203,25 @@ def end_depth(oracle: GroupOracle, r: int, truncation: Optional[int] = None,
 
 def _depth_table(oracle: GroupOracle, r_max: int, truncation: Optional[int],
                  budget: Optional[int], table: Optional[BallTable]) -> tuple:
-    """The checked truncation (default 4 r_max + 2) and a table that reaches it."""
+    """The checked truncation (default 4 r_max + 2) and a ``_ball_table`` for it."""
     if not isinstance(r_max, int) or r_max < 1:
         raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
     if truncation is None:
         truncation = default_truncation(r_max)
     if truncation <= r_max:
         raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
-    if table is None or (table.reached < truncation and not table.complete_group):
-        table = explore(oracle, truncation, budget)
-    return table, truncation
+    return _ball_table(oracle, truncation, budget, table), truncation
+
+
+def _ball_table(oracle: GroupOracle, radius: int, budget: Optional[int],
+                table: Optional[BallTable]) -> BallTable:
+    """The caller's table if it is whole, or reaches ``radius`` in an infinite
+    group; else a new one: the whole of a finite group, which a truncation
+    would cut into false rays, or the ball of ``radius``."""
+    if table is not None and (table.complete_group
+                              or (oracle.order is None and table.reached >= radius)):
+        return table
+    return explore(oracle, radius if oracle.order is None else oracle.order, budget)
 
 
 @dataclass
@@ -258,13 +267,14 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     truncation), as ``end_count_estimate`` would give it. Groups whose
     estimate is not "one" get their values anyway, flagged with a warning,
     since the notion is only meaningful one ended. A finite group has no
-    unbounded component: its whole complement is bounded, the depth is its
+    unbounded component: it is explored whole, whatever the truncation, so
+    its whole complement is bounded, the depth and the truncation are its
     diameter, and it classifies as zero, never certified.
     """
     table, truncation = _depth_table(oracle, r_max, truncation, budget, table)
     finite = table.complete_group
     if finite:
-        truncation = min(truncation, table.reached)
+        truncation = table.reached
         if truncation <= r_max:
             raise InvalidParameter(
                 f"the whole group lies within radius {table.reached}; "
@@ -295,7 +305,7 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
         if finite:
             value, bounded_count = table.reached, components
         else:
-            value = r if bounded_max is None else table.dist[bounded_max]
+            value = r if bounded_max is None else table.dist_of(bounded_max)
             bounded_count = components - touching
         if value < r:
             raise AssertionError(f"depth {value} below r={r}: exploration is inconsistent")
@@ -355,8 +365,8 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
 
     e(r) is the number of boundary-touching components among the vertices at
     distance at least r (the open ball of radius r deleted), required to
-    agree across the last two truncations of the schedule. A finite group
-    (exhausted table) classifies as zero; eventually constant counts of 1 or
+    agree across the last two truncations of the schedule. A finite group,
+    explored whole, classifies as zero; eventually constant counts of 1 or
     2 classify as one or two; counts that keep growing past 2 classify as
     infinite. Everything else is inconclusive.
     """
@@ -370,8 +380,7 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
     if schedule[0] <= r_max:
         raise InvalidParameter(f"schedule must start beyond r_max={r_max}: {schedule}")
 
-    if table is None or (table.reached < schedule[-1] and not table.complete_group):
-        table = explore(oracle, schedule[-1], budget)
+    table = _ball_table(oracle, schedule[-1], budget, table)
 
     # the complement is empty beyond a whole finite group: no count there
     sweeps = _complement_sweep(table, range(r_max), [
@@ -577,7 +586,7 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
         K = _resolve(table, it.K, f"items[{idx}].K")
         A = _resolve(table, it.A, f"items[{idx}].A")
         B = _resolve(table, it.B, f"items[{idx}].B")
-        max_dist = max(table.dist[v] for v in K)
+        max_dist = max(map(table.dist_of, K))
         if max_dist + it.r > table.reached:
             raise TruncationTooSmall(
                 f"items[{idx}]: need radius {max_dist + it.r}, table has {table.reached}")

@@ -9,7 +9,11 @@ class InvalidParameter(EndslabError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class BudgetExceeded(EndslabError):
+class Infeasible(EndslabError):
+    """The requested computation cannot be carried out within desk-scale limits."""
+
+
+class BudgetExceeded(Infeasible):
     """Breadth-first exploration hit the node budget before the requested radius."""
 
     def __init__(self, budget: int, nodes: int, radius_reached: int, radius_requested: int):
@@ -33,10 +37,6 @@ class NoAxis(EndslabError):
 
 class NotGeodesic(EndslabError):
     """The designated axis failed distance verification against the ball table."""
-
-
-class Infeasible(EndslabError):
-    """The requested computation cannot be carried out within desk-scale limits."""
 
 
 class TrivialPartition(EndslabError):

@@ -8,7 +8,10 @@ left invariance, d(x, y) = |x^-1 y|: one group product and one lookup.
 
 Vertices are numbered in discovery order, which is also distance order, so a
 layer is a contiguous id range and the whole table is deterministic: two runs
-over the same oracle and radius produce identical tables.
+over the same oracle and radius produce identical tables. The layer bounds
+are the only record of distance: the distance of an id is the layer whose
+range holds it. A table or series holds the whole group exactly when its
+size is the group order.
 
 The search runs on the packed int codes of ``GroupOracle.codec`` and steps
 them with one int function per generator; elements are decoded only when a
@@ -24,16 +27,17 @@ ball. The complement sweep in ``ends`` never reads them on a bipartite
 family (``GroupOracle.bipartite``), where S(R) has no edge inside itself,
 and the ``obss`` witness check reads rows within radius R - 1 only.
 
-Other modules read a table through three methods: ``rows_down`` for
-adjacency, ``translates`` for left translates c * g of table elements, and
-``distance_rows`` for pairwise distances.
+Other modules read a table through four methods: ``rows_down`` for
+adjacency, ``translates`` for left translates c * g of table elements,
+``distance_rows`` for pairwise distances and ``dist_of`` for word lengths.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
@@ -47,10 +51,13 @@ class BallTable:
     """All elements within a truncation radius, with distances and adjacency.
 
     Vertices are stored as the int codes of ``codec`` and decoded only on
-    request. Layers are contiguous id ranges; adjacency covers exactly the
-    edges of the induced subgraph on the ball. ``_adj`` holds ``_k`` slots
-    per id for the first ``_wired`` ids; the rows of the outermost sphere of
-    an unexhausted ball are appended on first use (module docstring).
+    request. Layers are contiguous id ranges, ``_layer_start[r]`` the first
+    id of S(r), and ``dist_of`` reads a distance off these bounds.
+    ``complete_group`` holds when the size is the group order. Adjacency
+    covers exactly the edges of the induced subgraph on the ball. ``_adj``
+    holds ``_k`` slots per id for the first ``_wired`` ids; the rows of the
+    outermost sphere of an unexhausted ball are appended on first use
+    (module docstring).
 
     Wiring those rows is the only change to a table after ``explore``. It
     runs at most once and leaves every earlier row as it was, but it is not
@@ -64,13 +71,9 @@ class BallTable:
     element are left translates of its layers (``translates``).
     """
 
-    def __init__(self, oracle, radius, reached, complete_group, codec, codes,
-                 index, dist, layer_start, wired, adj):
+    def __init__(self, oracle, reached, codec, codes, index, layer_start, wired, adj):
         self.oracle = oracle
-        self.radius = radius
         self.reached = reached
-        self.complete_group = complete_group
-        self.dist = dist
         self._k = len(codec.steps)
         self._wired = wired
         self._adj = adj
@@ -86,6 +89,14 @@ class BallTable:
     @property
     def size(self) -> int:
         return len(self._codes)
+
+    @property
+    def complete_group(self) -> bool:
+        return len(self._codes) == self.oracle.order
+
+    def dist_of(self, vid: int) -> int:
+        """Word length of a vertex: the layer whose id range holds it."""
+        return bisect_right(self._layer_start, vid) - 1
 
     def sphere_size(self, r: int) -> int:
         if r < 0 or r > self.reached:
@@ -141,20 +152,11 @@ class BallTable:
     def key_of(self, vid: int) -> str:
         return self.oracle.key_str(self.element(vid))
 
-    def id_of_key(self, key) -> Optional[int]:
+    def id_of_key(self, key: str) -> Optional[int]:
         """Resolve a canonical key string; builds a full key index on first use."""
-        if isinstance(key, bytes):
-            key = key.decode("ascii")
         if self._key_index is None:
             self._key_index = {self.key_of(i): i for i in range(self.size)}
         return self._key_index.get(key)
-
-    def entries(self):
-        """Iterate (canonical key, element, distance) in discovery order."""
-        key_str = self.oracle.key_str
-        for vid in range(self.size):
-            g = self.element(vid)
-            yield key_str(g), g, self.dist[vid]
 
     def translates(self, centers: Iterable[Element], ids: Iterable[int]) -> list:
         """Ids of c * g for every center c and every vertex g of ``ids``,
@@ -182,7 +184,7 @@ class BallTable:
                 raise TruncationTooSmall(
                     f"{self.key_of(ids[i])} and {self.key_of(far)} lie more than "
                     f"the truncation radius {self.reached} apart")
-            rows.append([self.dist[v] for v in row])
+            rows.append(list(map(self.dist_of, row)))
         return rows
 
     def set_diameter(self, ids: Sequence[int]) -> int:
@@ -194,7 +196,7 @@ class BallTable:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("key,distance,neighbors\n")
             for vid in range(self.size):
-                fh.write(f"{self.key_of(vid)},{self.dist[vid]},{len(self.neighbors(vid))}\n")
+                fh.write(f"{self.key_of(vid)},{self.dist_of(vid)},{len(self.neighbors(vid))}\n")
 
 
 # Frontier vertices expanded per batch: the batch's neighbor codes are held
@@ -289,8 +291,9 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
     """Materialize the ball of the given radius around the identity.
 
     Raises BudgetExceeded if the ball would hold more than ``budget`` vertices
-    (default 5e6); the error reports the last fully explored radius. A finite
-    group that is exhausted early yields a table flagged ``complete_group``.
+    (default 5e6); the error reports the last fully explored radius. The
+    search records the layer bounds, which give every distance; a table
+    whose size is the group order is flagged ``complete_group``.
     """
     budget = _search_budget(radius, budget)
     codec = _codec(oracle, radius + 1, budget)  # the outermost sphere's neighbors too
@@ -302,19 +305,8 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
     # the search expanded every sphere but S(radius), each vertex with all of
     # its len(steps) neighbors in the ball
     wired = len(codes) - sizes[-1] if reached == radius else len(codes)
-    # the group is exhausted unless a step leaves the ball, which an infinite
-    # group's first outer vertex already shows
-    complete = all(s(u) in index for u in codes[wired:] for s in codec.steps)
-
-    dist = array("i", chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
-    layer_start = list(accumulate(sizes, initial=0))
-    return BallTable(oracle, radius, reached, complete, codec, codes, index,
-                     dist, layer_start, wired, adj)
-
-
-def sphere_sizes(table: BallTable) -> list[tuple[int, int]]:
-    """Sphere size for every radius 0..R; zero once a finite group is exhausted."""
-    return [(r, table.sphere_size(r)) for r in range(table.radius + 1)]
+    return BallTable(oracle, reached, codec, codes, index,
+                     list(accumulate(sizes, initial=0)), wired, adj)
 
 
 @dataclass
@@ -324,6 +316,8 @@ class SphereSizeSeries:
     ``sizes[r]`` is |S(r)| for every populated layer; a finite group exhausted
     before the requested radius simply stops the list, and ``sphere`` reports
     zero beyond it (the requested radius may be astronomically large).
+    ``complete_group`` holds when the sizes add up to the group order, as
+    for ``BallTable``.
     """
 
     radius: int
@@ -348,7 +342,8 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
     """
     budget = _search_budget(radius, budget)
     sizes = _search(_codec(oracle, radius, budget), radius, budget, {})
-    return SphereSizeSeries(radius, sizes, len(sizes) <= radius, sum(sizes))
+    nodes = sum(sizes)
+    return SphereSizeSeries(radius, sizes, nodes == oracle.order, nodes)
 
 
 @dataclass
@@ -399,7 +394,7 @@ def build_axis(oracle: GroupOracle, table: BallTable, extent: int) -> GeodesicAx
     for idx, v in enumerate(vertices):
         expected = abs(idx - extent)
         vid = table.id_of(v)
-        if vid is None or table.dist[vid] != expected:
+        if vid is None or table.dist_of(vid) != expected:
             raise NotGeodesic(
                 f"axis vertex at index {idx - extent} is not at distance {expected}"
             )

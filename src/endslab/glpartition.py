@@ -381,9 +381,10 @@ def sphere_as_metric_space(oracle: GroupOracle, table: BallTable,
         raise TruncationTooSmall("center element not in the explored ball")
     if not _is_int(r) or r < 1:
         raise InvalidParameter(f"sphere radius must be a positive integer, got {r!r}")
-    if not table.complete_group and table.dist[cid] + 3 * r > table.reached:
+    need = table.dist_of(cid) + 3 * r
+    if not table.complete_group and need > table.reached:
         raise TruncationTooSmall(
-            f"need radius {table.dist[cid] + 3 * r} for exact sphere distances, "
+            f"need radius {need} for exact sphere distances, "
             f"table has {table.reached}")
 
     points = sorted(table.translates([center], table.layer_ids(r)))

@@ -249,9 +249,6 @@ class GroupOracle:
         """Injective, deterministic ASCII form of a canonical element."""
         raise NotImplementedError
 
-    def canonical_key(self, g: Element) -> bytes:
-        return self.key_str(g).encode("ascii")
-
     def codec(self, radius: int) -> Codec:
         """Int codes and generator steps valid on the ball of this radius."""
         raise NotImplementedError

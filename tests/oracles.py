@@ -203,10 +203,10 @@ def complement_components(table, r: int,
     """Decompose B(truncation) \\ B(r) into connected components, one radius
     at a time: the reference for the package's outside-in sweep.
 
-    Membership is read from the distances and edges from ``neighbors``, with
-    no use of the id order. Components are ordered by smallest member id and
-    flagged as boundary touching when they contain a vertex at distance
-    exactly ``truncation``.
+    Membership is read from the distances of a search from the identity and
+    edges from ``neighbors``, with no use of the id order. Components are
+    ordered by smallest member id and flagged as boundary touching when they
+    contain a vertex at distance exactly ``truncation``.
     """
     if truncation is None:
         truncation = table.reached
@@ -216,7 +216,8 @@ def complement_components(table, r: int,
     if r < 0 or r >= truncation:
         raise InvalidParameter(f"need 0 <= r < truncation, got r={r}, truncation={truncation}")
 
-    members = [u for u in range(table.size) if r < table.dist[u] <= truncation]
+    dist = reference_bfs(table, [0])
+    members = [u for u in range(table.size) if r < dist[u] <= truncation]
     inside = set(members)
     parent = {u: u for u in members}
     for u in members:
@@ -228,7 +229,7 @@ def complement_components(table, r: int,
     for u in members:
         groups.setdefault(_find(parent, u), []).append(u)
     comps = sorted(
-        (Component(tuple(ids), any(table.dist[i] == truncation for i in ids))
+        (Component(tuple(ids), any(dist[i] == truncation for i in ids))
          for ids in groups.values()),
         key=lambda c: c.ids[0])
     return ComponentDecomposition(r, truncation, tuple(comps))

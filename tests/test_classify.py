@@ -7,11 +7,11 @@ import pytest
 from endslab import classify
 from endslab.classify import (DominationBounds, GrowthSamples, bounded_sphere_detector,
                               growth_dominates, linear_end_depth_check,
-                              sphere_bound_criterion, sphere_cover_demo,
+                              sphere_bound_criterion, sphere_cover_demo, uncovered_ids,
                               DEMONSTRATION_ONLY, INFEASIBLE, NO_EVIDENCE, VC_EVIDENCE)
 from endslab.ends import EndDepthProfile, EndDepthResult, end_depth_profile
 from endslab.errors import InvalidParameter
-from endslab.explore import sphere_size_series
+from endslab.explore import build_axis, explore, sphere_size_series
 from endslab.groups import make_group
 
 from oracles import lamplighter2_sphere_counts
@@ -213,14 +213,26 @@ def test_demo_on_line(z_oracle):
 
 
 def test_demo_accepts_caller_axis(z_oracle):
-    from endslab.explore import build_axis, explore
-
     table = explore(z_oracle, 7243)
     axis = build_axis(z_oracle, table, 2441)
     report = sphere_cover_demo(z_oracle, axis, 3, 2, table=table)
     assert report.passed and report.D == 1
     with pytest.raises(InvalidParameter):
         sphere_cover_demo(z_oracle, build_axis(z_oracle, table, 10), 3, 2, table=table)
+
+
+@pytest.mark.parametrize("spec,missed", [
+    ({"family": "z_cross_cyclic", "m": 2}, False),  # (n, 1) lies on the sphere around (n, 0)
+    ({"family": "z_pow", "k": 2}, True),  # (0, 2) lies on none
+], ids=str)
+def test_covering_step(spec, missed):
+    oracle = make_group(spec)
+    table = explore(oracle, 41)
+    missing = uncovered_ids(table, build_axis(oracle, table, 40), 1)
+    assert bool(missing) == missed
+    if missed:
+        assert table.id_of((0, 2)) in missing
+        assert table.id_of((5, 0)) not in missing
 
 
 def test_demo_declines_plane():

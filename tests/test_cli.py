@@ -232,6 +232,30 @@ def test_budget_exit(tmp_path):
     assert code == 3
 
 
+def test_finite_group_explored_whole(tmp_path, capsys):
+    # a truncation inside a finite group cuts its complement into rays that
+    # look like two ends; end-depth and ends explore the whole group instead
+    code, out = run(tmp_path, "c100.json",
+                    ["ends", "--group", '{"family":"cyclic_finite","m":100}', "--rmax", "6"])
+    assert code == 0
+    doc = load(out)["report"]
+    assert doc["classification"] == "zero" and doc["complete_group"]
+    capsys.readouterr()
+    code, _ = run(tmp_path, "c1000.json",
+                  ["end-depth", "--group", '{"family":"cyclic_finite","m":1000}',
+                   "--rmax", "3", "--budget", "500"])
+    assert code == 3
+    assert "node budget 500 exceeded" in capsys.readouterr().err
+
+
+def test_demo_budget_exit_names_radius(tmp_path, capsys):
+    code, _ = run(tmp_path, "demo.json", ["demo-cover", "--group", '{"family":"z"}',
+                                          "--a", "3", "--n", "2", "--budget", "6000"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "infeasible" in err and "reached radius 2999 of requested 7203" in err
+
+
 def test_budget_env(tmp_path, monkeypatch):
     monkeypatch.setenv("ENDSLAB_BUDGET", "1000")
     code = main(["growth", "--group", '{"family":"free","k":2}', "--rmax", "12",
@@ -261,6 +285,9 @@ END_DEPTH_GOLDEN = [
      "19969caf5595eba5baf78b15e0c44c1b95680fef49c7c6c6901cc1576f4c44ad"),
     ('{"family":"z_pow","k":2}', ["--rmax", "3", "--truncation", "20", "--assume-one-ended"],
      "9495952b4e4027e03a09cd302c771c4c7f378789c93585a82eeb227f6ab3bc6e"),
+    # the benchmark's fixed-input report (clibench/run.py, lamp_end_depth)
+    ('{"family":"lamplighter","m":2}', ["--rmax", "5"],
+     "c994f5f283d4674f609fb077ac6651441e3242bf6cf476c07c68d30a635ef74b"),
 ]
 
 
@@ -268,6 +295,24 @@ END_DEPTH_GOLDEN = [
                          ids=[" ".join([g, *o]) for g, o, _ in END_DEPTH_GOLDEN])
 def test_end_depth_golden_bytes(tmp_path, group, options, digest):
     code, out = run(tmp_path, "golden.json", ["end-depth", "--group", group, *options])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the benchmark's fixed-input growth reports (clibench/run.py,
+# plane_growth)
+GROWTH_GOLDEN = [
+    ('{"family":"z_pow","k":2}', "1000",
+     "daf75c514d0d13864a553a6deeaaafbc2be3d81da3b40469f4c5b71dd74d881e"),
+    ('{"family":"product","left":{"family":"z"},"right":{"family":"z"}}', "500",
+     "0d1f9bda4ddf936d0ed0d9c985ebdbdd503e622f3a8ba1812ab19e51e40df159"),
+]
+
+
+@pytest.mark.parametrize("group,rmax,digest", GROWTH_GOLDEN,
+                         ids=[f"{g} {r}" for g, r, _ in GROWTH_GOLDEN])
+def test_growth_golden_bytes(tmp_path, group, rmax, digest):
+    code, out = run(tmp_path, "golden.csv", ["growth", "--group", group, "--rmax", rmax])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -47,7 +47,7 @@ def test_components_partition_and_touch_next_layer(z2_table_22, f2_table_8):
         for comp in decomp.components:
             assert not seen.intersection(comp.ids)
             seen.update(comp.ids)
-            assert min(table.dist[i] for i in comp.ids) == r + 1
+            assert min(map(table.dist_of, comp.ids)) == r + 1
         assert seen == expected
 
 
@@ -109,9 +109,9 @@ def test_sweep_finds_bounded_root_at_top_of_inner_sphere(spec):
     # by hand: layers {0}, {1, 2}, {3, 4}, {5}, rows of k = 2 ids, all
     # wired; the oracle only selects the bipartite or the general path
     rows = [[1, 2], [0, 3], [0, 4], [1, 5], [2, 2], [3, 3]]
-    table = BallTable(make_group(spec), 4, 3, True, Codec(6, 0, (None, None), None, None),
-                      list(range(6)), {}, array("i", [0, 1, 1, 2, 2, 3]), [0, 1, 3, 5, 6],
-                      6, array("i", chain.from_iterable(rows)))
+    table = BallTable(make_group(spec), 3, Codec(6, 0, (None, None), None, None),
+                      list(range(6)), {}, [0, 1, 3, 5, 6], 6,
+                      array("i", chain.from_iterable(rows)))
     for truncs in ((2,), (3,), (2, 3)):
         sweeps = _complement_sweep(table, range(truncs[0]), truncs)
         for trunc in truncs:
@@ -161,6 +161,22 @@ def test_end_depth_finite_group():
     assert end_depth(finite, 10).value == 10  # complement empty past the diameter
     profile = end_depth_profile(finite, 3)
     assert profile.values() == [6, 6, 6]
+
+
+def test_finite_group_explored_whole(z_oracle, z_table_30):
+    # the ball of radius 10 in C_40 is cut into two rays; the whole group
+    # has one bounded complement component, as deep as the diameter 20
+    c40 = make_group({"family": "cyclic_finite", "m": 40})
+    res = end_depth(c40, 2)
+    assert (res.value, res.bounded_count, res.ends_classification) == (20, 1, "zero")
+    assert res.truncation == 20 and not res.certified
+    assert end_depth_profile(c40, 2, table=explore(c40, 10)).values() == [20, 20]
+    # a caller's table is kept when it is whole, or reaches the radius of an
+    # infinite group
+    whole = explore(c40, 25)
+    assert ends._ball_table(c40, 30, None, whole) is whole
+    assert ends._ball_table(z_oracle, 30, None, z_table_30) is z_table_30
+    assert ends._ball_table(z_oracle, 31, None, z_table_30).reached == 31
 
 
 def test_end_depth_warns_on_two_ended(z_oracle):
@@ -257,6 +273,7 @@ def test_profile_shared_table(lamp_oracle):
     ({"family": "z_pow", "k": 2}, 8, "one"),
     ({"family": "free", "k": 2}, 4, "infinite"),
     ({"family": "cyclic_finite", "m": 12}, 6, "zero"),
+    ({"family": "cyclic_finite", "m": 100}, 6, "zero"),  # diameter 50, beyond the schedule
     ({"family": "trivial"}, 1, "zero"),
 ], ids=str)
 def test_ends_classification(spec, r_max, expected):
@@ -359,7 +376,7 @@ def _random_item(rng, table):
         table.key_of(v) for v in rng.sample(range(table.ball_size(radius)),
                                             min(count, table.ball_size(radius))))
     K = pick(table.reached // 3, rng.randint(1, 3))
-    far = max(table.dist[table.id_of_key(key)] for key in K)
+    far = max(table.dist_of(table.id_of_key(key)) for key in K)
     r = rng.randint(1, table.reached - far)
     side = min(table.reached // 2, far + r)
     return WitnessItem(K, r, pick(side, rng.randint(1, 4)), pick(side, rng.randint(1, 4)))

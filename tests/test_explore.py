@@ -9,7 +9,7 @@ import pytest
 
 import endslab
 from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis, TruncationTooSmall
-from endslab.explore import build_axis, explore, sphere_size_series, sphere_sizes
+from endslab.explore import build_axis, explore, sphere_size_series
 from endslab.groups import make_group
 
 from oracles import (free_sphere_count, l1_sphere_count, lamplighter2_sphere_counts,
@@ -85,7 +85,7 @@ def test_finite_group_completes():
     table = explore(make_group({"family": "cyclic_finite", "m": 5}), 10)
     assert table.complete_group
     assert table.ball_size(10) == 5
-    assert sphere_sizes(table) == [(0, 1), (1, 2), (2, 2)] + [(r, 0) for r in range(3, 11)]
+    assert [table.sphere_size(r) for r in range(11)] == [1, 2, 2] + [0] * 8
 
 
 def test_product_matches_builtin_cross():
@@ -120,11 +120,11 @@ def test_layer_property(z2_table_22, f2_table_8):
         rng = random.Random(3)
         ids = rng.sample(range(table.size), 200)
         for u in ids:
-            du = table.dist[u]
+            du = table.dist_of(u)
             for v in table.neighbors(u):
-                assert abs(table.dist[v] - du) <= 1
+                assert abs(table.dist_of(v) - du) <= 1
             if du >= 1:
-                assert any(table.dist[v] == du - 1 for v in table.neighbors(u))
+                assert any(table.dist_of(v) == du - 1 for v in table.neighbors(u))
 
 
 def test_adjacency_symmetric_and_generator_edges(z2_table_22):
@@ -160,13 +160,13 @@ def test_left_invariance_spot_check(z2_oracle, z2_table_22):
     # distance from g to h inside the table equals d(e, g^-1 h) from a fresh search
     table = z2_table_22
     rng = random.Random(11)
-    half = [i for i in range(table.size) if table.dist[i] <= 11]
+    half = range(table.ball_size(11))
     fresh = explore(z2_oracle, 22)
     for _ in range(100):
         gu, gv = rng.choice(half), rng.choice(half)
         g, h = table.element(gu), table.element(gv)
         shifted = z2_oracle.multiply(z2_oracle.invert(g), h)
-        expected = fresh.dist[fresh.id_of(shifted)]
+        expected = fresh.dist_of(fresh.id_of(shifted))
         assert reference_bfs(table, [gu])[gv] == expected
 
 
@@ -216,12 +216,12 @@ def test_translates_match_reference_spheres(spec, radius):
     spheres = {}
     for c in centers:
         reach = reference_bfs(table, [c])
-        for r in range(radius - table.dist[c] + 1):
+        for r in range(radius - table.dist_of(c) + 1):
             spheres[c, r] = sorted(v for v, d in reach.items() if d == r)
             assert sorted(table.translates([table.element(c)], table.layer_ids(r))) \
                 == spheres[c, r], (c, r)
     # several centers: every translate, center by center
-    r = radius - max(table.dist[c] for c in centers)
+    r = radius - max(map(table.dist_of, centers))
     n = table.sphere_size(r)
     got = table.translates(map(table.element, centers), table.layer_ids(r))
     assert [sorted(got[i * n:i * n + n]) for i in range(len(got) // n)] == \
@@ -305,7 +305,7 @@ def test_axis_families(z_table_30, z2_table_22, dihedral_oracle, lamp_oracle):
     assert daxis.vertex(3) == (1, 1)      # sts
     assert daxis.vertex(-1) == (-1, 1)    # t
     for i in range(-6, 7):
-        assert dt.dist[dt.id_of(daxis.vertex(i))] == abs(i)
+        assert dt.dist_of(dt.id_of(daxis.vertex(i))) == abs(i)
 
     lt = explore(lamp_oracle, 8)
     laxis = build_axis(lamp_oracle, lt, 8)
@@ -344,10 +344,10 @@ def test_csv_dump(tmp_path, z_table_30):
     assert len(lines) == z_table_30.size + 1
 
 
-def test_entries_view(z_table_30):
-    first = next(iter(z_table_30.entries()))
-    assert first == ("0", 0, 0)
+def test_key_round_trip(z_table_30):
+    assert z_table_30.key_of(0) == "0"
     assert z_table_30.id_of_key("5") == z_table_30.id_of(5)
+    assert z_table_30.id_of_key("31") is None
 
 
 @pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
@@ -356,7 +356,7 @@ def test_packed_explore_matches_tuple_reference(spec, radius):
     table = explore(oracle, radius)
     elements, dist, rows, complete = reference_ball(oracle, radius)
     assert table.size == len(elements)
-    assert list(table.dist) == dist
+    assert [table.dist_of(v) for v in range(table.size)] == dist
     assert table.reached == dist[-1]
     for r in range(radius + 2):
         ids = [v for v, d in enumerate(dist) if d == r]
@@ -382,11 +382,11 @@ def test_bipartite_matches_tuple_reference(spec, radius):
 @pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
 def test_windowed_series_matches_tuple_reference(spec, radius):
     oracle = make_group(spec)
-    _, dist, _, _ = reference_ball(oracle, radius)
+    _, dist, _, complete = reference_ball(oracle, radius)
     series = sphere_size_series(oracle, radius)
     assert series.sizes == [dist.count(r) for r in range(dist[-1] + 1)]
     assert series.nodes == len(dist)
-    assert series.complete_group == (dist[-1] < radius)
+    assert series.complete_group == complete
 
 
 def test_id_of_outside_the_window_is_none():
@@ -410,7 +410,7 @@ def test_codes_beyond_63_bits():
     codec = oracle.codec(6)
     assert max(codec.encode(table.element(v)) for v in range(table.size)) > 2 ** 63
     elements, dist, rows, _ = reference_ball(oracle, 5)
-    assert list(table.dist) == dist
+    assert [table.dist_of(v) for v in range(table.size)] == dist
     assert [list(table.neighbors(v)) for v in range(table.size)] == rows
     assert all(table.id_of(g) == v for v, g in enumerate(elements))
     assert sphere_size_series(oracle, 5).sizes == [dist.count(r) for r in range(6)]
