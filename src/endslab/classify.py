@@ -11,7 +11,6 @@ separation factor is below the threshold the criterion actually requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidParameter, NotGeodesic, TrivialPartition
@@ -33,18 +32,18 @@ CRITERION_MIN_FACTOR = 100
 LINEAR_DEPTH_FACTOR = 4
 
 
-@dataclass(frozen=True)
 class GrowthSamples:
     """A function sampled on a contiguous integer range starting at ``start``."""
 
-    start: int
-    values: tuple
+    __slots__ = ("start", "values")
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, start: int, values: tuple):
+        if not values:
             raise InvalidParameter("growth samples must be nonempty")
-        if self.start < 1:
+        if start < 1:
             raise InvalidParameter("growth samples start at a positive integer")
+        self.start = start
+        self.values = values
 
     @property
     def end(self) -> int:
@@ -58,26 +57,30 @@ class GrowthSamples:
         return cls(start, tuple(values))
 
 
-@dataclass(frozen=True)
 class DominationWitness:
     """Constants (a1, a2, a3) with f(x) <= a1 * g(a2 x) + a3 on the whole range."""
 
-    a1: int
-    a2: int
-    a3: int
-    x_min: int
-    x_max: int
+    __slots__ = ("a1", "a2", "a3", "x_min", "x_max")
+
+    def __init__(self, a1: int, a2: int, a3: int, x_min: int, x_max: int):
+        self.a1 = a1
+        self.a2 = a2
+        self.a3 = a3
+        self.x_min = x_min
+        self.x_max = x_max
 
     def to_dict(self) -> dict:
         return {"a1": self.a1, "a2": self.a2, "a3": self.a3,
                 "verified_range": [self.x_min, self.x_max]}
 
 
-@dataclass(frozen=True)
 class DominationBounds:
-    a1_max: int = 8
-    a2_max: int = 8
-    a3_max: Optional[int] = None  # default: twice the largest g sample
+    __slots__ = ("a1_max", "a2_max", "a3_max")
+
+    def __init__(self, a1_max: int = 8, a2_max: int = 8, a3_max: Optional[int] = None):
+        self.a1_max = a1_max
+        self.a2_max = a2_max
+        self.a3_max = a3_max  # default: twice the largest g sample
 
 
 def growth_dominates(f: GrowthSamples, g: GrowthSamples,
@@ -105,15 +108,18 @@ def growth_dominates(f: GrowthSamples, g: GrowthSamples,
     return None
 
 
-@dataclass
 class LinearityReport:
     """Check of depth values against the linear bound value <= 4r."""
 
-    checked: int
-    max_ratio: Optional[float]
-    passed: bool
-    violations: list
-    note: str = ""
+    __slots__ = ("checked", "max_ratio", "passed", "violations", "note")
+
+    def __init__(self, checked: int, max_ratio: Optional[float], passed: bool,
+                 violations: list, note: str = ""):
+        self.checked = checked
+        self.max_ratio = max_ratio
+        self.passed = passed
+        self.violations = violations
+        self.note = note
 
     def to_dict(self) -> dict:
         return {"checked": self.checked, "max_ratio": self.max_ratio,
@@ -139,12 +145,14 @@ def linear_end_depth_check(profile: EndDepthProfile) -> LinearityReport:
     return LinearityReport(len(entries), max_ratio, not violations, violations)
 
 
-@dataclass
 class Verdict:
     """A detector outcome: the kind plus its numeric evidence."""
 
-    kind: str
-    details: dict = field(default_factory=dict)
+    __slots__ = ("kind", "details")
+
+    def __init__(self, kind: str, details: Optional[dict] = None):
+        self.kind = kind
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "details": self.details}
@@ -216,30 +224,37 @@ def sphere_bound_criterion(oracle: GroupOracle, a: int, n: int,
     return Verdict(DEMONSTRATION_ONLY, details)
 
 
-@dataclass
 class DemoStep:
-    step: str
-    ok: bool
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("step", "ok", "detail")
+
+    def __init__(self, step: str, ok: bool, detail: Optional[dict] = None):
+        self.step = step
+        self.ok = ok
+        self.detail = {} if detail is None else detail
 
     def to_dict(self) -> dict:
         return {"step": self.step, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass
 class DemoReport:
     """Step-by-step outcome of the sphere-covering demonstration."""
 
-    group: str
-    a: int
-    n: int
-    rho: int
-    steps: list
-    passed: bool
-    declined: bool
-    D: Optional[int] = None
-    nodes_explored: int = 0
-    note: str = ""
+    __slots__ = ("group", "a", "n", "rho", "steps", "passed", "declined", "D",
+                 "nodes_explored", "note")
+
+    def __init__(self, group: str, a: int, n: int, rho: int, steps: list, passed: bool,
+                 declined: bool, D: Optional[int] = None, nodes_explored: int = 0,
+                 note: str = ""):
+        self.group = group
+        self.a = a
+        self.n = n
+        self.rho = rho
+        self.steps = steps
+        self.passed = passed
+        self.declined = declined
+        self.D = D
+        self.nodes_explored = nodes_explored
+        self.note = note
 
     def to_dict(self) -> dict:
         return {
@@ -263,6 +278,10 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
     outcome is recorded; a failed size hypothesis declines the demo rather
     than erroring. A search beyond the node budget raises BudgetExceeded, an
     Infeasible that names the radius it reached.
+
+    The table is explored once, to 3 rho + 40: every step needs the ball of
+    radius 40D + 3 rho, and D >= 1. Only a partition with D > 1 explores
+    again, to that larger radius.
     """
     if not isinstance(a, int) or isinstance(a, bool) or a < 3:
         raise InvalidParameter(f"need integer a >= 3, got {a!r}")
@@ -284,8 +303,8 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
         return DemoReport(oracle.label(), a, n, rho, steps, False, True,
                           nodes_explored=series.nodes, note=note)
 
-    if table is None or table.reached < 3 * rho:
-        table = explore(oracle, 3 * rho, budget)
+    if table is None or table.reached < 3 * rho + 40:
+        table = explore(oracle, 3 * rho + 40, budget)
 
     base_space = sphere_as_metric_space(oracle, table, oracle.identity(), rho)
     base_partition = build_gl_partition(base_space, a)

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidParameter, TruncationTooSmall
+from .errors import BudgetExceeded, InvalidParameter, TruncationTooSmall
 from .explore import BallTable, explore
 from .groups import GroupOracle, _is_int, generator_words
 
@@ -72,7 +71,8 @@ def _complement_sweep(table: BallTable, snapshots: Sequence[int],
     table's outermost sphere. The deepest bounded root is found by one
     pointer per truncation that only moves down: a merged id never becomes
     a root again, and the deepest bounded root can only merge into a
-    touching one. The test suite checks the pass against
+    touching one. The pointer moves only at a snapshot with a bounded
+    component, since every root below S(T) is bounded. The test suite checks the pass against
     ``complement_components`` in ``tests/oracles.py``, a separate per-radius
     decomposition.
     """
@@ -149,23 +149,31 @@ def _finish(table: BallTable, parent: array, snaps: list, active_lo: int, hi: in
         components += active_lo - new_lo - merged
         touching -= touched
         active_lo = new_lo
-        while deepest >= active_lo and parent[deepest] != deepest:
-            deepest -= 1
-        results[r] = (components, touching, deepest if deepest >= active_lo else None)
+        bounded = None
+        if components > touching:  # that many roots lie in active_lo..touch_lo - 1
+            while parent[deepest] != deepest:
+                deepest -= 1
+            bounded = deepest
+        results[r] = (components, touching, bounded)
     return results
 
 
-@dataclass
 class EndDepthResult:
     """Depth of the bounded complement components at one radius."""
 
-    r: int
-    value: int
-    certified: bool
-    truncation: int
-    bounded_count: int
-    ends_classification: Optional[str]
-    not_one_ended_warning: bool
+    __slots__ = ("r", "value", "certified", "truncation", "bounded_count",
+                 "ends_classification", "not_one_ended_warning")
+
+    def __init__(self, r: int, value: int, certified: bool, truncation: int,
+                 bounded_count: int, ends_classification: Optional[str],
+                 not_one_ended_warning: bool):
+        self.r = r
+        self.value = value
+        self.certified = certified
+        self.truncation = truncation
+        self.bounded_count = bounded_count
+        self.ends_classification = ends_classification
+        self.not_one_ended_warning = not_one_ended_warning
 
     def to_dict(self) -> dict:
         return {
@@ -221,19 +229,29 @@ def _ball_table(oracle: GroupOracle, radius: int, budget: Optional[int],
     if table is not None and (table.complete_group
                               or (oracle.order is None and table.reached >= radius)):
         return table
-    return explore(oracle, radius if oracle.order is None else oracle.order, budget)
+    if oracle.order is None:
+        return explore(oracle, radius, budget)
+    try:
+        return explore(oracle, oracle.order, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(exc.budget, exc.nodes, exc.radius_reached,
+                             exc.radius_requested, oracle.order) from None
 
 
-@dataclass
 class EndDepthProfile:
     """Depth values for every radius 1..r_max, with certification flags."""
 
-    group: str
-    generators: list
-    entries: list                    # of EndDepthResult
-    classification: str
-    truncation_max: int
-    nodes_explored: int
+    __slots__ = ("group", "generators", "entries", "classification",
+                 "truncation_max", "nodes_explored")
+
+    def __init__(self, group: str, generators: list, entries: list,
+                 classification: str, truncation_max: int, nodes_explored: int):
+        self.group = group
+        self.generators = generators
+        self.entries = entries            # of EndDepthResult
+        self.classification = classification
+        self.truncation_max = truncation_max
+        self.nodes_explored = nodes_explored
 
     def values(self) -> list:
         return [e.value for e in self.entries]
@@ -318,7 +336,6 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
                            classification, truncation, table.size)
 
 
-@dataclass
 class EndsEstimate:
     """Boundary-touching component counts and the end count they support.
 
@@ -327,15 +344,21 @@ class EndsEstimate:
     inconclusive. This is finite evidence, not a proof.
     """
 
-    group: str
-    r_max: int
-    schedule: tuple
-    counts: dict                      # truncation -> [e(1), ..., e(r_max)]
-    stable: list
-    classification: str
-    stabilized: Optional[int]
-    complete_group: bool
-    nodes_explored: int
+    __slots__ = ("group", "r_max", "schedule", "counts", "stable", "classification",
+                 "stabilized", "complete_group", "nodes_explored")
+
+    def __init__(self, group: str, r_max: int, schedule: tuple, counts: dict,
+                 stable: list, classification: str, stabilized: Optional[int],
+                 complete_group: bool, nodes_explored: int):
+        self.group = group
+        self.r_max = r_max
+        self.schedule = schedule
+        self.counts = counts              # truncation -> [e(1), ..., e(r_max)]
+        self.stable = stable
+        self.classification = classification
+        self.stabilized = stabilized
+        self.complete_group = complete_group
+        self.nodes_explored = nodes_explored
 
     def final_counts(self) -> list:
         return self.counts[self.schedule[-1]]
@@ -426,27 +449,31 @@ def _classify_counts(prev: list, last: list) -> tuple:
     return stable, classification, stabilized
 
 
-@dataclass(frozen=True)
 class WitnessItem:
     """One separating configuration: a small set K, a reach radius, and two
     vertex sets that should fall in different components around K."""
 
-    K: tuple
-    r: int
-    A: tuple
-    B: tuple
+    __slots__ = ("K", "r", "A", "B")
+
+    def __init__(self, K: tuple, r: int, A: tuple, B: tuple):
+        self.K = K
+        self.r = r
+        self.A = A
+        self.B = B
 
 
-@dataclass
 class ObssWitness:
     """Finite family of separating configurations with growing reach.
 
     Vertex sets are given by canonical key strings inside one ball table.
     """
 
-    n: int
-    items: list
-    truncation: Optional[int] = None
+    __slots__ = ("n", "items", "truncation")
+
+    def __init__(self, n: int, items: list, truncation: Optional[int] = None):
+        self.n = n
+        self.items = items
+        self.truncation = truncation
 
     def to_dict(self) -> dict:
         d = {
@@ -487,19 +514,26 @@ def _keys(item: dict, field: str, idx: int) -> tuple:
     return tuple(keys)
 
 
-@dataclass
 class WitnessItemReport:
-    index: int
-    r: int
-    diam_K: int
-    diam_K_ok: bool
-    sets_nonempty: bool
-    sets_disjoint: bool
-    A_single_component: bool
-    B_single_component: bool
-    distinct_components: bool
-    diam_A: int
-    diam_B: int
+    __slots__ = ("index", "r", "diam_K", "diam_K_ok", "sets_nonempty", "sets_disjoint",
+                 "A_single_component", "B_single_component", "distinct_components",
+                 "diam_A", "diam_B")
+
+    def __init__(self, index: int, r: int, diam_K: int, diam_K_ok: bool,
+                 sets_nonempty: bool, sets_disjoint: bool, A_single_component: bool,
+                 B_single_component: bool, distinct_components: bool,
+                 diam_A: int, diam_B: int):
+        self.index = index
+        self.r = r
+        self.diam_K = diam_K
+        self.diam_K_ok = diam_K_ok
+        self.sets_nonempty = sets_nonempty
+        self.sets_disjoint = sets_disjoint
+        self.A_single_component = A_single_component
+        self.B_single_component = B_single_component
+        self.distinct_components = distinct_components
+        self.diam_A = diam_A
+        self.diam_B = diam_B
 
     @property
     def passed(self) -> bool:
@@ -520,13 +554,18 @@ class WitnessItemReport:
         }
 
 
-@dataclass
 class WitnessReport:
-    items: list
-    r_strictly_increasing: bool
-    diam_A_strictly_increasing: bool
-    diam_B_strictly_increasing: bool
-    note: str
+    __slots__ = ("items", "r_strictly_increasing", "diam_A_strictly_increasing",
+                 "diam_B_strictly_increasing", "note")
+
+    def __init__(self, items: list, r_strictly_increasing: bool,
+                 diam_A_strictly_increasing: bool, diam_B_strictly_increasing: bool,
+                 note: str):
+        self.items = items
+        self.r_strictly_increasing = r_strictly_increasing
+        self.diam_A_strictly_increasing = diam_A_strictly_increasing
+        self.diam_B_strictly_increasing = diam_B_strictly_increasing
+        self.note = note
 
     @property
     def passed(self) -> bool:

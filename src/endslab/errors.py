@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from typing import Optional
+
 
 class EndslabError(Exception):
     """Base class for all endslab errors."""
@@ -14,16 +16,21 @@ class Infeasible(EndslabError):
 
 
 class BudgetExceeded(Infeasible):
-    """Breadth-first exploration hit the node budget before the requested radius."""
+    """Breadth-first exploration hit the node budget before the requested
+    radius, or before exhausting a finite group of the given ``order``."""
 
-    def __init__(self, budget: int, nodes: int, radius_reached: int, radius_requested: int):
+    def __init__(self, budget: int, nodes: int, radius_reached: int, radius_requested: int,
+                 order: Optional[int] = None):
         self.budget = budget
         self.nodes = nodes
         self.radius_reached = radius_reached
         self.radius_requested = radius_requested
+        self.order = order
+        goal = (f" of requested {radius_requested}" if order is None else
+                f", but the whole group of order {order} was needed")
         super().__init__(
             f"node budget {budget} exceeded after {nodes} vertices: "
-            f"reached radius {radius_reached} of requested {radius_requested}"
+            f"reached radius {radius_reached}{goal}"
         )
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import Iterable, Optional, Sequence
 
@@ -309,7 +308,6 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
                      list(accumulate(sizes, initial=0)), wired, adj)
 
 
-@dataclass
 class SphereSizeSeries:
     """Layer counts from a lean exploration that keeps no geometry.
 
@@ -320,10 +318,13 @@ class SphereSizeSeries:
     for ``BallTable``.
     """
 
-    radius: int
-    sizes: list[int]
-    complete_group: bool
-    nodes: int
+    __slots__ = ("radius", "sizes", "complete_group", "nodes")
+
+    def __init__(self, radius: int, sizes: list[int], complete_group: bool, nodes: int):
+        self.radius = radius
+        self.sizes = sizes
+        self.complete_group = complete_group
+        self.nodes = nodes
 
     def sphere(self, r: int) -> int:
         return self.sizes[r] if 0 <= r < len(self.sizes) else 0
@@ -346,7 +347,6 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
     return SphereSizeSeries(radius, sizes, nodes == oracle.order, nodes)
 
 
-@dataclass
 class GeodesicAxis:
     """Vertices of a verified bi-infinite geodesic through the identity.
 
@@ -355,9 +355,12 @@ class GeodesicAxis:
     word-metric distance exactly |i| from the identity.
     """
 
-    base_word: tuple
-    extent: int
-    _vertices: tuple = field(repr=False)
+    __slots__ = ("base_word", "extent", "_vertices")
+
+    def __init__(self, base_word: tuple, extent: int, _vertices: tuple):
+        self.base_word = base_word
+        self.extent = extent
+        self._vertices = _vertices
 
     def vertex(self, i: int) -> Element:
         return self._vertices[i + self.extent]

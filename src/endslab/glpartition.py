@@ -17,7 +17,6 @@ matrix, sharing no state with the builder.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from math import isfinite
@@ -178,7 +177,6 @@ def _first_failing_pair_packed(d):
     return None
 
 
-@dataclass
 class GlPartition:
     """Blocks with their separation certificate.
 
@@ -189,15 +187,20 @@ class GlPartition:
     block's multiplicity equals its size; only distinct blocks are stored.
     """
 
-    blocks: tuple
-    a: int
-    D: float
-    iterations: int
-    trivial: bool
-    separation: Optional[float] = None
-    #: max(diam, 1) after each expansion round, starting at the seed value 1;
-    #: bounded by (2a+1)^m at round m (not part of the JSON form)
-    diameter_history: tuple = (1,)
+    __slots__ = ("blocks", "a", "D", "iterations", "trivial", "separation",
+                 "diameter_history")
+
+    def __init__(self, blocks: tuple, a: int, D: float, iterations: int, trivial: bool,
+                 separation: Optional[float] = None, diameter_history: tuple = (1,)):
+        self.blocks = blocks
+        self.a = a
+        self.D = D
+        self.iterations = iterations
+        self.trivial = trivial
+        self.separation = separation
+        #: max(diam, 1) after each expansion round, starting at the seed value 1;
+        #: bounded by (2a+1)^m at round m (not part of the JSON form)
+        self.diameter_history = diameter_history
 
     @property
     def block_count(self) -> int:
@@ -283,17 +286,21 @@ def build_gl_partition(space: FiniteMetricSpace, a: int) -> GlPartition:
                        tuple(history))
 
 
-@dataclass
 class GlVerification:
     """Outcome of the independent partition re-check."""
 
-    passed: bool
-    blocks_disjoint: bool
-    covers_space: bool
-    proper: bool                 # at least two blocks
-    separation_ok: bool
-    D: float
-    failures: list
+    __slots__ = ("passed", "blocks_disjoint", "covers_space", "proper",
+                 "separation_ok", "D", "failures")
+
+    def __init__(self, passed: bool, blocks_disjoint: bool, covers_space: bool,
+                 proper: bool, separation_ok: bool, D: float, failures: list):
+        self.passed = passed
+        self.blocks_disjoint = blocks_disjoint
+        self.covers_space = covers_space
+        self.proper = proper              # at least two blocks
+        self.separation_ok = separation_ok
+        self.D = D
+        self.failures = failures
 
     def to_dict(self) -> dict:
         return {

@@ -71,7 +71,6 @@ so a product can lift it to another translation instead of a divmod.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
 from operator import add
 from typing import Any, Callable, Optional
@@ -98,33 +97,46 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
 class GroupSpec:
-    """Declarative description of one group family instance."""
+    """Declarative description of one group family instance; two specs are
+    equal, and hash alike, when all their fields are."""
 
-    family: str
-    m: Optional[int] = None
-    k: Optional[int] = None
-    left: Optional["GroupSpec"] = None
-    right: Optional["GroupSpec"] = None
+    __slots__ = ("family", "m", "k", "left", "right")
 
-    def __post_init__(self):
-        if not isinstance(self.family, str) or self.family not in FAMILIES:
-            raise InvalidParameter(f"unknown family {self.family!r}")
+    def __init__(self, family: str, m: Optional[int] = None, k: Optional[int] = None,
+                 left: Optional[GroupSpec] = None, right: Optional[GroupSpec] = None):
+        self.family = family
+        self.m = m
+        self.k = k
+        self.left = left
+        self.right = right
+        if not isinstance(family, str) or family not in FAMILIES:
+            raise InvalidParameter(f"unknown family {family!r}")
         for name in ("m", "k", "left", "right"):
-            if getattr(self, name) is not None and name not in FAMILIES[self.family]:
-                raise InvalidParameter(f"{self.family} takes no parameter {name!r}")
-        if self.family in ("cyclic_finite", "z_cross_cyclic", "lamplighter"):
-            if not _is_int(self.m) or self.m < 2:
-                raise InvalidParameter(f"{self.family} requires integer m >= 2, got {self.m!r}")
-        elif self.family in ("z_pow", "free"):
-            if not _is_int(self.k) or self.k < 1:
-                raise InvalidParameter(f"{self.family} requires integer k >= 1, got {self.k!r}")
-        elif self.family == "product":
-            if not isinstance(self.left, GroupSpec) or not isinstance(self.right, GroupSpec):
+            if getattr(self, name) is not None and name not in FAMILIES[family]:
+                raise InvalidParameter(f"{family} takes no parameter {name!r}")
+        if family in ("cyclic_finite", "z_cross_cyclic", "lamplighter"):
+            if not _is_int(m) or m < 2:
+                raise InvalidParameter(f"{family} requires integer m >= 2, got {m!r}")
+        elif family in ("z_pow", "free"):
+            if not _is_int(k) or k < 1:
+                raise InvalidParameter(f"{family} requires integer k >= 1, got {k!r}")
+        elif family == "product":
+            if not isinstance(left, GroupSpec) or not isinstance(right, GroupSpec):
                 raise InvalidParameter("product requires left and right sub-specs")
             if self.depth() > MAX_PRODUCT_DEPTH:
                 raise InvalidParameter(f"product nesting depth > {MAX_PRODUCT_DEPTH}")
+
+    def _fields(self) -> tuple:
+        return (self.family, self.m, self.k, self.left, self.right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def depth(self) -> int:
         if self.family != "product":
@@ -178,15 +190,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
 class Codec:
     """Packed int codes for a window around the identity (module docstring)."""
 
-    span: int
-    identity: int
-    steps: tuple
-    encode: Callable[[Element], Optional[int]]
-    decode: Callable[[int], Element]
+    __slots__ = ("span", "identity", "steps", "encode", "decode")
+
+    def __init__(self, span: int, identity: int, steps: tuple,
+                 encode: Callable[[Element], Optional[int]],
+                 decode: Callable[[int], Element]):
+        self.span = span
+        self.identity = identity
+        self.steps = steps
+        self.encode = encode
+        self.decode = decode
 
 
 def _shift(d: int) -> Callable[[int], int]:

@@ -197,8 +197,16 @@ def test_criterion_validates_parameters():
         sphere_bound_criterion(z, 3, 1)
 
 
-def test_demo_on_line(z_oracle):
+def test_demo_on_line(z_oracle, monkeypatch):
+    radii = []
+
+    def counted_explore(oracle, radius, budget=None):
+        radii.append(radius)
+        return explore(oracle, radius, budget)
+
+    monkeypatch.setattr(classify, "explore", counted_explore)
     report = sphere_cover_demo(z_oracle, None, 3, 2)
+    assert radii == [3 * 2401 + 40]  # D = 1: the first ball is the last one
     assert report.passed and not report.declined
     assert report.rho == 2401 and report.D == 1
     steps = {s.step: s.ok for s in report.steps}

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import platform
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,11 +245,16 @@ def test_finite_group_explored_whole(tmp_path, capsys):
     doc = load(out)["report"]
     assert doc["classification"] == "zero" and doc["complete_group"]
     capsys.readouterr()
-    code, _ = run(tmp_path, "c1000.json",
-                  ["end-depth", "--group", '{"family":"cyclic_finite","m":1000}',
-                   "--rmax", "3", "--budget", "500"])
-    assert code == 3
-    assert "node budget 500 exceeded" in capsys.readouterr().err
+    # the budget error names the whole group, not a radius nobody asked for
+    for command in ("end-depth", "ends"):
+        code, _ = run(tmp_path, "c1000.json",
+                      [command, "--group", '{"family":"cyclic_finite","m":1000}',
+                       "--rmax", "3", "--budget", "500"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("node budget 500 exceeded after 501 vertices: reached radius 249, "
+                "but the whole group of order 1000 was needed") in err
+        assert "requested" not in err
 
 
 def test_demo_budget_exit_names_radius(tmp_path, capsys):
@@ -253,7 +262,19 @@ def test_demo_budget_exit_names_radius(tmp_path, capsys):
                                           "--a", "3", "--n", "2", "--budget", "6000"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "infeasible" in err and "reached radius 2999 of requested 7203" in err
+    assert "infeasible" in err and "reached radius 2999 of requested 7243" in err
+
+
+def test_cli_import_skips_dataclasses():
+    # generating dataclass methods at import costs every cold start; -S keeps
+    # site-packages .pth files out of the check
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, endslab.cli; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_budget_env(tmp_path, monkeypatch):

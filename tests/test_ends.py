@@ -363,7 +363,8 @@ def test_witness_json_round_trip(z_oracle, z_table_30):
     witness = line_witness(z_oracle, axis, range(2, 5))
     witness.truncation = 30
     again = ObssWitness.from_dict(witness.to_dict())
-    assert again == witness
+    fields = lambda w: (w.n, [(it.K, it.r, it.A, it.B) for it in w.items], w.truncation)
+    assert fields(again) == fields(witness)
     report = check_obss_witness(z_table_30, again)
     assert report.passed
     assert "evidence" in report.note
