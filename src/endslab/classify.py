@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, InvalidParameter, NotGeodesic, TrivialPartition
+from .errors import BudgetExceeded, InvalidParameter, TrivialPartition
 from .explore import (DEFAULT_NODE_BUDGET, BallTable, GeodesicAxis, build_axis,
                       explore, sphere_size_series)
 from .ends import EndDepthProfile
@@ -186,6 +186,16 @@ def bounded_sphere_detector(sizes: Sequence[int]) -> Verdict:
     return Verdict(NO_EVIDENCE, details)
 
 
+def _criterion_radius(a: int, n: int) -> int:
+    """The criterion radius rho = (2a+1)^(n+2), exact; InvalidParameter
+    unless a >= 3 and n >= 2 are integers."""
+    if not isinstance(a, int) or isinstance(a, bool) or a < 3:
+        raise InvalidParameter(f"need integer a >= 3, got {a!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise InvalidParameter(f"need integer n >= 2, got {n!r}")
+    return (2 * a + 1) ** (n + 2)
+
+
 def sphere_bound_criterion(oracle: GroupOracle, a: int, n: int,
                            budget: Optional[int] = None) -> Verdict:
     """Evaluate the one-sphere criterion: |S((2a+1)^(n+2))| <= n.
@@ -195,12 +205,8 @@ def sphere_bound_criterion(oracle: GroupOracle, a: int, n: int,
     reports the required radius. A hit with a below 100 is downgraded to
     demonstration_only, since the criterion is only established from 100 up.
     """
-    if not isinstance(a, int) or isinstance(a, bool) or a < 3:
-        raise InvalidParameter(f"need integer a >= 3, got {a!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidParameter(f"need integer n >= 2, got {n!r}")
+    rho = _criterion_radius(a, n)
     effective_budget = budget if budget is not None else DEFAULT_NODE_BUDGET
-    rho = (2 * a + 1) ** (n + 2)
     base = {"a": a, "n": n, "required_radius": rho}
     if oracle.order is None and rho + 1 > effective_budget:
         # an infinite group has more than rho vertices within radius rho
@@ -265,9 +271,8 @@ class DemoReport:
         }
 
 
-def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
-                      a: int, n: int, budget: Optional[int] = None,
-                      table: Optional[BallTable] = None) -> DemoReport:
+def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
+                      budget: Optional[int] = None) -> DemoReport:
     """Walk the covering argument explicitly on a thin group.
 
     Steps: the sphere at radius rho = (2a+1)^(n+2) has at most n elements;
@@ -281,13 +286,10 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
 
     The table is explored once, to 3 rho + 40: every step needs the ball of
     radius 40D + 3 rho, and D >= 1. Only a partition with D > 1 explores
-    again, to that larger radius.
+    again, to that larger radius. The axis is built out to 40D + rho on the
+    final table, and ``build_axis`` checks each of its vertices there.
     """
-    if not isinstance(a, int) or isinstance(a, bool) or a < 3:
-        raise InvalidParameter(f"need integer a >= 3, got {a!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidParameter(f"need integer n >= 2, got {n!r}")
-    rho = (2 * a + 1) ** (n + 2)
+    rho = _criterion_radius(a, n)
     steps: list = []
     note = ""
     if a < CRITERION_MIN_FACTOR:
@@ -303,8 +305,7 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
         return DemoReport(oracle.label(), a, n, rho, steps, False, True,
                           nodes_explored=series.nodes, note=note)
 
-    if table is None or table.reached < 3 * rho + 40:
-        table = explore(oracle, 3 * rho + 40, budget)
+    table = explore(oracle, 3 * rho + 40, budget)
 
     base_space = sphere_as_metric_space(oracle, table, oracle.identity(), rho)
     base_partition = build_gl_partition(base_space, a)
@@ -316,17 +317,7 @@ def sphere_cover_demo(oracle: GroupOracle, axis: Optional[GeodesicAxis],
     horizon = 40 * D + 3 * rho
     if table.reached < horizon:
         table = explore(oracle, horizon, budget)
-    extent = 40 * D + rho
-    if axis is None:
-        axis = build_axis(oracle, table, extent)
-    elif axis.extent < extent:
-        raise InvalidParameter(
-            f"axis extent {axis.extent} too short: the demo needs {extent}")
-    # a caller-supplied axis was verified against its own table; check it here
-    for i in range(-40 * D, 40 * D + 1):
-        vid = table.id_of(axis.vertex(i))
-        if vid is None or table.dist_of(vid) != abs(i):
-            raise NotGeodesic(f"axis vertex {i} off its sphere in the demo table")
+    axis = build_axis(oracle, table, 40 * D + rho)
 
     similar = True
     partitions = {}

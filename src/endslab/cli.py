@@ -330,7 +330,7 @@ def cmd_classify(args) -> int:
 def cmd_demo_cover(args) -> int:
     spec, oracle = _load_group(args)
     budget = _budget(args)
-    report = classify.sphere_cover_demo(oracle, None, args.a, args.n, budget=budget)
+    report = classify.sphere_cover_demo(oracle, args.a, args.n, budget=budget)
     params = {"a": args.a, "n": args.n, "generators": generator_words(oracle)}
     text = manifest.render_json_report("demo-cover", spec.to_dict(), params,
                                        budget, report.nodes_explored, report.to_dict())

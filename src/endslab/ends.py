@@ -8,11 +8,26 @@ components are the finite stand-in for unbounded ones. The depth value
 computed here is the maximum distance over the bounded part, with the
 convention that it equals r when no bounded component exists.
 
-Certification: for a one ended group the bounded components left after
-deleting B(r) lie within B(4r). Exploring to R >= 4r + 2 therefore captures
-every bounded component strictly inside the truncation, which makes the
-computed value exact rather than heuristic. The certified flag on results
-records that both the radius condition and the one-endedness evidence held.
+Certification rests on a lemma that holds in every infinite group, for
+every finite generating set: in the Cayley graph G, each vertex of a
+bounded component of G \\ B(r) lies in B(2r). Proof: let x be such a
+vertex, |x| = n, in the bounded component C. Left multiplication by x^-1
+is a graph automorphism; it maps C to a bounded component of
+G \\ B(x^-1, r) that contains e. An infinite finitely generated group has
+a bi-infinite geodesic gamma with gamma(0) = e. Each of its two rays leaves
+that finite component, and the first vertex outside it is adjacent to it,
+so lies in B(x^-1, r); call these gamma(i) and gamma(-j). Then
+i + j = d(gamma(i), gamma(-j)) <= 2r, while i, j >= d(e, x^-1) - r = n - r,
+so n <= 2r.
+
+A component of B(T) \\ B(r) that misses S(T) is a whole bounded component
+of G \\ B(r), whatever T. By the lemma every bounded component misses S(T)
+once T >= 2r + 1, so from there on the value and the bounded count are
+exact, one ended or not. The default truncation is still 4r + 2, the bound
+this module was first built on: moving it to 2r + 1 changes the truncation
+and node usage that end-depth reports record, so it waits for a change that
+re-pins those reports. The certified flag on results records that the
+truncation reached the default and that the one-endedness evidence held.
 
 The vertex ids of a ball table are sorted by distance, which this module
 exploits throughout: a union-find that always keeps the largest id as root
@@ -194,31 +209,11 @@ def default_truncation(r: int) -> int:
 def end_depth(oracle: GroupOracle, r: int, truncation: Optional[int] = None,
               one_ended: Optional[bool] = None, budget: Optional[int] = None,
               table: Optional[BallTable] = None) -> EndDepthResult:
-    """Depth of the bounded components of the complement of B(r).
-
-    The last entry of ``end_depth_profile`` with r_max = r, which sets out
-    the truncation, certification and warning rules. On a finite group whose
-    diameter is at most r the complement is empty: the value is r, with no
-    bounded component.
-    """
-    table, truncation = _depth_table(oracle, r, truncation, budget, table)
-    if table.complete_group and table.reached <= r:
-        return EndDepthResult(r, r, False, table.reached, 0, CLASS_ZERO, True)
-    profile = end_depth_profile(oracle, r, budget=budget, one_ended=one_ended,
-                                table=table, truncation=truncation)
-    return profile.entries[-1]
-
-
-def _depth_table(oracle: GroupOracle, r_max: int, truncation: Optional[int],
-                 budget: Optional[int], table: Optional[BallTable]) -> tuple:
-    """The checked truncation (default 4 r_max + 2) and a ``_ball_table`` for it."""
-    if not isinstance(r_max, int) or r_max < 1:
-        raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
-    if truncation is None:
-        truncation = default_truncation(r_max)
-    if truncation <= r_max:
-        raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
-    return _ball_table(oracle, truncation, budget, table), truncation
+    """Depth of the bounded components of the complement of B(r): the last
+    entry of ``end_depth_profile`` with r_max = r, which sets out the
+    truncation, certification and warning rules."""
+    return end_depth_profile(oracle, r, budget=budget, one_ended=one_ended,
+                             table=table, truncation=truncation).entries[-1]
 
 
 def _ball_table(oracle: GroupOracle, radius: int, budget: Optional[int],
@@ -277,8 +272,9 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
 
     With the default truncation 4*r_max + 2, every bounded component of any
     complement in range lies strictly inside the explored ball, so per-radius
-    values agree with individually truncated runs. A caller-supplied smaller
-    truncation leaves the affected radii uncertified.
+    values agree with individually truncated runs. An explicit smaller
+    truncation leaves the affected radii uncertified; one at or below r_max
+    raises InvalidParameter.
 
     One-endedness is taken from ``one_ended`` when the caller asserts it,
     otherwise from the ends estimate over the schedule (truncation - 1,
@@ -287,9 +283,16 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     since the notion is only meaningful one ended. A finite group has no
     unbounded component: it is explored whole, whatever the truncation, so
     its whole complement is bounded, the depth and the truncation are its
-    diameter, and it classifies as zero, never certified.
+    diameter, and it classifies as zero, never certified. An r_max at or past
+    that diameter leaves no complement and raises InvalidParameter.
     """
-    table, truncation = _depth_table(oracle, r_max, truncation, budget, table)
+    if not isinstance(r_max, int) or r_max < 1:
+        raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
+    if truncation is None:
+        truncation = default_truncation(r_max)
+    if truncation <= r_max:
+        raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
+    table = _ball_table(oracle, truncation, budget, table)
     finite = table.complete_group
     if finite:
         truncation = table.reached

@@ -27,9 +27,11 @@ ball. The complement sweep in ``ends`` never reads them on a bipartite
 family (``GroupOracle.bipartite``), where S(R) has no edge inside itself,
 and the ``obss`` witness check reads rows within radius R - 1 only.
 
-Other modules read a table through four methods: ``rows_down`` for
-adjacency, ``translates`` for left translates c * g of table elements,
-``distance_rows`` for pairwise distances and ``dist_of`` for word lengths.
+Other modules read how table vertices relate in three ways: adjacency
+through ``rows_down`` (``neighbors`` for one vertex), left translates
+c * g of table elements through ``translates``, and pairwise distances
+through ``distance_rows``. A word length is no relation: ``dist_of``
+reads it off the layer bounds.
 """
 
 from __future__ import annotations

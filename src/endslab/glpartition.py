@@ -269,8 +269,6 @@ def build_gl_partition(space: FiniteMetricSpace, a: int) -> GlPartition:
         d_prev = d_m
     else:
         raise AssertionError(f"expansion failed to stabilize in {n + 1} rounds: builder bug")
-    if iterations > n + 1:
-        raise AssertionError(f"stabilized after {iterations} > n+1 rounds: builder bug")
 
     blocks_idx = list(dict.fromkeys(sets))  # dedupe, ordered by first owner
     trivial = len(blocks_idx) == 1

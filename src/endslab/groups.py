@@ -115,13 +115,11 @@ class GroupSpec:
         for name in ("m", "k", "left", "right"):
             if getattr(self, name) is not None and name not in FAMILIES[family]:
                 raise InvalidParameter(f"{family} takes no parameter {name!r}")
-        if family in ("cyclic_finite", "z_cross_cyclic", "lamplighter"):
-            if not _is_int(m) or m < 2:
-                raise InvalidParameter(f"{family} requires integer m >= 2, got {m!r}")
-        elif family in ("z_pow", "free"):
-            if not _is_int(k) or k < 1:
-                raise InvalidParameter(f"{family} requires integer k >= 1, got {k!r}")
-        elif family == "product":
+        if "m" in FAMILIES[family] and (not _is_int(m) or m < 2):
+            raise InvalidParameter(f"{family} requires integer m >= 2, got {m!r}")
+        if "k" in FAMILIES[family] and (not _is_int(k) or k < 1):
+            raise InvalidParameter(f"{family} requires integer k >= 1, got {k!r}")
+        if family == "product":
             if not isinstance(left, GroupSpec) or not isinstance(right, GroupSpec):
                 raise InvalidParameter("product requires left and right sub-specs")
             if self.depth() > MAX_PRODUCT_DEPTH:

@@ -127,7 +127,7 @@ def test_criterion_5_partition_property_suite():
 
 def test_criterion_6_sphere_cover_demo():
     for family in ("z", "dihedral_inf"):
-        report = sphere_cover_demo(make_group({"family": family}), None, 3, 2)
+        report = sphere_cover_demo(make_group({"family": family}), 3, 2)
         assert report.rho == 2401
         assert report.passed and not report.declined, family
         assert report.D == 1

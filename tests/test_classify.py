@@ -205,7 +205,7 @@ def test_demo_on_line(z_oracle, monkeypatch):
         return explore(oracle, radius, budget)
 
     monkeypatch.setattr(classify, "explore", counted_explore)
-    report = sphere_cover_demo(z_oracle, None, 3, 2)
+    report = sphere_cover_demo(z_oracle, 3, 2)
     assert radii == [3 * 2401 + 40]  # D = 1: the first ball is the last one
     assert report.passed and not report.declined
     assert report.rho == 2401 and report.D == 1
@@ -218,15 +218,6 @@ def test_demo_on_line(z_oracle, monkeypatch):
         "ball_covered_by_axis_spheres": True,
     }
     assert report.note  # demonstration disclaimer for a < 100
-
-
-def test_demo_accepts_caller_axis(z_oracle):
-    table = explore(z_oracle, 7243)
-    axis = build_axis(z_oracle, table, 2441)
-    report = sphere_cover_demo(z_oracle, axis, 3, 2, table=table)
-    assert report.passed and report.D == 1
-    with pytest.raises(InvalidParameter):
-        sphere_cover_demo(z_oracle, build_axis(z_oracle, table, 10), 3, 2, table=table)
 
 
 @pytest.mark.parametrize("spec,missed", [
@@ -244,7 +235,7 @@ def test_covering_step(spec, missed):
 
 
 def test_demo_declines_plane():
-    report = sphere_cover_demo(make_group({"family": "z_pow", "k": 2}), None, 3, 2,
+    report = sphere_cover_demo(make_group({"family": "z_pow", "k": 2}), 3, 2,
                                budget=12_000_000)
     assert report.declined and not report.passed
     assert report.steps[0].detail["sphere_size"] == 9604

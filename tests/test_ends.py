@@ -11,12 +11,13 @@ from endslab import ends
 from endslab.ends import (ObssWitness, WitnessItem, _complement_sweep,
                           check_obss_witness, end_count_estimate, end_depth,
                           end_depth_profile)
-from endslab.errors import InvalidParameter, TruncationTooSmall
+from endslab.errors import BudgetExceeded, InvalidParameter, TruncationTooSmall
 from endslab.explore import BallTable, build_axis, explore
-from endslab.groups import Codec, make_group
+from endslab.groups import Codec, GroupSpec, make_group
 
 from oracles import (complement_components, line_witness, reference_bfs,
                      reference_obss_components)
+from test_groups import ALL_SPECS
 
 
 def test_line_complement_two_rays(z_table_30):
@@ -158,7 +159,8 @@ def test_end_depth_finite_group():
     res = end_depth(finite, 2)
     assert (res.value, res.bounded_count) == (6, 1)
     assert res.ends_classification == "zero" and not res.certified
-    assert end_depth(finite, 10).value == 10  # complement empty past the diameter
+    with pytest.raises(InvalidParameter, match="whole group lies within radius 6"):
+        end_depth(finite, 10)  # no complement past the diameter
     profile = end_depth_profile(finite, 3)
     assert profile.values() == [6, 6, 6]
 
@@ -196,6 +198,49 @@ def test_truncation_stability(z2_oracle):
         at_default = end_depth(z2_oracle, r, truncation=4 * r + 2)
         at_double = end_depth(z2_oracle, r, truncation=8 * r)
         assert at_default.value == at_double.value
+
+
+def _ball_within(oracle, radius, budget):
+    """The ball of ``radius``, or the largest ball that fits in ``budget``."""
+    try:
+        return explore(oracle, radius, budget)
+    except BudgetExceeded as exc:
+        return explore(oracle, exc.radius_reached)
+
+
+@pytest.fixture(scope="module")
+def lamp_table_22(lamp_oracle):
+    return explore(lamp_oracle, 22)
+
+
+def _exact_from_double_radius(oracle, table):
+    """(value, bounded count) per r at truncation 2r + 1 and at the table's
+    full radius, for every r with 2r + 1 below it."""
+    r_max = (table.reached - 2) // 2
+    deepest = end_depth_profile(oracle, r_max, one_ended=True, table=table,
+                                truncation=table.reached).entries
+    at_double = [end_depth(oracle, r, truncation=2 * r + 1, one_ended=True, table=table)
+                 for r in range(1, r_max + 1)]
+    return ([(e.value, e.bounded_count) for e in at_double],
+            [(e.value, e.bounded_count) for e in deepest])
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if make_group(s).order is None],
+                         ids=lambda s: GroupSpec.from_dict(s).label())
+def test_truncation_double_radius_exact(spec):
+    # in an infinite group every bounded component of G \ B(r) lies in
+    # B(2r) (the ends module docstring), so truncating at 2r + 1 already
+    # separates the bounded components from the unbounded ones
+    oracle = make_group(spec)
+    at_double, deepest = _exact_from_double_radius(oracle, _ball_within(oracle, 24, 60_000))
+    assert at_double and at_double == deepest
+
+
+def test_lamplighter_depth_at_double_radius(lamp_oracle, lamp_table_22):
+    at_double, deepest = _exact_from_double_radius(lamp_oracle, lamp_table_22)
+    assert at_double == deepest
+    assert [v for v, _ in at_double] == [1, 2, 3, 4, 5, 7, 7, 9, 10, 11]
+    assert [c for _, c in at_double] == [0, 0, 0, 0, 0, 1, 0, 2, 2, 3]
 
 
 def test_profile_values_and_floor(z2_oracle):

@@ -290,6 +290,25 @@ def test_only_explore_reads_table_internals():
     assert reads == []
 
 
+def test_modules_use_every_import():
+    # an import whose name a module never reads is left over from a change
+    src = Path(endslab.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_axis_families(z_table_30, z2_table_22, dihedral_oracle, lamp_oracle):
     axis = build_axis(z_table_30.oracle, z_table_30, 10)
     assert [axis.vertex(i) for i in (-2, -1, 0, 1, 2)] == [-2, -1, 0, 1, 2]
