@@ -18,7 +18,7 @@ from .explore import (DEFAULT_NODE_BUDGET, BallTable, GeodesicAxis, build_axis,
                       explore, sphere_size_series)
 from .ends import EndDepthProfile
 from .glpartition import build_gl_partition, similar_partitions, sphere_as_metric_space
-from .groups import GroupOracle
+from .groups import GroupOracle, _is_int
 
 VC_EVIDENCE = "virtually_cyclic_evidence"
 INFEASIBLE = "infeasible"
@@ -189,9 +189,9 @@ def bounded_sphere_detector(sizes: Sequence[int]) -> Verdict:
 def _criterion_radius(a: int, n: int) -> int:
     """The criterion radius rho = (2a+1)^(n+2), exact; InvalidParameter
     unless a >= 3 and n >= 2 are integers."""
-    if not isinstance(a, int) or isinstance(a, bool) or a < 3:
+    if not _is_int(a) or a < 3:
         raise InvalidParameter(f"need integer a >= 3, got {a!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidParameter(f"need integer n >= 2, got {n!r}")
     return (2 * a + 1) ** (n + 2)
 

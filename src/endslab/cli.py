@@ -1,10 +1,18 @@
 """Command line entry point.
 
-One command is one reproducible pipeline: parse the group, run the module
-operation, write a report that embeds its manifest. Exit codes follow a
-fixed contract: 0 success, 1 a check failed, 2 invalid input, 3 the
-computation does not fit the node budget or the memory. Timings go to
-stderr only, so report files stay byte-identical across runs.
+Every command runs one pipeline, ``_run``: parse the group (inline JSON or a
+file) and resolve the node budget, for every command but ``glpartition``;
+call the command's handler, which returns its parameters, nodes explored,
+payload and exit code; render one report that embeds its manifest (CSV for
+``growth --format csv``, JSON otherwise) and write it to ``--out`` or
+stdout. ``--group`` and ``--budget`` exist only on the commands that explore
+a group. Exit codes follow a fixed contract: 0 success, 1 a check failed, 2
+invalid input, 3 the computation does not fit the node budget or the
+memory. An option that the command would not read is invalid input, not
+ignored: ``glpartition --budget``, an empty ``ends --schedule``, and
+``classify --rmax`` in criterion mode or ``--a``/``--n`` in spheres mode
+all exit 2. Timings go to stderr only, so report files stay byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -59,11 +67,10 @@ def fix_mmap_threshold() -> bool:
 
 def main(argv=None) -> int:
     fix_mmap_threshold()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code = args.handler(args)
+        code = _run(args)
     except (InvalidParameter, TruncationTooSmall, NoAxis, json.JSONDecodeError) as exc:
         print(f"endslab: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -81,79 +88,96 @@ def main(argv=None) -> int:
     return code
 
 
+def _run(args) -> int:
+    """Load the group, run the command's handler, write its one report."""
+    group = oracle = budget = None
+    if hasattr(args, "group"):
+        text = args.group.strip()
+        if not text.startswith("{"):
+            text = _read(text, "--group")
+        spec = parse_group_spec(text)
+        group, oracle = spec.to_dict(), make_group(spec)
+        budget = _budget(args)
+    params, nodes, payload, code = args.handler(args, oracle, budget)
+    if oracle is not None:
+        params["generators"] = generator_words(oracle)
+    if getattr(args, "format", None) == "csv":
+        text = manifest.render_csv_table(args.command, group, params, budget, nodes,
+                                         payload["header"], payload["rows"])
+    else:
+        text = manifest.render_json_report(args.command, group, params, budget, nodes,
+                                           payload)
+    if args.out:
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write --out {args.out}: {_reason(exc)}") from exc
+        print(f"endslab: wrote {args.out}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
+    return code
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="endslab",
         description="Cayley graph exploration, end depth and ends analysis, "
                     "separation-certified partitions, virtual-cyclicity detectors.")
     sub = parser.add_subparsers(dest="command", required=True)
+    explorers = []
 
-    p = sub.add_parser("growth", help="sphere and ball sizes up to a radius")
-    _group_arg(p)
+    def command(name, handler, help, explores=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if explores:
+            p.add_argument("--group", required=True,
+                           help="group spec as inline JSON or a path to a JSON file")
+            explorers.append(p)
+        return p
+
+    p = command("growth", cmd_growth, "sphere and ball sizes up to a radius")
     p.add_argument("--rmax", type=int, required=True, help="largest radius")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _common_args(p)
-    p.set_defaults(handler=cmd_growth)
 
-    p = sub.add_parser("end-depth", help="depth profile of bounded complement components")
-    _group_arg(p)
+    p = command("end-depth", cmd_end_depth, "depth profile of bounded complement components")
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--truncation", default="auto",
                    help="'auto' for 4r+2 per radius, or a fixed integer")
     p.add_argument("--assume-one-ended", action="store_true",
                    help="skip the internal ends estimate and certify on the caller's word")
-    _common_args(p)
-    p.set_defaults(handler=cmd_end_depth)
 
-    p = sub.add_parser("ends", help="estimate the number of ends")
-    _group_arg(p)
+    p = command("ends", cmd_ends, "estimate the number of ends")
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--schedule", default=None,
                    help="comma-separated increasing truncations (default derived from rmax)")
-    _common_args(p)
-    p.set_defaults(handler=cmd_ends)
 
-    p = sub.add_parser("glpartition", help="separation-certified partition of a metric space")
+    p = command("glpartition", cmd_glpartition,
+                "separation-certified partition of a metric space", explores=False)
     p.add_argument("--input", required=True, help="metric space JSON file")
     p.add_argument("--a", type=int, required=True, help="separation factor (integer >= 3)")
-    _common_args(p)
-    p.set_defaults(handler=cmd_glpartition)
 
-    p = sub.add_parser("obss", help="check a two-sided separation witness family")
-    _group_arg(p)
+    p = command("obss", cmd_obss, "check a two-sided separation witness family")
     p.add_argument("--witness", required=True, help="witness JSON file")
     p.add_argument("--truncation", type=int, default=None,
                    help="exploration radius (overrides the witness file)")
-    _common_args(p)
-    p.set_defaults(handler=cmd_obss)
 
-    p = sub.add_parser("classify", help="virtual-cyclicity detectors")
-    _group_arg(p)
+    p = command("classify", cmd_classify, "virtual-cyclicity detectors")
     p.add_argument("--mode", choices=("spheres", "criterion"), required=True)
-    p.add_argument("--rmax", type=int, default=30, help="spheres mode: radius window")
+    p.add_argument("--rmax", type=int, default=None, help="spheres mode: radius window")
     p.add_argument("--a", type=int, default=None, help="criterion mode: separation factor")
     p.add_argument("--n", type=int, default=None, help="criterion mode: sphere size bound")
-    _common_args(p)
-    p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("demo-cover", help="sphere-covering demonstration on a thin group")
-    _group_arg(p)
+    p = command("demo-cover", cmd_demo_cover, "sphere-covering demonstration on a thin group")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _common_args(p)
-    p.set_defaults(handler=cmd_demo_cover)
+
+    # last, so that every usage line ends with them
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+    for p in explorers:
+        p.add_argument("--budget", type=int, default=None,
+                       help=f"node budget (default {DEFAULT_NODE_BUDGET}, env {BUDGET_ENV})")
     return parser
-
-
-def _group_arg(p):
-    p.add_argument("--group", required=True,
-                   help="group spec as inline JSON or a path to a JSON file")
-
-
-def _common_args(p):
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"node budget (default {DEFAULT_NODE_BUDGET}, env {BUDGET_ENV})")
 
 
 def _read(path: str, option: str) -> str:
@@ -165,14 +189,6 @@ def _read(path: str, option: str) -> str:
 
 def _reason(exc) -> str:
     return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
-
-
-def _load_group(args):
-    text = args.group.strip()
-    if not text.startswith("{"):
-        text = _read(text, "--group")
-    spec = parse_group_spec(text)
-    return spec, make_group(spec)
 
 
 def _budget(args) -> int:
@@ -190,41 +206,22 @@ def _budget(args) -> int:
     return value
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise InvalidParameter(f"cannot write --out {args.out}: {_reason(exc)}") from exc
-        print(f"endslab: wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+# Each handler returns (parameters, nodes explored, payload, exit code);
+# _run adds the generators to the parameters and renders the report.
 
-
-def cmd_growth(args) -> int:
-    spec, oracle = _load_group(args)
-    budget = _budget(args)
+def cmd_growth(args, oracle, budget):
     if args.rmax < 0:
         raise InvalidParameter("--rmax must be >= 0")
     series = sphere_size_series(oracle, args.rmax, budget)
     rows = [[r, series.sphere(r), series.ball(r)] for r in range(args.rmax + 1)]
-    params = {"rmax": args.rmax, "format": args.format,
-              "generators": generator_words(oracle)}
     if args.format == "csv":
-        text = manifest.render_csv_table(
-            "growth", spec.to_dict(), params, budget, series.nodes,
-            ["r", "sphere_size", "ball_size"], rows)
+        payload = {"header": ["r", "sphere_size", "ball_size"], "rows": rows}
     else:
         payload = {"rows": rows, "complete_group": series.complete_group}
-        text = manifest.render_json_report(
-            "growth", spec.to_dict(), params, budget, series.nodes, payload)
-    _emit(args, text)
-    return EXIT_OK
+    return {"rmax": args.rmax, "format": args.format}, series.nodes, payload, EXIT_OK
 
 
-def cmd_end_depth(args) -> int:
-    spec, oracle = _load_group(args)
-    budget = _budget(args)
+def cmd_end_depth(args, oracle, budget):
     truncation = None
     if args.truncation != "auto":
         try:
@@ -239,34 +236,24 @@ def cmd_end_depth(args) -> int:
     payload = {"profile": profile.to_dict(), "linearity": check.to_dict(),
                "warnings": warnings}
     params = {"rmax": args.rmax, "truncation": args.truncation,
-              "assume_one_ended": bool(args.assume_one_ended),
-              "generators": generator_words(oracle)}
-    text = manifest.render_json_report("end-depth", spec.to_dict(), params,
-                                       budget, profile.nodes_explored, payload)
-    _emit(args, text)
-    return EXIT_OK if check.passed else EXIT_CHECK_FAILED
+              "assume_one_ended": bool(args.assume_one_ended)}
+    code = EXIT_OK if check.passed else EXIT_CHECK_FAILED
+    return params, profile.nodes_explored, payload, code
 
 
-def cmd_ends(args) -> int:
-    spec, oracle = _load_group(args)
-    budget = _budget(args)
+def cmd_ends(args, oracle, budget):
     schedule = None
-    if args.schedule:
+    if args.schedule is not None:
         try:
             schedule = tuple(int(x) for x in args.schedule.split(","))
         except ValueError:
             raise InvalidParameter("--schedule must be comma-separated integers") from None
     estimate = ends.end_count_estimate(oracle, args.rmax, schedule=schedule, budget=budget)
-    params = {"rmax": args.rmax,
-              "schedule": list(estimate.schedule),
-              "generators": generator_words(oracle)}
-    text = manifest.render_json_report("ends", spec.to_dict(), params, budget,
-                                       estimate.nodes_explored, estimate.to_dict())
-    _emit(args, text)
-    return EXIT_OK
+    params = {"rmax": args.rmax, "schedule": list(estimate.schedule)}
+    return params, estimate.nodes_explored, estimate.to_dict(), EXIT_OK
 
 
-def cmd_glpartition(args) -> int:
+def cmd_glpartition(args, oracle, budget):
     space = glpartition.FiniteMetricSpace.from_json(_read(args.input, "--input"))
     partition = glpartition.build_gl_partition(space, args.a)
     verification = glpartition.verify_gl_partition(space, partition, args.a)
@@ -274,16 +261,11 @@ def cmd_glpartition(args) -> int:
                "separation": partition.separation,
                "verification": verification.to_dict()}
     params = {"input": Path(args.input).name, "a": args.a, "points": space.n}
-    text = manifest.render_json_report("glpartition", None, params, None, 0, payload)
-    _emit(args, text)
-    if not partition.trivial and not verification.passed:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    code = EXIT_OK if partition.trivial or verification.passed else EXIT_CHECK_FAILED
+    return params, 0, payload, code
 
 
-def cmd_obss(args) -> int:
-    spec, oracle = _load_group(args)
-    budget = _budget(args)
+def cmd_obss(args, oracle, budget):
     witness = ends.ObssWitness.from_json(_read(args.witness, "--witness"))
     truncation = args.truncation if args.truncation is not None else witness.truncation
     if truncation is None:
@@ -292,50 +274,42 @@ def cmd_obss(args) -> int:
     table = explore(oracle, truncation, budget)
     report = ends.check_obss_witness(table, witness)
     payload = {"witness": witness.to_dict(), "check": report.to_dict()}
-    params = {"witness": Path(args.witness).name, "truncation": truncation,
-              "generators": generator_words(oracle)}
-    text = manifest.render_json_report("obss", spec.to_dict(), params, budget,
-                                       table.size, payload)
-    _emit(args, text)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    params = {"witness": Path(args.witness).name, "truncation": truncation}
+    return params, table.size, payload, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_classify(args) -> int:
-    spec, oracle = _load_group(args)
-    budget = _budget(args)
+def cmd_classify(args, oracle, budget):
     if args.mode == "criterion":
         if args.a is None or args.n is None:
             raise InvalidParameter("criterion mode requires --a and --n")
+        if args.rmax is not None:
+            raise InvalidParameter("criterion mode takes no --rmax")
         verdict = classify.sphere_bound_criterion(oracle, args.a, args.n, budget)
-        params = {"mode": "criterion", "a": args.a, "n": args.n,
-                  "generators": generator_words(oracle)}
+        params = {"mode": "criterion", "a": args.a, "n": args.n}
         nodes = verdict.details.get("nodes_explored", 0)
         payload = {"verdict": verdict.to_dict()}
     else:
-        if args.rmax < 20:
+        rmax = 30 if args.rmax is None else args.rmax
+        if rmax < 20:
             raise InvalidParameter("spheres mode needs --rmax >= 20")
-        series = sphere_size_series(oracle, args.rmax, budget)
-        sizes = [series.sphere(r) for r in range(1, args.rmax + 1)]
+        for option, value in (("--a", args.a), ("--n", args.n)):
+            if value is not None:
+                raise InvalidParameter(f"spheres mode takes no {option}")
+        series = sphere_size_series(oracle, rmax, budget)
+        sizes = [series.sphere(r) for r in range(1, rmax + 1)]
         verdict = classify.bounded_sphere_detector(sizes)
-        params = {"mode": "spheres", "rmax": args.rmax,
-                  "generators": generator_words(oracle)}
+        params = {"mode": "spheres", "rmax": rmax}
         nodes = series.nodes
         payload = {"verdict": verdict.to_dict(), "sphere_sizes": sizes}
-    text = manifest.render_json_report("classify", spec.to_dict(), params,
-                                       budget, nodes, payload)
-    _emit(args, text)
-    return EXIT_INFEASIBLE if verdict.kind == classify.INFEASIBLE else EXIT_OK
+    code = EXIT_INFEASIBLE if verdict.kind == classify.INFEASIBLE else EXIT_OK
+    return params, nodes, payload, code
 
 
-def cmd_demo_cover(args) -> int:
-    spec, oracle = _load_group(args)
-    budget = _budget(args)
+def cmd_demo_cover(args, oracle, budget):
     report = classify.sphere_cover_demo(oracle, args.a, args.n, budget=budget)
-    params = {"a": args.a, "n": args.n, "generators": generator_words(oracle)}
-    text = manifest.render_json_report("demo-cover", spec.to_dict(), params,
-                                       budget, report.nodes_explored, report.to_dict())
-    _emit(args, text)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    params = {"a": args.a, "n": args.n}
+    code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return params, report.nodes_explored, report.to_dict(), code
 
 
 if __name__ == "__main__":

@@ -286,7 +286,7 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     diameter, and it classifies as zero, never certified. An r_max at or past
     that diameter leaves no complement and raises InvalidParameter.
     """
-    if not isinstance(r_max, int) or r_max < 1:
+    if not _is_int(r_max) or r_max < 1:
         raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
     if truncation is None:
         truncation = default_truncation(r_max)
@@ -396,7 +396,7 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
     2 classify as one or two; counts that keep growing past 2 classify as
     infinite. Everything else is inconclusive.
     """
-    if not isinstance(r_max, int) or r_max < 1:
+    if not _is_int(r_max) or r_max < 1:
         raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
     if schedule is None:
         schedule = default_schedule(r_max)

@@ -564,11 +564,6 @@ class _LamplighterOracle(GroupOracle):
         if mask == 0:
             return 0, 0
         m = self.m
-        if m == 2:
-            shift = (mask & -mask).bit_length() - 1
-            if shift:
-                return base + shift, mask >> shift
-            return base, mask
         while mask % m == 0:
             mask //= m
             base += 1
@@ -576,8 +571,6 @@ class _LamplighterOracle(GroupOracle):
 
     def _add_masks(self, m1: int, m2: int) -> int:
         m = self.m
-        if m == 2:
-            return m1 ^ m2
         out = 0
         mult = 1
         while m1 or m2:
@@ -598,10 +591,7 @@ class _LamplighterOracle(GroupOracle):
             return (cursor, nb2, k2)
         base = b1 if b1 < nb2 else nb2
         m = self.m
-        if m == 2:
-            merged = (k1 << (b1 - base)) ^ (k2 << (nb2 - base))
-        else:
-            merged = self._add_masks(k1 * m ** (b1 - base), k2 * m ** (nb2 - base))
+        merged = self._add_masks(k1 * m ** (b1 - base), k2 * m ** (nb2 - base))
         base, merged = self._normalize(base, merged)
         return (cursor, base, merged)
 
@@ -610,16 +600,13 @@ class _LamplighterOracle(GroupOracle):
         if mask == 0:
             return (-c, 0, 0)
         m = self.m
-        if m != 2:
-            out = 0
-            mult = 1
-            rest = mask
-            while rest:
-                out += ((-rest % m) % m) * mult
-                mult *= m
-                rest //= m
-            mask = out
-        return (-c, b - c, mask)
+        out = 0
+        mult = 1
+        while mask:
+            out += (-mask % m) * mult
+            mult *= m
+            mask //= m
+        return (-c, b - c, out)
 
     def key_str(self, g):
         c, b, mask = g

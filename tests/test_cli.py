@@ -188,13 +188,19 @@ def test_obss_requires_truncation(tmp_path, z_oracle, z_table_30):
     assert code == 0
 
 
+def test_ends_empty_schedule_exit_2(capsys):
+    assert main(["ends", "--group", '{"family":"z"}', "--rmax", "3", "--schedule", ""]) == 2
+    assert "--schedule must be comma-separated integers" in capsys.readouterr().err
+
+
 def test_classify_spheres(tmp_path):
     code, out = run(tmp_path, "cs.json",
                     ["classify", "--group", '{"family":"dihedral_inf"}', "--mode", "spheres"])
     assert code == 0
-    doc = load(out)["report"]
-    assert doc["verdict"]["kind"] == "virtually_cyclic_evidence"
-    assert doc["sphere_sizes"] == [2] * 30
+    doc = load(out)
+    assert doc["manifest"]["parameters"]["rmax"] == 30  # the default window
+    assert doc["report"]["verdict"]["kind"] == "virtually_cyclic_evidence"
+    assert doc["report"]["sphere_sizes"] == [2] * 30
 
 
 def test_classify_criterion_exit_codes(tmp_path):
@@ -215,6 +221,17 @@ def test_classify_criterion_exit_codes(tmp_path):
 
 def test_classify_criterion_needs_parameters():
     assert main(["classify", "--group", '{"family":"z"}', "--mode", "criterion"]) == 2
+
+
+def test_classify_rejects_other_mode_options(capsys):
+    # each option belongs to one mode; the other mode would silently ignore it
+    cases = [(["--mode", "criterion", "--a", "3", "--n", "2", "--rmax", "50"],
+              "criterion mode takes no --rmax"),
+             (["--mode", "spheres", "--a", "3"], "spheres mode takes no --a"),
+             (["--mode", "spheres", "--rmax", "25", "--n", "2"], "spheres mode takes no --n")]
+    for options, message in cases:
+        assert main(["classify", "--group", '{"family":"z"}', *options]) == 2, options
+        assert message in capsys.readouterr().err
 
 
 def test_demo_cover_line(tmp_path):
@@ -275,6 +292,37 @@ def test_cli_import_skips_dataclasses():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_budget_reaches_manifest(tmp_path, z_oracle, z_table_30):
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(line_witness(z_oracle, build_axis(z_oracle, z_table_30, 14),
+                                               range(2, 4)).to_dict()))
+    z = ["--group", '{"family":"z"}']
+    for args in (["growth", *z, "--rmax", "3"],
+                 ["growth", *z, "--rmax", "3", "--format", "json"],
+                 ["end-depth", *z, "--rmax", "2"],
+                 ["ends", *z, "--rmax", "2"],
+                 ["obss", *z, "--witness", str(witness), "--truncation", "30"],
+                 ["classify", *z, "--mode", "spheres"],
+                 ["classify", *z, "--mode", "criterion", "--a", "3", "--n", "2"],
+                 ["demo-cover", *z, "--a", "3", "--n", "2"]):
+        code, out = run(tmp_path, "report", args + ["--budget", "123456"])
+        assert code == 0, args
+        text = out.read_text()
+        if text.startswith("# manifest: "):
+            manifest = json.loads(text.splitlines()[0][len("# manifest: "):])
+        else:
+            manifest = json.loads(text)["manifest"]
+        assert manifest["budget"]["limit"] == 123456, args
+
+
+def test_glpartition_takes_no_budget(tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": ["a", "b"], "distances": [[0, 1], [1, 0]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["glpartition", "--input", str(space), "--a", "3", "--budget", "5"])
+    assert exc.value.code == 2
 
 
 def test_budget_env(tmp_path, monkeypatch):
@@ -478,7 +526,7 @@ def test_glpartition_triangle_failure_exit_2(tmp_path, capsys):
 
 
 def test_out_of_memory_exit_3(monkeypatch, capsys):
-    def exhausted(args):
+    def exhausted(*args):
         raise MemoryError
 
     monkeypatch.setattr(cli, "cmd_growth", exhausted)

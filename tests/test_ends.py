@@ -296,6 +296,14 @@ def test_profile_rejects_zero_rmax(z2_oracle):
         end_depth_profile(z2_oracle, 0)
 
 
+def test_bool_r_max_rejected(z2_oracle):
+    # True is an int to isinstance, but not a radius
+    with pytest.raises(InvalidParameter, match="r_max must be a positive integer, got True"):
+        end_depth_profile(z2_oracle, True)
+    with pytest.raises(InvalidParameter, match="r_max must be a positive integer, got True"):
+        end_count_estimate(z2_oracle, True)
+
+
 def test_profile_truncation_leaves_room_for_estimate(z2_oracle):
     # the ends estimate compares truncations T - 1 and T, both beyond r_max
     with pytest.raises(InvalidParameter):
