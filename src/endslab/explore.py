@@ -15,7 +15,10 @@ size is the group order.
 
 The search runs on the packed int codes of ``GroupOracle.codec`` and steps
 them with one int function per generator; elements are decoded only when a
-caller asks for one.
+caller asks for one. A table records each code once, as a key of its
+code-to-id dict: keys are inserted in discovery order, so the key order is
+the id order, and the list from id to code is derived from the dict on the
+first decode. The search reads each frontier off the tail of that dict.
 
 Adjacency is one flat array of rows, k = len(steps) slots per vertex in
 generator order, so the row of u is the implicit slice ``adj[k*u:k*u + k]``
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
@@ -52,48 +55,56 @@ class BallTable:
     """All elements within a truncation radius, with distances and adjacency.
 
     Vertices are stored as the int codes of ``codec`` and decoded only on
-    request. Layers are contiguous id ranges, ``_layer_start[r]`` the first
-    id of S(r), and ``dist_of`` reads a distance off these bounds.
-    ``complete_group`` holds when the size is the group order. Adjacency
-    covers exactly the edges of the induced subgraph on the ball. ``_adj``
-    holds ``_k`` slots per id for the first ``_wired`` ids; the rows of the
-    outermost sphere of an unexhausted ball are appended on first use
-    (module docstring).
+    request. ``_index`` is the one record of the codes: it maps each code to
+    its id, and its insertion order is the id order. ``_codes``, the list
+    from id to code, is derived from it as ``list(_index)`` by the first
+    decode (``element``, and through it ``key_of``, ``translates`` and
+    ``distance_rows``); a caller that only sweeps the table never builds it.
+    Layers are contiguous id ranges, ``_layer_start[r]`` the first id of
+    S(r), so ``_layer_start[-1]`` is the size, and ``dist_of`` reads a
+    distance off these bounds. ``complete_group`` holds when the size is the
+    group order. Adjacency covers exactly the edges of the induced subgraph
+    on the ball. ``_adj`` holds ``_k`` slots per id for the first ``_wired``
+    ids; the rows of the outermost sphere of an unexhausted ball are
+    appended on first use (module docstring).
 
-    Wiring those rows is the only change to a table after ``explore``. It
-    runs at most once and leaves every earlier row as it was, but it is not
-    thread-safe: it appends to ``_adj`` in batches, so two threads wiring at
-    once can interleave rows, and an append while another thread iterates
-    ``rows_down`` raises BufferError. A table shared between threads should
-    be wired first, by ``neighbors`` on its last id.
+    A table changes after ``explore`` in two lazy steps, each run at most
+    once: the code list is built on the first decode, and the outer rows
+    are wired on first use. Neither alters a recorded fact. Building the
+    code list reads ``_index`` only, so two threads racing to build it
+    each get the same list. Wiring is not thread-safe: it appends to
+    ``_adj`` in batches, so two threads wiring at once can interleave rows,
+    and an append while another thread iterates ``rows_down`` raises
+    BufferError. A table shared between threads should be wired first, by
+    ``neighbors`` on its last id.
 
     Nothing searches a finished table: distances between its elements are
     read by left invariance (``distance_rows``), and spheres around any
     element are left translates of its layers (``translates``).
     """
 
-    def __init__(self, oracle, reached, codec, codes, index, layer_start, wired, adj):
+    def __init__(self, oracle, reached, codec, index, layer_start, wired, adj):
         self.oracle = oracle
         self.reached = reached
         self._k = len(codec.steps)
         self._wired = wired
         self._adj = adj
         self._codec = codec
-        self._codes = codes
         self._index = index
+        self._codes = None
         self._layer_start = layer_start
         self._key_index = None
 
     def __len__(self):
-        return len(self._codes)
+        return self._layer_start[-1]
 
     @property
     def size(self) -> int:
-        return len(self._codes)
+        return self._layer_start[-1]
 
     @property
     def complete_group(self) -> bool:
-        return len(self._codes) == self.oracle.order
+        return self._layer_start[-1] == self.oracle.order
 
     def dist_of(self, vid: int) -> int:
         """Word length of a vertex: the layer whose id range holds it."""
@@ -116,7 +127,10 @@ class BallTable:
         return range(self._layer_start[r], self._layer_start[r + 1])
 
     def element(self, vid: int) -> Element:
-        return self._codec.decode(self._codes[vid])
+        codes = self._codes
+        if codes is None:
+            codes = self._codes = list(self._index)
+        return self._codec.decode(codes[vid])
 
     def neighbors(self, vid: int) -> list:
         """Neighbor ids of a vertex within the ball, in generator order."""
@@ -141,10 +155,10 @@ class BallTable:
         ``rows_down``: the complement sweep on a family that is not
         bipartite, and ``dump_csv``."""
         steps, get = self._codec.steps, self._index.get
-        for lo in range(self._wired, len(self._codes), _BATCH):
-            codes = _neighbor_codes(steps, self._codes[lo:lo + _BATCH])
-            self._adj.extend(map(get, codes, repeat(-1)))
-        self._wired = len(self._codes)
+        outer = islice(self._index, self._wired, None)
+        while batch := list(islice(outer, _BATCH)):
+            self._adj.extend(map(get, _neighbor_codes(steps, batch), repeat(-1)))
+        self._wired = self.size
 
     def id_of(self, g: Element) -> Optional[int]:
         code = self._codec.encode(g)
@@ -240,18 +254,20 @@ def _search_budget(radius: int, budget: Optional[int]) -> int:
 
 
 def _search(codec: Codec, radius: int, budget: int, index: dict,
-            codes: Optional[list] = None, adj: Optional[array] = None) -> list:
+            adj: Optional[array] = None) -> list:
     """The breadth-first loop over int codes; returns the sphere sizes.
 
     Builds spheres 1..radius and stops at the first empty one; ``index``
-    receives every code found. A ball table passes ``codes``, holding the
-    identity's code, and an empty ``adj``: then ``index`` keeps every vertex
-    and maps its code to its id, in discovery order (by frontier vertex,
-    then generator), ``codes`` gets each new code, and ``adj`` the neighbor
-    ids of every vertex expanded, len(steps) per vertex in generator order.
-    Without them ``index`` keeps only spheres r - 1, r and r + 1 while
-    r + 1 is built: the generating set is inversion-closed, so no neighbor
-    of sphere r lies further in.
+    receives every code found, in discovery order (by frontier vertex, then
+    generator), so the newest sphere is always its tail. Each frontier is
+    read off that tail, or is the new codes of the previous round's last
+    batch when that batch found them all (a thin sphere); the outermost
+    sphere is never copied out. A ball table passes an empty ``adj``: then
+    ``index`` keeps every vertex and maps its code to its id, and ``adj``
+    gets the neighbor ids of every vertex expanded, len(steps) per vertex
+    in generator order. Without it ``index`` maps codes to None and keeps
+    only spheres r - 1, r and r + 1 while r + 1 is built: the generating
+    set is inversion-closed, so no neighbor of sphere r lies further in.
 
     Raises BudgetExceeded once more than ``budget`` vertices are found; the
     error reports the last complete radius.
@@ -260,9 +276,14 @@ def _search(codec: Codec, radius: int, budget: int, index: dict,
     index[codec.identity] = 0
     nodes = 1
     sizes = [1]
-    older, frontier = [], [codec.identity]
+    older, new = (), [codec.identity]
     for r in range(radius):
-        sphere = []
+        first = nodes
+        if len(new) == sizes[r]:  # the last batch found all of sphere r
+            frontier = new
+        else:
+            frontier = list(islice(reversed(index), sizes[r]))
+            frontier.reverse()
         for lo in range(0, len(frontier), _BATCH):
             neighbors = _neighbor_codes(steps, frontier[lo:lo + _BATCH])
             new = []
@@ -272,19 +293,17 @@ def _search(codec: Codec, radius: int, budget: int, index: dict,
                     new.append(v)
             if nodes + len(new) > budget:
                 raise BudgetExceeded(budget, nodes + len(new), r, radius)
-            if codes is not None:
+            if adj is not None:
                 index.update(zip(new, range(nodes, nodes + len(new))))
-                codes += new
                 adj.extend(map(index.__getitem__, neighbors))
             nodes += len(new)
-            sphere += new
-        if not sphere:
+        if nodes == first:
             break
-        sizes.append(len(sphere))
-        if codes is None:
+        sizes.append(nodes - first)
+        if adj is None:
             for v in older:
                 del index[v]
-        older, frontier = frontier, sphere
+            older = frontier
     return sizes
 
 
@@ -299,15 +318,14 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
     budget = _search_budget(radius, budget)
     codec = _codec(oracle, radius + 1, budget)  # the outermost sphere's neighbors too
     index: dict = {}
-    codes = [codec.identity]
     adj = array("i")
-    sizes = _search(codec, radius, budget, index, codes, adj)
-    reached = len(sizes) - 1
+    sizes = _search(codec, radius, budget, index, adj)
+    layer_start = list(accumulate(sizes, initial=0))
     # the search expanded every sphere but S(radius), each vertex with all of
     # its len(steps) neighbors in the ball
-    wired = len(codes) - sizes[-1] if reached == radius else len(codes)
-    return BallTable(oracle, reached, codec, codes, index,
-                     list(accumulate(sizes, initial=0)), wired, adj)
+    reached = len(sizes) - 1
+    wired = layer_start[-2] if reached == radius else layer_start[-1]
+    return BallTable(oracle, reached, codec, index, layer_start, wired, adj)
 
 
 class SphereSizeSeries:
@@ -320,19 +338,24 @@ class SphereSizeSeries:
     for ``BallTable``.
     """
 
-    __slots__ = ("radius", "sizes", "complete_group", "nodes")
+    __slots__ = ("radius", "sizes", "complete_group", "nodes", "_balls")
 
     def __init__(self, radius: int, sizes: list[int], complete_group: bool, nodes: int):
         self.radius = radius
         self.sizes = sizes
         self.complete_group = complete_group
         self.nodes = nodes
+        self._balls = list(accumulate(sizes))
 
     def sphere(self, r: int) -> int:
         return self.sizes[r] if 0 <= r < len(self.sizes) else 0
 
     def ball(self, r: int) -> int:
-        return sum(self.sizes[: r + 1])
+        """|B(r)|, as ``BallTable.ball_size``: 0 for r < 0, and the whole
+        series beyond its last layer."""
+        if r < 0:
+            return 0
+        return self._balls[min(r, len(self._balls) - 1)]
 
 
 def sphere_size_series(oracle: GroupOracle, radius: int,

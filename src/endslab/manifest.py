@@ -9,7 +9,6 @@ non-finite float raises ValueError instead of writing invalid JSON.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Optional
 
@@ -23,6 +22,7 @@ def canonical_json(obj) -> str:
 def payload_digest(payload) -> str:
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
                       allow_nan=False)
+    import hashlib  # here, so that importing the CLI does not load hashlib
     return "sha256:" + hashlib.sha256(body.encode("ascii")).hexdigest()
 
 

@@ -283,15 +283,16 @@ def test_demo_budget_exit_names_radius(tmp_path, capsys):
 
 
 def test_cli_import_skips_dataclasses():
-    # generating dataclass methods at import costs every cold start; -S keeps
-    # site-packages .pth files out of the check
+    # generating dataclass methods and loading hashlib at import cost every
+    # cold start; -S keeps site-packages .pth files out of the check
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, endslab.cli; print('dataclasses' in sys.modules)"],
+         "import sys, endslab.cli; "
+         "print([m for m in ('dataclasses', 'hashlib') if m in sys.modules])"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_budget_reaches_manifest(tmp_path, z_oracle, z_table_30):

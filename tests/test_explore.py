@@ -9,6 +9,7 @@ import pytest
 
 import endslab
 from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis, TruncationTooSmall
+from endslab.ends import end_depth_profile
 from endslab.explore import build_axis, explore, sphere_size_series
 from endslab.groups import make_group
 
@@ -112,6 +113,8 @@ def test_lean_series_matches_full_tables(spec, radius):
     series = sphere_size_series(oracle, radius)
     assert [series.sphere(r) for r in range(radius + 1)] == \
         [table.sphere_size(r) for r in range(radius + 1)]
+    assert [series.ball(r) for r in range(-3, radius + 3)] == \
+        [table.ball_size(r) for r in range(-3, radius + 3)]
     assert series.nodes == table.size
 
 
@@ -445,3 +448,32 @@ def test_codes_stay_short_far_beyond_reach():
     with pytest.raises(BudgetExceeded) as err:
         sphere_size_series(oracle, 10 ** 6, budget=5000)
     assert err.value.radius_reached <= oracle.radius_bound(5000)
+
+
+@pytest.mark.parametrize("spec", [{"family": "lamplighter", "m": 2},
+                                  {"family": "z_cross_cyclic", "m": 3}], ids=str)
+def test_sweep_never_decodes(spec):
+    # the code list is derived from the index on the first decode; a sweep
+    # that wires the outer sphere (z x C3 is not bipartite) reads the index
+    oracle = make_group(spec)
+    table = explore(oracle, 10)
+    profile = end_depth_profile(oracle, 2, table=table)
+    assert profile.nodes_explored == table.size
+    assert (table._wired == table.size) == (not oracle.bipartite)
+    assert table._codes is None
+
+
+@pytest.mark.parametrize("spec,radius", [({"family": "lamplighter", "m": 2}, 9),
+                                         ({"family": "z_cross_cyclic", "m": 3}, 7)], ids=str)
+def test_element_id_round_trip(spec, radius):
+    oracle = make_group(spec)
+    table = explore(oracle, radius)
+    elements, _, rows, _ = reference_ball(oracle, radius)
+    assert oracle.bipartite == (spec["family"] == "lamplighter")
+    assert table._wired < table.size
+    for wired in (False, True):
+        assert [table.element(v) for v in range(table.size)] == elements, wired
+        assert all(table.id_of(table.element(v)) == v for v in range(table.size)), wired
+        table.neighbors(table.size - 1)
+        assert table._wired == table.size
+    assert [table.neighbors(v) for v in range(table.size)] == rows
