@@ -2,10 +2,8 @@
 truncated Cayley graphs, end depth, end counts, separation-certified
 partitions and virtual-cyclicity detectors."""
 
-from .classify import (DominationBounds, DominationWitness, GrowthSamples,
-                       Verdict, bounded_sphere_detector, growth_dominates,
-                       linear_end_depth_check, sphere_bound_criterion,
-                       sphere_cover_demo)
+from .classify import (Verdict, bounded_sphere_detector, linear_end_depth_check,
+                       sphere_bound_criterion, sphere_cover_demo)
 from .ends import (EndDepthProfile, EndsEstimate, ObssWitness, WitnessItem,
                    check_obss_witness, end_count_estimate, end_depth,
                    end_depth_profile)

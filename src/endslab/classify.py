@@ -1,4 +1,4 @@
-"""Growth comparison and virtual-cyclicity detectors.
+"""End-depth linearity check and virtual-cyclicity detectors.
 
 Everything here produces evidence verdicts, never proofs: bounded sphere
 sizes over a finite window, a sphere-size criterion evaluated at one exact
@@ -30,82 +30,6 @@ DEMONSTRATION_ONLY = "demonstration_only"
 CRITERION_MIN_FACTOR = 100
 
 LINEAR_DEPTH_FACTOR = 4
-
-
-class GrowthSamples:
-    """A function sampled on a contiguous integer range starting at ``start``."""
-
-    __slots__ = ("start", "values")
-
-    def __init__(self, start: int, values: tuple):
-        if not values:
-            raise InvalidParameter("growth samples must be nonempty")
-        if start < 1:
-            raise InvalidParameter("growth samples start at a positive integer")
-        self.start = start
-        self.values = values
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.values) - 1
-
-    def at(self, x: int) -> float:
-        return self.values[x - self.start]
-
-    @classmethod
-    def of(cls, start: int, values: Sequence[float]) -> "GrowthSamples":
-        return cls(start, tuple(values))
-
-
-class DominationWitness:
-    """Constants (a1, a2, a3) with f(x) <= a1 * g(a2 x) + a3 on the whole range."""
-
-    __slots__ = ("a1", "a2", "a3", "x_min", "x_max")
-
-    def __init__(self, a1: int, a2: int, a3: int, x_min: int, x_max: int):
-        self.a1 = a1
-        self.a2 = a2
-        self.a3 = a3
-        self.x_min = x_min
-        self.x_max = x_max
-
-    def to_dict(self) -> dict:
-        return {"a1": self.a1, "a2": self.a2, "a3": self.a3,
-                "verified_range": [self.x_min, self.x_max]}
-
-
-class DominationBounds:
-    __slots__ = ("a1_max", "a2_max", "a3_max")
-
-    def __init__(self, a1_max: int = 8, a2_max: int = 8, a3_max: Optional[int] = None):
-        self.a1_max = a1_max
-        self.a2_max = a2_max
-        self.a3_max = a3_max  # default: twice the largest g sample
-
-
-def growth_dominates(f: GrowthSamples, g: GrowthSamples,
-                     bounds: Optional[DominationBounds] = None) -> Optional[DominationWitness]:
-    """Search for the lexicographically smallest domination witness.
-
-    The inequality must hold at every sampled x of f, so scale factors a2
-    that push any a2*x outside g's domain are skipped. None means no witness
-    within the bounds, which is absence of evidence, not a disproof.
-    """
-    if bounds is None:
-        bounds = DominationBounds()
-    a3_cap = bounds.a3_max
-    if a3_cap is None:
-        a3_cap = 2 * math.ceil(max(g.values))
-    xs = range(f.start, f.end + 1)
-    for a1 in range(1, bounds.a1_max + 1):
-        for a2 in range(1, bounds.a2_max + 1):
-            if a2 * f.start < g.start or a2 * f.end > g.end:
-                continue
-            need = max(f.at(x) - a1 * g.at(a2 * x) for x in xs)
-            a3 = max(0, math.ceil(need))
-            if a3 <= a3_cap:
-                return DominationWitness(a1, a2, a3, f.start, f.end)
-    return None
 
 
 class LinearityReport:

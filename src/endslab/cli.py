@@ -142,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("end-depth", cmd_end_depth, "depth profile of bounded complement components")
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--truncation", default="auto",
-                   help="'auto' for 4r+2 per radius, or a fixed integer")
+                   help="'auto' for one truncation, 4*rmax+2, for the whole profile, "
+                        "or a fixed integer T; entry r is certified when T >= 4r+2")
     p.add_argument("--assume-one-ended", action="store_true",
                    help="skip the internal ends estimate and certify on the caller's word")
 

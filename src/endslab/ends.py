@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidParameter, TruncationTooSmall
 from .explore import BallTable, explore
-from .groups import GroupOracle, _is_int, generator_words
+from .groups import GroupOracle, _check_keys, _is_int, generator_words
 
 #: Extra layers beyond the 4r bound: one so that a bounded component confined
 #: in B(4r) cannot meet the boundary sphere, one more as slack for the annulus.
@@ -493,13 +493,15 @@ class ObssWitness:
     @classmethod
     def from_dict(cls, d: dict) -> "ObssWitness":
         """Read the JSON form; ``check_obss_witness`` validates the values."""
+        _check_keys(d, ("n", "items", "truncation"), "witness")
         try:
             if not isinstance(d["items"], list):
                 raise TypeError("'items' must be a list")
-            items = [
-                WitnessItem(_keys(it, "K", i), it["r"], _keys(it, "A", i), _keys(it, "B", i))
-                for i, it in enumerate(d["items"])
-            ]
+            items = []
+            for i, it in enumerate(d["items"]):
+                _check_keys(it, ("K", "r", "A", "B"), f"items[{i}]")
+                items.append(WitnessItem(_keys(it, "K", i), it["r"],
+                                         _keys(it, "A", i), _keys(it, "B", i)))
             return cls(d["n"], items, d.get("truncation"))
         except (KeyError, TypeError) as exc:
             raise InvalidParameter(f"malformed witness: {exc}") from exc

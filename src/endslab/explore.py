@@ -153,7 +153,7 @@ class BallTable:
         """Append the rows of the ids from ``_wired`` on, -1 for a step that
         leaves the ball. Runs once, on first use by ``neighbors`` or
         ``rows_down``: the complement sweep on a family that is not
-        bipartite, and ``dump_csv``."""
+        bipartite."""
         steps, get = self._codec.steps, self._index.get
         outer = islice(self._index, self._wired, None)
         while batch := list(islice(outer, _BATCH)):
@@ -205,13 +205,6 @@ class BallTable:
     def set_diameter(self, ids: Sequence[int]) -> int:
         """Max pairwise word-metric distance of a vertex set (``distance_rows``)."""
         return max((max(row, default=0) for row in self.distance_rows(ids)), default=0)
-
-    def dump_csv(self, path) -> None:
-        """Debug dump: one row per vertex (key, distance, neighbor count)."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("key,distance,neighbors\n")
-            for vid in range(self.size):
-                fh.write(f"{self.key_of(vid)},{self.dist_of(vid)},{len(self.neighbors(vid))}\n")
 
 
 # Frontier vertices expanded per batch: the batch's neighbor codes are held
@@ -338,10 +331,9 @@ class SphereSizeSeries:
     for ``BallTable``.
     """
 
-    __slots__ = ("radius", "sizes", "complete_group", "nodes", "_balls")
+    __slots__ = ("sizes", "complete_group", "nodes", "_balls")
 
-    def __init__(self, radius: int, sizes: list[int], complete_group: bool, nodes: int):
-        self.radius = radius
+    def __init__(self, sizes: list[int], complete_group: bool, nodes: int):
         self.sizes = sizes
         self.complete_group = complete_group
         self.nodes = nodes
@@ -369,7 +361,7 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
     budget = _search_budget(radius, budget)
     sizes = _search(_codec(oracle, radius, budget), radius, budget, {})
     nodes = sum(sizes)
-    return SphereSizeSeries(radius, sizes, nodes == oracle.order, nodes)
+    return SphereSizeSeries(sizes, nodes == oracle.order, nodes)
 
 
 class GeodesicAxis:
@@ -380,10 +372,9 @@ class GeodesicAxis:
     word-metric distance exactly |i| from the identity.
     """
 
-    __slots__ = ("base_word", "extent", "_vertices")
+    __slots__ = ("extent", "_vertices")
 
-    def __init__(self, base_word: tuple, extent: int, _vertices: tuple):
-        self.base_word = base_word
+    def __init__(self, extent: int, _vertices: tuple):
         self.extent = extent
         self._vertices = _vertices
 
@@ -426,4 +417,4 @@ def build_axis(oracle: GroupOracle, table: BallTable, extent: int) -> GeodesicAx
             raise NotGeodesic(
                 f"axis vertex at index {idx - extent} is not at distance {expected}"
             )
-    return GeodesicAxis(tuple(word), extent, tuple(vertices))
+    return GeodesicAxis(extent, tuple(vertices))

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import Infeasible, InvalidParameter, TruncationTooSmall
 from .explore import BallTable
-from .groups import Element, GroupOracle, _is_int
+from .groups import Element, GroupOracle, _check_keys, _is_int
 
 TRIANGLE_TOL = 1e-9
 ISOMETRY_MAX_BLOCK = 16
@@ -107,8 +107,13 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteMetricSpace":
+        """Read the JSON form: ``points``, a list of label strings, and ``distances``."""
+        _check_keys(d, ("points", "distances"), "metric space")
         try:
-            return cls(d["points"], d["distances"])
+            points = d["points"]
+            if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+                raise InvalidParameter(f"'points' must be a list of strings, got {points!r}")
+            return cls(points, d["distances"])
         except (KeyError, TypeError) as exc:
             raise InvalidParameter(f"malformed metric space: {exc}") from exc
 
@@ -214,14 +219,6 @@ class GlPartition:
             "k": self.iterations,
             "trivial": self.trivial,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GlPartition":
-        try:
-            return cls(tuple(tuple(b) for b in d["blocks"]), int(d["a"]),
-                       d["D"], int(d["k"]), bool(d["trivial"]))
-        except (KeyError, TypeError) as exc:
-            raise InvalidParameter(f"malformed partition: {exc}") from exc
 
 
 def _check_factor(a) -> None:

@@ -159,9 +159,7 @@ class GroupSpec:
             raise InvalidParameter(f"group spec must be an object with a 'family' key, got {d!r}")
         family = d["family"]
         if isinstance(family, str) and family in FAMILIES:
-            extra = [repr(key) for key in d if key != "family" and key not in FAMILIES[family]]
-            if extra:
-                raise InvalidParameter(f"{family} spec has unexpected keys: {', '.join(extra)}")
+            _check_keys(d, ("family", *FAMILIES[family]), f"{family} spec")
         if family == "product":
             return cls(
                 family,
@@ -186,6 +184,15 @@ def parse_group_spec(text_or_dict) -> GroupSpec:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_keys(d, allowed: tuple, what: str) -> None:
+    """InvalidParameter unless ``d`` is a JSON object with no key outside ``allowed``."""
+    if not isinstance(d, dict):
+        raise InvalidParameter(f"{what} must be an object, got {type(d).__name__}")
+    extra = [repr(key) for key in d if key not in allowed]
+    if extra:
+        raise InvalidParameter(f"{what} has unexpected keys: {', '.join(extra)}")
 
 
 class Codec:

@@ -1,20 +1,18 @@
-"""Growth comparison, detectors, criterion evaluation, covering demo."""
-
-import random
+"""Linear-depth check, detectors, growth against ends, criterion, covering demo."""
 
 import pytest
 
 from endslab import classify
-from endslab.classify import (DominationBounds, GrowthSamples, bounded_sphere_detector,
-                              growth_dominates, linear_end_depth_check,
+from endslab.classify import (bounded_sphere_detector, linear_end_depth_check,
                               sphere_bound_criterion, sphere_cover_demo, uncovered_ids,
                               DEMONSTRATION_ONLY, INFEASIBLE, NO_EVIDENCE, VC_EVIDENCE)
-from endslab.ends import EndDepthProfile, EndDepthResult, end_depth_profile
-from endslab.errors import InvalidParameter
+from endslab.ends import EndDepthProfile, EndDepthResult, end_count_estimate, end_depth_profile
+from endslab.errors import BudgetExceeded, InvalidParameter
 from endslab.explore import build_axis, explore, sphere_size_series
-from endslab.groups import make_group
+from endslab.groups import GroupSpec, make_group
 
 from oracles import lamplighter2_sphere_counts
+from test_groups import ALL_SPECS
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -38,60 +36,6 @@ def plane_series_once():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(classify, "sphere_size_series", series)
         yield
-
-
-def test_domination_linear_under_quadratic():
-    f = GrowthSamples.of(1, list(range(1, 101)))
-    g = GrowthSamples.of(1, [x * x for x in range(1, 101)])
-    witness = growth_dominates(f, g)
-    assert (witness.a1, witness.a2, witness.a3) == (1, 1, 0)
-    assert (witness.x_min, witness.x_max) == (1, 100)
-
-
-def test_domination_of_depth_profile(z2_oracle):
-    profile = end_depth_profile(z2_oracle, 10)
-    f = GrowthSamples.of(1, profile.values())
-    g = GrowthSamples.of(1, list(range(1, 11)))
-    witness = growth_dominates(f, g)
-    assert witness is not None and witness.a1 <= 4
-
-
-def test_domination_exponential_over_linear_has_no_witness():
-    f = GrowthSamples.of(1, [2 ** x for x in range(1, 21)])
-    g = GrowthSamples.of(1, list(range(1, 21)))
-    assert growth_dominates(f, g) is None
-
-
-def test_domination_reflexive():
-    rng = random.Random(1)
-    values = [rng.randint(1, 50) for _ in range(30)]
-    f = GrowthSamples.of(1, values)
-    witness = growth_dominates(f, f)
-    assert (witness.a1, witness.a2, witness.a3) == (1, 1, 0)
-
-
-def test_domination_composes_on_samples():
-    xs = range(1, 41)
-    f = GrowthSamples.of(1, [x + 3 for x in xs])
-    g = GrowthSamples.of(1, [2 * x for x in xs])
-    h = GrowthSamples.of(1, [x * x for x in xs])
-    w_fg = growth_dominates(f, g)
-    w_gh = growth_dominates(g, h)
-    assert w_fg and w_gh
-    a1 = w_fg.a1 * w_gh.a1
-    a2 = w_fg.a2 * w_gh.a2
-    a3 = w_fg.a1 * w_gh.a3 + w_fg.a3
-    for x in range(1, 41):
-        if a2 * x <= h.end:
-            assert f.at(x) <= a1 * h.at(a2 * x) + a3
-
-
-def test_domination_respects_bounds():
-    f = GrowthSamples.of(1, [10 * x for x in range(1, 21)])
-    g = GrowthSamples.of(1, list(range(1, 21)))
-    assert growth_dominates(f, g, DominationBounds(a1_max=8, a2_max=1, a3_max=0)) is None
-    witness = growth_dominates(f, g, DominationBounds(a1_max=10, a2_max=1, a3_max=0))
-    assert witness.a1 == 10
 
 
 def _profile_with(values):
@@ -144,6 +88,26 @@ def test_detector_eventually_constant():
 def test_detector_needs_window():
     with pytest.raises(InvalidParameter):
         bounded_sphere_detector([2] * 19)
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if make_group(s).order is None],
+                         ids=lambda s: GroupSpec.from_dict(s).label())
+def test_growth_matches_ends(spec):
+    # two ends exactly with bounded spheres, one or infinitely many only with
+    # growing spheres, infinitely many only with exponential growth
+    oracle = make_group(spec)
+    ends = end_count_estimate(oracle, 3).classification
+    try:
+        sizes, over_budget = sphere_size_series(oracle, 20, 200_000).sizes, False
+    except BudgetExceeded as exc:
+        sizes, over_budget = sphere_size_series(oracle, exc.radius_reached).sizes, True
+    bounded = not over_budget and bounded_sphere_detector(sizes[1:]).kind == VC_EVIDENCE
+    growing = over_budget or all(a < b for a, b in zip(sizes, sizes[1:]))
+    exponential = all(b >= 1.5 * a for a, b in zip(sizes[-4:], sizes[-3:]))
+    assert ends in ("one", "two", "infinite")
+    assert (ends == "two") == bounded, (ends, sizes)
+    assert ends == "two" or growing, (ends, sizes)
+    assert ends != "infinite" or exponential, (ends, sizes)
 
 
 def test_criterion_on_line_demonstration():

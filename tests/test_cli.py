@@ -581,6 +581,46 @@ def test_foreign_spec_key_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"points": ["a", "b"], "distances": [[0, 1], [1, 0]], "x": 1},
+     "metric space has unexpected keys: 'x'"),
+    ({"points": "ab", "distances": [[0, 1], [1, 0]]},
+     "'points' must be a list of strings, got 'ab'"),
+    ({"points": ["a", 2], "distances": [[0, 1], [1, 0]]},
+     "'points' must be a list of strings, got ['a', 2]"),
+    ([1], "metric space must be an object, got list"),
+], ids=["extra_key", "points_str", "points_int", "list"])
+def test_malformed_metric_space_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never.json"
+    assert main(["glpartition", "--input", str(path), "--a", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert not out.exists()
+
+
+_ITEM = {"K": ["0"], "r": 2, "A": ["-2"], "B": ["2"]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n": 2, "truncation": 12, "items": [_ITEM], "x": 1}, "witness has unexpected keys: 'x'"),
+    ({"n": 2, "truncation": 12, "items": [_ITEM, dict(_ITEM, C=["1"])]},
+     "items[1] has unexpected keys: 'C'"),
+    ({"n": 2, "truncation": 12, "items": [_ITEM, 3]}, "items[1] must be an object, got int"),
+    ([1], "witness must be an object, got list"),
+], ids=["extra_key", "item_extra_key", "item_int", "list"])
+def test_malformed_witness_exit_2(tmp_path, capsys, doc, message):
+    wfile = tmp_path / "witness.json"
+    wfile.write_text(json.dumps(doc))
+    out = tmp_path / "never.json"
+    assert main(["obss", "--group", '{"family":"z"}', "--witness", str(wfile),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert not out.exists()
+
+
 def test_non_finite_distances_exit_2(tmp_path, capsys):
     for bad in ("Infinity", "NaN", "true", '"1"'):
         path = tmp_path / "space.json"

@@ -312,6 +312,21 @@ def test_modules_use_every_import():
     assert unused == []
 
 
+def test_record_fields_are_read():
+    # a slot that neither the package nor a test ever reads records nothing
+    modules = sorted(Path(endslab.__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in modules + sorted(Path(__file__).parent.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = [(path, cls) for path in modules for cls in ast.walk(trees[path])
+               if isinstance(cls, ast.ClassDef)]
+    unread = [f"{path.name}: {cls.name}.{name}" for path, cls in classes for stmt in cls.body
+              if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", "") == "__slots__"
+              for name in ast.literal_eval(stmt.value) if name not in read]
+    assert unread == []
+
+
 def test_axis_families(z_table_30, z2_table_22, dihedral_oracle, lamp_oracle):
     axis = build_axis(z_table_30.oracle, z_table_30, 10)
     assert [axis.vertex(i) for i in (-2, -1, 0, 1, 2)] == [-2, -1, 0, 1, 2]
@@ -355,15 +370,6 @@ def test_axis_extent_bound(z_table_30):
     for bad in (True, 2.0, "2", None):
         with pytest.raises(InvalidParameter, match="axis extent must be an integer"):
             build_axis(z_table_30.oracle, z_table_30, bad)
-
-
-def test_csv_dump(tmp_path, z_table_30):
-    path = tmp_path / "table.csv"
-    z_table_30.dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "key,distance,neighbors"
-    assert lines[1] == "0,0,2"
-    assert len(lines) == z_table_30.size + 1
 
 
 def test_key_round_trip(z_table_30):
