@@ -23,11 +23,21 @@ so n <= 2r.
 A component of B(T) \\ B(r) that misses S(T) is a whole bounded component
 of G \\ B(r), whatever T. By the lemma every bounded component misses S(T)
 once T >= 2r + 1, so from there on the value and the bounded count are
-exact, one ended or not. The default truncation is still 4r + 2, the bound
-this module was first built on: moving it to 2r + 1 changes the truncation
-and node usage that end-depth reports record, so it waits for a change that
-re-pins those reports. The certified flag on results records that the
-truncation reached the default and that the one-endedness evidence held.
+exact, one ended or not. The touching count never grows with T: a vertex
+of S(T + 1) has a neighbor in S(T), so every component that touches
+S(T + 1) contains one that touches S(T). In an infinite group it is at
+least 1, since S(T) is not empty. So where every count is 1 at 2r + 1, the
+sweep is the same at every larger T.
+
+The default truncation is still 4r + 2, the bound this module was first
+built on, and end-depth reports record it with the node usage of B(4r + 2):
+moving it to 2r + 1 changes those reports, so it waits for a change that
+re-pins them. What ``--truncation auto`` explores is less already: a table
+of B(2 r_max + 1), and when every touching count there is 1, only a lean
+count of B(4 r_max + 2) (``sphere_size_series``), whose size the report
+still records as the node usage; else the table of B(4 r_max + 2). The
+certified flag on results records that the truncation reached the default
+and that the one-endedness evidence held.
 
 The vertex ids of a ball table are sorted by distance, which this module
 exploits throughout: a union-find that always keeps the largest id as root
@@ -37,13 +47,12 @@ root itself.
 
 from __future__ import annotations
 
-import json
 from array import array
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidParameter, TruncationTooSmall
-from .explore import BallTable, explore
-from .groups import GroupOracle, _check_keys, _is_int, generator_words
+from .explore import BallTable, explore, sphere_size_series
+from .groups import GroupOracle, _check_keys, _is_int, _loads, generator_words
 
 #: Extra layers beyond the 4r bound: one so that a bounded component confined
 #: in B(4r) cannot meet the boundary sphere, one more as slack for the annulus.
@@ -276,6 +285,14 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     truncation leaves the affected radii uncertified; one at or below r_max
     raises InvalidParameter.
 
+    Without a caller's table, an infinite group is explored to 2 r_max + 1
+    first when that lies below every truncation the profile reads (T - 1
+    and T for the ends estimate, T alone otherwise). If every touching
+    count there is 1, that sweep is the sweep at T (module docstring) and
+    ``nodes_explored`` still counts B(T), from ``sphere_size_series``;
+    otherwise B(T) is explored and swept. A budget error names T as the
+    radius requested either way.
+
     One-endedness is taken from ``one_ended`` when the caller asserts it,
     otherwise from the ends estimate over the schedule (truncation - 1,
     truncation), as ``end_count_estimate`` would give it. Groups whose
@@ -292,24 +309,33 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
         truncation = default_truncation(r_max)
     if truncation <= r_max:
         raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
-    table = _ball_table(oracle, truncation, budget, table)
-    finite = table.complete_group
-    if finite:
-        truncation = table.reached
-        if truncation <= r_max:
+    finite = oracle.order is not None
+    estimate = not finite and one_ended is None
+    truncs = (truncation - 1, truncation) if estimate else (truncation,)
+    settled = None
+    if table is None and not finite and 2 * r_max + 1 < truncs[0]:
+        settled = _settled_sweep(oracle, r_max, truncation, budget)
+    if settled is not None:
+        table, nodes, sweep = settled
+        sweeps = dict.fromkeys(truncs, sweep)
+    else:
+        table = _ball_table(oracle, truncation, budget, table)
+        nodes = table.size
+        if finite:
+            truncation = table.reached
+            truncs = (truncation,)
+            if truncation <= r_max:
+                raise InvalidParameter(
+                    f"the whole group lies within radius {table.reached}; "
+                    f"no complement to analyze at r_max={r_max}")
+        elif estimate and truncation - 1 <= r_max:
             raise InvalidParameter(
-                f"the whole group lies within radius {table.reached}; "
-                f"no complement to analyze at r_max={r_max}")
-    elif one_ended is None and truncation - 1 <= r_max:
-        raise InvalidParameter(
-            f"the ends estimate needs truncation >= r_max + 2, "
-            f"got truncation {truncation} for r_max={r_max}")
+                f"the ends estimate needs truncation >= r_max + 2, "
+                f"got truncation {truncation} for r_max={r_max}")
+        # snapshots 0..r_max - 1 also give the ends estimate its counts e(r)
+        sweeps = _complement_sweep(table, range(r_max + 1), truncs)
 
     radii = range(1, r_max + 1)
-    # snapshots 0..r_max - 1 also give the ends estimate its counts e(r)
-    estimate = not finite and one_ended is None
-    sweeps = _complement_sweep(table, range(r_max + 1),
-                               (truncation - 1, truncation) if estimate else (truncation,))
     sweep = sweeps[truncation]
     if finite:
         classification, one_ended_evidence = CLASS_ZERO, False
@@ -336,7 +362,31 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
             not one_ended_evidence))
 
     return EndDepthProfile(oracle.label(), generator_words(oracle), entries,
-                           classification, truncation, table.size)
+                           classification, truncation, nodes)
+
+
+def _settled_sweep(oracle: GroupOracle, r_max: int, truncation: int,
+                   budget: Optional[int]) -> Optional[tuple]:
+    """(table, nodes, sweep) that give the sweep of B(``truncation``) for
+    snapshots 0..r_max without its table, or None when they cannot.
+
+    In an infinite group the sweep of B(2 r_max + 1) decides: its bounded
+    components are those of every larger truncation (module docstring), and
+    so are their ids, a prefix of every larger table's. A touching count
+    never grows with T and stays at least 1, so where every count there is
+    1 the whole sweep holds at ``truncation``. Then ``nodes`` is |B(T)|,
+    from a search that keeps no table. A budget error names ``truncation``
+    as the radius requested, as the search of B(T) would.
+    """
+    double = 2 * r_max + 1
+    try:
+        table = explore(oracle, double, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(exc.budget, exc.nodes, exc.radius_reached, truncation) from None
+    sweep = _complement_sweep(table, range(r_max + 1), (double,))[double]
+    if any(touching != 1 for _, touching, _ in sweep.values()):
+        return None
+    return table, sphere_size_series(oracle, truncation, budget).nodes, sweep
 
 
 class EndsEstimate:
@@ -508,7 +558,7 @@ class ObssWitness:
 
     @classmethod
     def from_json(cls, text: str) -> "ObssWitness":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_loads(text, "witness"))
 
 
 def _keys(item: dict, field: str, idx: int) -> tuple:

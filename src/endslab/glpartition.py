@@ -16,7 +16,6 @@ matrix, sharing no state with the builder.
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from itertools import compress
 from math import isfinite
@@ -25,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import Infeasible, InvalidParameter, TruncationTooSmall
 from .explore import BallTable
-from .groups import Element, GroupOracle, _check_keys, _is_int
+from .groups import Element, GroupOracle, _check_keys, _is_int, _loads
 
 TRIANGLE_TOL = 1e-9
 ISOMETRY_MAX_BLOCK = 16
@@ -119,7 +118,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteMetricSpace":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_loads(text, "metric space"))
 
     @classmethod
     def from_line(cls, positions: Sequence[float], labels: Optional[Sequence[str]] = None):

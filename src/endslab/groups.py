@@ -175,7 +175,7 @@ def parse_group_spec(text_or_dict) -> GroupSpec:
         return text_or_dict
     if isinstance(text_or_dict, str):
         try:
-            decoded = json.loads(text_or_dict)
+            decoded = _loads(text_or_dict, "group spec")
         except json.JSONDecodeError as exc:
             raise InvalidParameter(f"invalid group spec JSON: {exc}") from exc
         return GroupSpec.from_dict(decoded)
@@ -184,6 +184,19 @@ def parse_group_spec(text_or_dict) -> GroupSpec:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _loads(text: str, what: str):
+    """Decode JSON, rejecting an object that repeats a key: plain
+    ``json.loads`` keeps the last copy and drops the others unseen."""
+    def unique_keys(pairs: list) -> dict:
+        d = {}
+        for key, value in pairs:
+            if key in d:
+                raise InvalidParameter(f"{what} repeats the key {key!r}")
+            d[key] = value
+        return d
+    return json.loads(text, object_pairs_hook=unique_keys)
 
 
 def _check_keys(d, allowed: tuple, what: str) -> None:

@@ -274,6 +274,21 @@ def test_finite_group_explored_whole(tmp_path, capsys):
         assert "requested" not in err
 
 
+@pytest.mark.parametrize("budget,message", [
+    (2_000, "node budget 2000 exceeded after 2474 vertices: reached radius 10 of requested 22"),
+    (100_000, "node budget 100000 exceeded after 100884 vertices: "
+              "reached radius 18 of requested 22"),
+], ids=["below_B(11)", "below_B(22)"])
+def test_end_depth_budget_exit_names_whole_ball(tmp_path, capsys, budget, message):
+    # lamplighter(2) at rmax 5 settles on B(11), 2,474 vertices, yet the
+    # budget still covers B(22), 611,158: a budget short of either fails
+    # with the message a search of B(22) gives
+    code, _ = run(tmp_path, "never.json", ["end-depth", "--group", '{"family":"lamplighter","m":2}',
+                                           "--rmax", "5", "--budget", str(budget)])
+    assert code == 3
+    assert f"endslab: infeasible: {message}\n" in capsys.readouterr().err
+
+
 def test_demo_budget_exit_names_radius(tmp_path, capsys):
     code, _ = run(tmp_path, "demo.json", ["demo-cover", "--group", '{"family":"z"}',
                                           "--a", "3", "--n", "2", "--budget", "6000"])
@@ -443,7 +458,10 @@ def test_outer_sphere_wired_only_where_read(tmp_path, monkeypatch, command, opti
                   '{"family":"z_cross_cyclic","m":4}', '{"family":"z_cross_cyclic","m":3}'):
         code, _ = run(tmp_path, "out.json", [command, "--group", group, *options])
         assert code == 0
-    assert wired == ["z_cross_cyclic(3)"]
+    # end-depth on the two-ended z_cross_cyclic(3) reads B(5), whose counts
+    # of 2 settle nothing, and then B(10): each table wires its outer sphere
+    expected = ["z_cross_cyclic(3)"] * (2 if command == "end-depth" else 1)
+    assert wired == expected
     # a witness check reads rows within radius R - 1 only, even on a family
     # with edges inside S(R): the second item's reach |k| + r is R = 8
     witness = tmp_path / "witness.json"
@@ -453,7 +471,7 @@ def test_outer_sphere_wired_only_where_read(tmp_path, monkeypatch, command, opti
     code, _ = run(tmp_path, "obss.json", ["obss", "--group", '{"family":"z_cross_cyclic","m":3}',
                                           "--witness", str(witness)])
     assert code == 0
-    assert wired == ["z_cross_cyclic(3)"]
+    assert wired == expected
 
 
 # SHA-256 of glpartition reports on spaces built here: multi-block, line, collapsing
@@ -579,6 +597,28 @@ def test_foreign_spec_key_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'bogus'" in err and "'k'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option,text,message", [
+    ("growth", "--group", '{"family":"z_pow","k":5,"k":2}', "group spec repeats the key 'k'"),
+    ("glpartition", "--input", '{"points":["a","b"],"points":["c","d"],"distances":[[0,1],[1,0]]}',
+     "metric space repeats the key 'points'"),
+    ("obss", "--witness",
+     '{"n":2,"truncation":12,"items":[{"K":["0"],"r":2,"r":3,"A":["-2"],"B":["2"]}]}',
+     "witness repeats the key 'r'"),
+], ids=["group", "metric_space", "witness"])
+def test_repeated_json_key_exit_2(tmp_path, capsys, command, option, text, message):
+    # plain JSON decoding would keep the last copy of the key and exit 0
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    args = {"growth": ["--rmax", "2"], "glpartition": ["--a", "3"],
+            "obss": ["--group", '{"family":"z"}']}[command]
+    out = tmp_path / "never.json"
+    for source in ([text, str(path)] if command == "growth" else [str(path)]):
+        assert main([command, option, source, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -12,12 +12,14 @@ from endslab.ends import (ObssWitness, WitnessItem, _complement_sweep,
                           check_obss_witness, end_count_estimate, end_depth,
                           end_depth_profile)
 from endslab.errors import BudgetExceeded, InvalidParameter, TruncationTooSmall
-from endslab.explore import BallTable, build_axis, explore
+from endslab.explore import BallTable, build_axis, explore, sphere_size_series
 from endslab.groups import Codec, GroupSpec, make_group
 
 from oracles import (complement_components, line_witness, reference_bfs,
                      reference_obss_components)
 from test_groups import ALL_SPECS
+
+INFINITE_SPECS = [s for s in ALL_SPECS if make_group(s).order is None]
 
 
 def test_line_complement_two_rays(z_table_30):
@@ -225,8 +227,7 @@ def _exact_from_double_radius(oracle, table):
             [(e.value, e.bounded_count) for e in deepest])
 
 
-@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if make_group(s).order is None],
-                         ids=lambda s: GroupSpec.from_dict(s).label())
+@pytest.mark.parametrize("spec", INFINITE_SPECS, ids=lambda s: GroupSpec.from_dict(s).label())
 def test_truncation_double_radius_exact(spec):
     # in an infinite group every bounded component of G \ B(r) lies in
     # B(2r) (the ends module docstring), so truncating at 2r + 1 already
@@ -241,6 +242,78 @@ def test_lamplighter_depth_at_double_radius(lamp_oracle, lamp_table_22):
     assert at_double == deepest
     assert [v for v, _ in at_double] == [1, 2, 3, 4, 5, 7, 7, 9, 10, 11]
     assert [c for _, c in at_double] == [0, 0, 0, 0, 0, 1, 0, 2, 2, 3]
+
+
+@pytest.mark.parametrize("spec", INFINITE_SPECS, ids=lambda s: GroupSpec.from_dict(s).label())
+def test_touching_counts_settle(spec):
+    # the facts the settled end-depth path rests on, read off the reference
+    # decomposition for every r and every T from r + 1: the touching count
+    # is at least 1 and never grows with T, and the bounded count and the
+    # value stop moving at T = 2r + 1
+    table = _ball_within(make_group(spec), 12, 5_000)
+    for r in range(table.reached):
+        touching = at_double = None
+        for trunc in range(r + 1, table.reached + 1):
+            decomp = complement_components(table, r, trunc)
+            assert _complement_sweep(table, [r], [trunc])[trunc][r][1] == decomp.touching_count
+            assert 1 <= decomp.touching_count <= (touching or decomp.touching_count), (r, trunc)
+            touching = decomp.touching_count
+            bounded = (len(decomp.bounded_components),
+                       max(map(table.dist_of, decomp.bounded_ids()), default=r))
+            if trunc == 2 * r + 1:
+                at_double = bounded
+            assert trunc <= 2 * r + 1 or bounded == at_double, (r, trunc)
+
+
+_LAMP = {"family": "lamplighter", "m": 2}
+_LAMP_FREE = {"family": "product", "left": _LAMP, "right": {"family": "free", "k": 2}}
+
+
+@pytest.mark.parametrize("spec,r_max", [
+    *((s, r) for r in (1, 2) for s in INFINITE_SPECS if (s, r) != (_LAMP_FREE, 2)),
+    (_LAMP, 3), (_LAMP, 5),
+], ids=lambda x: GroupSpec.from_dict(x).label() if isinstance(x, dict) else str(x))
+def test_default_path_matches_whole_table(spec, r_max, monkeypatch):
+    # where every touching count is 1 at 2 r_max + 1 the profile explores
+    # only B(2 r_max + 1); with or without the ends estimate it must give
+    # what a sweep of the whole B(T) gives, node count included
+    settled = spec in ({"family": "z_pow", "k": 3}, _LAMP_FREE) or (spec, r_max) == (_LAMP, 5)
+    oracle = make_group(spec)
+    trunc = 4 * r_max + 2
+    table = explore(oracle, trunc)
+    radii = []
+
+    def counted(oracle, radius, budget=None):
+        radii.append(radius)
+        return explore(oracle, radius, budget)
+
+    monkeypatch.setattr(ends, "explore", counted)
+    for one_ended in (None, True):
+        radii.clear()
+        got = end_depth_profile(oracle, r_max, one_ended=one_ended)
+        want = end_depth_profile(oracle, r_max, one_ended=one_ended, table=table,
+                                 truncation=trunc)
+        assert [e.to_dict() for e in got.entries] == [e.to_dict() for e in want.entries]
+        assert (got.classification, got.truncation_max) == (want.classification,
+                                                            want.truncation_max)
+        assert got.nodes_explored == want.nodes_explored == table.size
+        assert radii == ([2 * r_max + 1] if settled else [2 * r_max + 1, trunc])
+
+
+@pytest.mark.parametrize("r_max", [3, 5], ids=["unsettled", "settled"])
+def test_profile_budget_error_names_whole_ball(lamp_oracle, r_max):
+    # a budget short of B(2 r_max + 1), or of B(T) only, fails as a search
+    # of B(T) under that budget would, word for word
+    trunc = 4 * r_max + 2
+    sizes = sphere_size_series(lamp_oracle, trunc)
+    for budget in (sizes.ball(2 * r_max + 1) - 1, sizes.ball(2 * r_max + 3)):
+        with pytest.raises(BudgetExceeded) as want:
+            explore(lamp_oracle, trunc, budget)
+        for one_ended in (None, True):
+            with pytest.raises(BudgetExceeded) as got:
+                end_depth_profile(lamp_oracle, r_max, budget=budget, one_ended=one_ended)
+            assert str(got.value) == str(want.value)
+            assert got.value.radius_requested == trunc
 
 
 def test_profile_values_and_floor(z2_oracle):
@@ -268,7 +341,7 @@ def test_profile_classification_matches_estimate(spec, r_max, trunc):
     assert profile.classification == estimate.classification
 
 
-def test_one_sweep_per_command(z2_oracle, monkeypatch):
+def test_one_sweep_per_command(z_oracle, z2_oracle, monkeypatch):
     calls = []
 
     def counted(table, snapshots, truncations):
@@ -276,11 +349,17 @@ def test_one_sweep_per_command(z2_oracle, monkeypatch):
         return _complement_sweep(table, snapshots, truncations)
 
     monkeypatch.setattr(ends, "_complement_sweep", counted)
+    # every touching count of Z^2 is 1 at 2 r_max + 1 = 7, which settles
+    # the counts at 13 and 14 too
     end_depth_profile(z2_oracle, 3)
-    assert calls == [(13, 14)]
+    assert calls == [(7,)]
     calls.clear()
     end_depth_profile(z2_oracle, 3, one_ended=True)
-    assert calls == [(14,)]
+    assert calls == [(7,)]
+    calls.clear()
+    # the line's counts of 2 settle nothing: the whole B(14) is swept
+    end_depth_profile(z_oracle, 3)
+    assert calls == [(7,), (13, 14)]
     calls.clear()
     end_count_estimate(z2_oracle, 3, schedule=(5, 7, 9))
     assert calls == [(5, 7, 9)]
