@@ -252,12 +252,13 @@ def test_touching_counts_settle(spec):
     # value stop moving at T = 2r + 1
     table = _ball_within(make_group(spec), 12, 5_000)
     for r in range(table.reached):
-        touching = at_double = None
+        previous = at_double = None
         for trunc in range(r + 1, table.reached + 1):
             decomp = complement_components(table, r, trunc)
-            assert _complement_sweep(table, [r], [trunc])[trunc][r][1] == decomp.touching_count
-            assert 1 <= decomp.touching_count <= (touching or decomp.touching_count), (r, trunc)
             touching = decomp.touching_count
+            assert _complement_sweep(table, [r], [trunc])[trunc][r][1] == touching
+            assert touching >= 1 and (previous is None or touching <= previous), (r, trunc)
+            previous = touching
             bounded = (len(decomp.bounded_components),
                        max(map(table.dist_of, decomp.bounded_ids()), default=r))
             if trunc == 2 * r + 1:
