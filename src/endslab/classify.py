@@ -18,7 +18,7 @@ from .explore import (DEFAULT_NODE_BUDGET, BallTable, GeodesicAxis, build_axis,
                       explore, sphere_size_series)
 from .ends import EndDepthProfile
 from .glpartition import build_gl_partition, similar_partitions, sphere_as_metric_space
-from .groups import GroupOracle, _is_int
+from .groups import GroupOracle, Record, _is_int
 
 VC_EVIDENCE = "virtually_cyclic_evidence"
 INFEASIBLE = "infeasible"
@@ -32,18 +32,14 @@ CRITERION_MIN_FACTOR = 100
 LINEAR_DEPTH_FACTOR = 4
 
 
-class LinearityReport:
+class LinearityReport(Record):
     """Check of depth values against the linear bound value <= 4r."""
 
-    __slots__ = ("checked", "max_ratio", "passed", "violations", "note")
+    __slots__ = ("checked", "max_ratio", "violations", "note")
 
-    def __init__(self, checked: int, max_ratio: Optional[float], passed: bool,
-                 violations: list, note: str = ""):
-        self.checked = checked
-        self.max_ratio = max_ratio
-        self.passed = passed
-        self.violations = violations
-        self.note = note
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {"checked": self.checked, "max_ratio": self.max_ratio,
@@ -59,24 +55,19 @@ def linear_end_depth_check(profile: EndDepthProfile) -> LinearityReport:
     """
     entries = profile.certified_entries()
     if not entries:
-        return LinearityReport(0, None, True, [],
-                               "no certified entries to check")
+        return LinearityReport(0, None, [], "no certified entries to check")
     violations = [
         {"r": e.r, "value": e.value}
         for e in entries if e.value > LINEAR_DEPTH_FACTOR * e.r
     ]
     max_ratio = max(e.value / e.r for e in entries)
-    return LinearityReport(len(entries), max_ratio, not violations, violations)
+    return LinearityReport(len(entries), max_ratio, violations, "")
 
 
-class Verdict:
+class Verdict(Record):
     """A detector outcome: the kind plus its numeric evidence."""
 
     __slots__ = ("kind", "details")
-
-    def __init__(self, kind: str, details: Optional[dict] = None):
-        self.kind = kind
-        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "details": self.details}
@@ -154,37 +145,27 @@ def sphere_bound_criterion(oracle: GroupOracle, a: int, n: int,
     return Verdict(DEMONSTRATION_ONLY, details)
 
 
-class DemoStep:
+class DemoStep(Record):
     __slots__ = ("step", "ok", "detail")
-
-    def __init__(self, step: str, ok: bool, detail: Optional[dict] = None):
-        self.step = step
-        self.ok = ok
-        self.detail = {} if detail is None else detail
 
     def to_dict(self) -> dict:
         return {"step": self.step, "ok": self.ok, "detail": self.detail}
 
 
-class DemoReport:
-    """Step-by-step outcome of the sphere-covering demonstration."""
+class DemoReport(Record):
+    """Step-by-step outcome of the sphere-covering demonstration; D is None
+    when the demo declined."""
 
-    __slots__ = ("group", "a", "n", "rho", "steps", "passed", "declined", "D",
-                 "nodes_explored", "note")
+    __slots__ = ("group", "a", "n", "rho", "steps", "D", "nodes_explored", "note")
 
-    def __init__(self, group: str, a: int, n: int, rho: int, steps: list, passed: bool,
-                 declined: bool, D: Optional[int] = None, nodes_explored: int = 0,
-                 note: str = ""):
-        self.group = group
-        self.a = a
-        self.n = n
-        self.rho = rho
-        self.steps = steps
-        self.passed = passed
-        self.declined = declined
-        self.D = D
-        self.nodes_explored = nodes_explored
-        self.note = note
+    @property
+    def passed(self) -> bool:
+        return all(s.ok for s in self.steps)
+
+    @property
+    def declined(self) -> bool:
+        """The first step, the sphere-size hypothesis, failed."""
+        return not self.steps[0].ok
 
     def to_dict(self) -> dict:
         return {
@@ -226,8 +207,7 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
     steps.append(DemoStep("sphere_size_hypothesis", hypothesis_ok,
                           {"radius": rho, "sphere_size": size, "max_allowed": n}))
     if not hypothesis_ok:
-        return DemoReport(oracle.label(), a, n, rho, steps, False, True,
-                          nodes_explored=series.nodes, note=note)
+        return DemoReport(oracle.label(), a, n, rho, steps, None, series.nodes, note)
 
     table = explore(oracle, 3 * rho + 40, budget)
 
@@ -275,9 +255,7 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
          "sphere_radius": D, "centers": [-40 * D, 40 * D],
          "missing": [table.key_of(v) for v in missing[:5]]}))
 
-    passed = hypothesis_ok and similar and same_D and covering_ok
-    return DemoReport(oracle.label(), a, n, rho, steps, passed, False,
-                      D=D, nodes_explored=table.size, note=note)
+    return DemoReport(oracle.label(), a, n, rho, steps, D, table.size, note)
 
 
 def uncovered_ids(table: BallTable, axis: GeodesicAxis, D: int) -> list:

@@ -207,13 +207,28 @@ def _budget(args) -> int:
     return value
 
 
+def _row_series(oracle, rmax: int, budget: int):
+    """The sphere sizes of radii 0..rmax, one report row per radius.
+
+    In an infinite group the ball of radius rmax has more than rmax + 1
+    vertices, so the search's budget bounds the rows too. A finite group's
+    search stops at its diameter, so its rows are held to the budget here:
+    Infeasible when rmax + 1 exceeds it."""
+    series = sphere_size_series(oracle, rmax, budget)
+    if oracle.order is not None and rmax + 1 > budget:
+        raise Infeasible(
+            f"--rmax {rmax} asks for {rmax + 1} rows, above the node budget {budget}; "
+            f"the whole group lies within radius {len(series.sizes) - 1}")
+    return series
+
+
 # Each handler returns (parameters, nodes explored, payload, exit code);
 # _run adds the generators to the parameters and renders the report.
 
 def cmd_growth(args, oracle, budget):
     if args.rmax < 0:
         raise InvalidParameter("--rmax must be >= 0")
-    series = sphere_size_series(oracle, args.rmax, budget)
+    series = _row_series(oracle, args.rmax, budget)
     rows = [[r, series.sphere(r), series.ball(r)] for r in range(args.rmax + 1)]
     if args.format == "csv":
         payload = {"header": ["r", "sphere_size", "ball_size"], "rows": rows}
@@ -229,15 +244,14 @@ def cmd_end_depth(args, oracle, budget):
             truncation = int(args.truncation)
         except ValueError:
             raise InvalidParameter("--truncation must be 'auto' or an integer") from None
-    one_ended = True if args.assume_one_ended else None
     profile = ends.end_depth_profile(oracle, args.rmax, budget=budget,
-                                     one_ended=one_ended, truncation=truncation)
+                                     one_ended=args.assume_one_ended, truncation=truncation)
     check = classify.linear_end_depth_check(profile)
     warnings = sorted({"NotOneEnded" for e in profile.entries if e.not_one_ended_warning})
     payload = {"profile": profile.to_dict(), "linearity": check.to_dict(),
                "warnings": warnings}
     params = {"rmax": args.rmax, "truncation": args.truncation,
-              "assume_one_ended": bool(args.assume_one_ended)}
+              "assume_one_ended": args.assume_one_ended}
     code = EXIT_OK if check.passed else EXIT_CHECK_FAILED
     return params, profile.nodes_explored, payload, code
 
@@ -296,7 +310,7 @@ def cmd_classify(args, oracle, budget):
         for option, value in (("--a", args.a), ("--n", args.n)):
             if value is not None:
                 raise InvalidParameter(f"spheres mode takes no {option}")
-        series = sphere_size_series(oracle, rmax, budget)
+        series = _row_series(oracle, rmax, budget)
         sizes = [series.sphere(r) for r in range(1, rmax + 1)]
         verdict = classify.bounded_sphere_detector(sizes)
         params = {"mode": "spheres", "rmax": rmax}

@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidParameter, TruncationTooSmall
 from .explore import BallTable, explore, sphere_size_series
-from .groups import GroupOracle, _check_keys, _is_int, _loads, generator_words
+from .groups import GroupOracle, Record, _check_keys, _is_int, _loads, generator_words
 
 #: Extra layers beyond the 4r bound: one so that a bounded component confined
 #: in B(4r) cannot meet the boundary sphere, one more as slack for the annulus.
@@ -182,22 +182,11 @@ def _finish(table: BallTable, parent: array, snaps: list, active_lo: int, hi: in
     return results
 
 
-class EndDepthResult:
+class EndDepthResult(Record):
     """Depth of the bounded complement components at one radius."""
 
     __slots__ = ("r", "value", "certified", "truncation", "bounded_count",
                  "ends_classification", "not_one_ended_warning")
-
-    def __init__(self, r: int, value: int, certified: bool, truncation: int,
-                 bounded_count: int, ends_classification: Optional[str],
-                 not_one_ended_warning: bool):
-        self.r = r
-        self.value = value
-        self.certified = certified
-        self.truncation = truncation
-        self.bounded_count = bounded_count
-        self.ends_classification = ends_classification
-        self.not_one_ended_warning = not_one_ended_warning
 
     def to_dict(self) -> dict:
         return {
@@ -216,7 +205,7 @@ def default_truncation(r: int) -> int:
 
 
 def end_depth(oracle: GroupOracle, r: int, truncation: Optional[int] = None,
-              one_ended: Optional[bool] = None, budget: Optional[int] = None,
+              one_ended: bool = False, budget: Optional[int] = None,
               table: Optional[BallTable] = None) -> EndDepthResult:
     """Depth of the bounded components of the complement of B(r): the last
     entry of ``end_depth_profile`` with r_max = r, which sets out the
@@ -242,20 +231,12 @@ def _ball_table(oracle: GroupOracle, radius: int, budget: Optional[int],
                              exc.radius_requested, oracle.order) from None
 
 
-class EndDepthProfile:
-    """Depth values for every radius 1..r_max, with certification flags."""
+class EndDepthProfile(Record):
+    """Depth values for every radius 1..r_max, with certification flags;
+    ``entries`` holds one ``EndDepthResult`` per radius."""
 
     __slots__ = ("group", "generators", "entries", "classification",
                  "truncation_max", "nodes_explored")
-
-    def __init__(self, group: str, generators: list, entries: list,
-                 classification: str, truncation_max: int, nodes_explored: int):
-        self.group = group
-        self.generators = generators
-        self.entries = entries            # of EndDepthResult
-        self.classification = classification
-        self.truncation_max = truncation_max
-        self.nodes_explored = nodes_explored
 
     def values(self) -> list:
         return [e.value for e in self.entries]
@@ -274,7 +255,7 @@ class EndDepthProfile:
 
 
 def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = None,
-                      one_ended: Optional[bool] = None,
+                      one_ended: bool = False,
                       table: Optional[BallTable] = None,
                       truncation: Optional[int] = None) -> EndDepthProfile:
     """Profile r -> depth for r = 1..r_max over a single exploration.
@@ -293,15 +274,15 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     otherwise B(T) is explored and swept. A budget error names T as the
     radius requested either way.
 
-    One-endedness is taken from ``one_ended`` when the caller asserts it,
-    otherwise from the ends estimate over the schedule (truncation - 1,
-    truncation), as ``end_count_estimate`` would give it. Groups whose
-    estimate is not "one" get their values anyway, flagged with a warning,
-    since the notion is only meaningful one ended. A finite group has no
-    unbounded component: it is explored whole, whatever the truncation, so
-    its whole complement is bounded, the depth and the truncation are its
-    diameter, and it classifies as zero, never certified. An r_max at or past
-    that diameter leaves no complement and raises InvalidParameter.
+    ``one_ended=True`` asserts one-endedness; otherwise it is taken from
+    the ends estimate over the schedule (truncation - 1, truncation), as
+    ``end_count_estimate`` would give it. Groups whose estimate is not
+    "one" get their values anyway, flagged with a warning, since the notion
+    is only meaningful one ended. A finite group has no unbounded
+    component: it is explored whole, whatever the truncation, so its whole
+    complement is bounded, the depth and the truncation are its diameter,
+    and it classifies as zero, never certified. An r_max at or past that
+    diameter leaves no complement and raises InvalidParameter.
     """
     if not _is_int(r_max) or r_max < 1:
         raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
@@ -310,7 +291,7 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     if truncation <= r_max:
         raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
     finite = oracle.order is not None
-    estimate = not finite and one_ended is None
+    estimate = not finite and not one_ended
     truncs = (truncation - 1, truncation) if estimate else (truncation,)
     settled = None
     if table is None and not finite and 2 * r_max + 1 < truncs[0]:
@@ -344,7 +325,7 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
         classification = _classify_counts(prev, last)[1]
         one_ended_evidence = classification == CLASS_ONE
     else:
-        classification, one_ended_evidence = None, bool(one_ended)
+        classification, one_ended_evidence = None, True
 
     entries = []
     for r in radii:
@@ -389,29 +370,30 @@ def _settled_sweep(oracle: GroupOracle, r_max: int, truncation: int,
     return table, sphere_size_series(oracle, truncation, budget).nodes, sweep
 
 
-class EndsEstimate:
+_STABILIZED = {CLASS_ZERO: 0, CLASS_ONE: 1, CLASS_TWO: 2}
+
+
+class EndsEstimate(Record):
     """Boundary-touching component counts and the end count they support.
 
-    The classification snaps to the only possible values 0, 1, 2 or infinity;
+    ``counts`` maps each truncation to [e(1), ..., e(r_max)]. The
+    classification snaps to the only possible values 0, 1, 2 or infinity;
     counts that have not stabilized across the last two truncations leave it
     inconclusive. This is finite evidence, not a proof.
     """
 
     __slots__ = ("group", "r_max", "schedule", "counts", "stable", "classification",
-                 "stabilized", "complete_group", "nodes_explored")
+                 "nodes_explored")
 
-    def __init__(self, group: str, r_max: int, schedule: tuple, counts: dict,
-                 stable: list, classification: str, stabilized: Optional[int],
-                 complete_group: bool, nodes_explored: int):
-        self.group = group
-        self.r_max = r_max
-        self.schedule = schedule
-        self.counts = counts              # truncation -> [e(1), ..., e(r_max)]
-        self.stable = stable
-        self.classification = classification
-        self.stabilized = stabilized
-        self.complete_group = complete_group
-        self.nodes_explored = nodes_explored
+    @property
+    def complete_group(self) -> bool:
+        """Whether the table held the whole group: a finite group, zero ends."""
+        return self.classification == CLASS_ZERO
+
+    @property
+    def stabilized(self) -> Optional[int]:
+        """The end count 0, 1 or 2 the counts settled on; None otherwise."""
+        return _STABILIZED.get(self.classification)
 
     def final_counts(self) -> list:
         return self.counts[self.schedule[-1]]
@@ -465,17 +447,16 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
               for t in schedule}
 
     if table.complete_group:
-        return EndsEstimate(oracle.label(), r_max, schedule, counts, [],
-                            CLASS_ZERO, 0, True, table.size)
-    stable, classification, stabilized = _classify_counts(
-        counts[schedule[-2]], counts[schedule[-1]])
+        stable, classification = [], CLASS_ZERO
+    else:
+        stable, classification = _classify_counts(counts[schedule[-2]], counts[schedule[-1]])
     return EndsEstimate(oracle.label(), r_max, schedule, counts, stable,
-                        classification, stabilized, False, table.size)
+                        classification, table.size)
 
 
 def _classify_counts(prev: list, last: list) -> tuple:
-    """(stable flags, classification, stabilized count) from e(1..r_max) at
-    the last two truncations of a schedule.
+    """(stable flags, classification) from e(1..r_max) at the last two
+    truncations of a schedule.
 
     The upper half of the radii decides: stable there at constant 1 or 2
     gives one or two ends; stable everywhere, nondecreasing and ending at
@@ -484,7 +465,6 @@ def _classify_counts(prev: list, last: list) -> tuple:
     r_max = len(last)
     stable = [a == b for a, b in zip(prev, last)]
     classification = CLASS_INCONCLUSIVE
-    stabilized = None
 
     tail_from = max(1, (r_max + 1) // 2)
     tail = range(tail_from - 1, r_max)
@@ -492,41 +472,32 @@ def _classify_counts(prev: list, last: list) -> tuple:
     if tail_stable:
         tail_values = {last[i] for i in tail}
         if tail_values == {1}:
-            classification, stabilized = CLASS_ONE, 1
+            classification = CLASS_ONE
         elif tail_values == {2}:
-            classification, stabilized = CLASS_TWO, 2
+            classification = CLASS_TWO
     if classification == CLASS_INCONCLUSIVE:
         nondecreasing = all(x <= y for x, y in zip(last, last[1:]))
         if all(stable) and nondecreasing and last[-1] >= 3:
             classification = CLASS_INFINITE
-    return stable, classification, stabilized
+    return stable, classification
 
 
-class WitnessItem:
+class WitnessItem(Record):
     """One separating configuration: a small set K, a reach radius, and two
     vertex sets that should fall in different components around K."""
 
     __slots__ = ("K", "r", "A", "B")
 
-    def __init__(self, K: tuple, r: int, A: tuple, B: tuple):
-        self.K = K
-        self.r = r
-        self.A = A
-        self.B = B
 
-
-class ObssWitness:
+class ObssWitness(Record):
     """Finite family of separating configurations with growing reach.
 
-    Vertex sets are given by canonical key strings inside one ball table.
+    Vertex sets are given by canonical key strings inside one ball table;
+    ``truncation``, the radius to explore, is None when the witness names
+    none.
     """
 
     __slots__ = ("n", "items", "truncation")
-
-    def __init__(self, n: int, items: list, truncation: Optional[int] = None):
-        self.n = n
-        self.items = items
-        self.truncation = truncation
 
     def to_dict(self) -> dict:
         d = {
@@ -569,26 +540,10 @@ def _keys(item: dict, field: str, idx: int) -> tuple:
     return tuple(keys)
 
 
-class WitnessItemReport:
+class WitnessItemReport(Record):
     __slots__ = ("index", "r", "diam_K", "diam_K_ok", "sets_nonempty", "sets_disjoint",
                  "A_single_component", "B_single_component", "distinct_components",
                  "diam_A", "diam_B")
-
-    def __init__(self, index: int, r: int, diam_K: int, diam_K_ok: bool,
-                 sets_nonempty: bool, sets_disjoint: bool, A_single_component: bool,
-                 B_single_component: bool, distinct_components: bool,
-                 diam_A: int, diam_B: int):
-        self.index = index
-        self.r = r
-        self.diam_K = diam_K
-        self.diam_K_ok = diam_K_ok
-        self.sets_nonempty = sets_nonempty
-        self.sets_disjoint = sets_disjoint
-        self.A_single_component = A_single_component
-        self.B_single_component = B_single_component
-        self.distinct_components = distinct_components
-        self.diam_A = diam_A
-        self.diam_B = diam_B
 
     @property
     def passed(self) -> bool:
@@ -609,18 +564,9 @@ class WitnessItemReport:
         }
 
 
-class WitnessReport:
+class WitnessReport(Record):
     __slots__ = ("items", "r_strictly_increasing", "diam_A_strictly_increasing",
                  "diam_B_strictly_increasing", "note")
-
-    def __init__(self, items: list, r_strictly_increasing: bool,
-                 diam_A_strictly_increasing: bool, diam_B_strictly_increasing: bool,
-                 note: str):
-        self.items = items
-        self.r_strictly_increasing = r_strictly_increasing
-        self.diam_A_strictly_increasing = diam_A_strictly_increasing
-        self.diam_B_strictly_increasing = diam_B_strictly_increasing
-        self.note = note
 
     @property
     def passed(self) -> bool:

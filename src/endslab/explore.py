@@ -46,7 +46,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
                      TruncationTooSmall)
-from .groups import Codec, Element, GroupOracle, _is_int
+from .groups import Codec, Element, GroupOracle, Record, _is_int
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -83,9 +83,8 @@ class BallTable:
     element are left translates of its layers (``translates``).
     """
 
-    def __init__(self, oracle, reached, codec, index, layer_start, wired, adj):
+    def __init__(self, oracle, codec, index, layer_start, wired, adj):
         self.oracle = oracle
-        self.reached = reached
         self._k = len(codec.steps)
         self._wired = wired
         self._adj = adj
@@ -101,6 +100,11 @@ class BallTable:
     @property
     def size(self) -> int:
         return self._layer_start[-1]
+
+    @property
+    def reached(self) -> int:
+        """The outermost radius with a vertex: the last layer."""
+        return len(self._layer_start) - 2
 
     @property
     def complete_group(self) -> bool:
@@ -316,9 +320,8 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
     layer_start = list(accumulate(sizes, initial=0))
     # the search expanded every sphere but S(radius), each vertex with all of
     # its len(steps) neighbors in the ball
-    reached = len(sizes) - 1
-    wired = layer_start[-2] if reached == radius else layer_start[-1]
-    return BallTable(oracle, reached, codec, index, layer_start, wired, adj)
+    wired = layer_start[-2] if len(sizes) == radius + 1 else layer_start[-1]
+    return BallTable(oracle, codec, index, layer_start, wired, adj)
 
 
 class SphereSizeSeries:
@@ -328,16 +331,20 @@ class SphereSizeSeries:
     before the requested radius simply stops the list, and ``sphere`` reports
     zero beyond it (the requested radius may be astronomically large).
     ``complete_group`` holds when the sizes add up to the group order, as
-    for ``BallTable``.
+    for ``BallTable``; ``nodes``, the vertices counted against the budget,
+    is the size of the whole series.
     """
 
-    __slots__ = ("sizes", "complete_group", "nodes", "_balls")
+    __slots__ = ("sizes", "complete_group", "_balls")
 
-    def __init__(self, sizes: list[int], complete_group: bool, nodes: int):
+    def __init__(self, sizes: list[int], complete_group: bool):
         self.sizes = sizes
         self.complete_group = complete_group
-        self.nodes = nodes
         self._balls = list(accumulate(sizes))
+
+    @property
+    def nodes(self) -> int:
+        return self._balls[-1]
 
     def sphere(self, r: int) -> int:
         return self.sizes[r] if 0 <= r < len(self.sizes) else 0
@@ -360,11 +367,10 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
     """
     budget = _search_budget(radius, budget)
     sizes = _search(_codec(oracle, radius, budget), radius, budget, {})
-    nodes = sum(sizes)
-    return SphereSizeSeries(sizes, nodes == oracle.order, nodes)
+    return SphereSizeSeries(sizes, sum(sizes) == oracle.order)
 
 
-class GeodesicAxis:
+class GeodesicAxis(Record):
     """Vertices of a verified bi-infinite geodesic through the identity.
 
     ``vertex(i)`` is the length-|i| prefix of the axis word repeated forever
@@ -373,10 +379,6 @@ class GeodesicAxis:
     """
 
     __slots__ = ("extent", "_vertices")
-
-    def __init__(self, extent: int, _vertices: tuple):
-        self.extent = extent
-        self._vertices = _vertices
 
     def vertex(self, i: int) -> Element:
         return self._vertices[i + self.extent]

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import Infeasible, InvalidParameter, TruncationTooSmall
 from .explore import BallTable
-from .groups import Element, GroupOracle, _check_keys, _is_int, _loads
+from .groups import Element, GroupOracle, Record, _check_keys, _is_int, _loads
 
 TRIANGLE_TOL = 1e-9
 ISOMETRY_MAX_BLOCK = 16
@@ -181,34 +181,29 @@ def _first_failing_pair_packed(d):
     return None
 
 
-class GlPartition:
+class GlPartition(Record):
     """Blocks with their separation certificate.
 
     D is the largest block diameter floored at 1; ``iterations`` counts the
     expansion rounds until stability; ``separation`` is the smallest observed
-    distance from a block to the rest (None when the partition is trivial).
-    Repeated candidate sets always coincide with a whole block, so each
-    block's multiplicity equals its size; only distinct blocks are stored.
+    distance from a block to the rest (None for a single block);
+    ``diameter_history`` is max(diam, 1) after each expansion round, starting
+    at the seed value 1 and bounded by (2a+1)^m at round m (not part of the
+    JSON form). Repeated candidate sets always coincide with a whole block,
+    so each block's multiplicity equals its size; only distinct blocks are
+    stored.
     """
 
-    __slots__ = ("blocks", "a", "D", "iterations", "trivial", "separation",
-                 "diameter_history")
-
-    def __init__(self, blocks: tuple, a: int, D: float, iterations: int, trivial: bool,
-                 separation: Optional[float] = None, diameter_history: tuple = (1,)):
-        self.blocks = blocks
-        self.a = a
-        self.D = D
-        self.iterations = iterations
-        self.trivial = trivial
-        self.separation = separation
-        #: max(diam, 1) after each expansion round, starting at the seed value 1;
-        #: bounded by (2a+1)^m at round m (not part of the JSON form)
-        self.diameter_history = diameter_history
+    __slots__ = ("blocks", "a", "D", "iterations", "separation", "diameter_history")
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
+
+    @property
+    def trivial(self) -> bool:
+        """One block: the space did not split."""
+        return len(self.blocks) == 1
 
     def to_dict(self) -> dict:
         return {
@@ -267,34 +262,27 @@ def build_gl_partition(space: FiniteMetricSpace, a: int) -> GlPartition:
         raise AssertionError(f"expansion failed to stabilize in {n + 1} rounds: builder bug")
 
     blocks_idx = list(dict.fromkeys(sets))  # dedupe, ordered by first owner
-    trivial = len(blocks_idx) == 1
     diam_max = max(max((space.diameter(b) for b in blocks_idx), default=0), 1)
     separation = None
-    if not trivial:
+    if len(blocks_idx) > 1:
         separation = min(
             space.set_distance(b, [j for j in range(n) if j not in b])
             for b in blocks_idx)
     blocks = tuple(
         tuple(space.labels[i] for i in sorted(b)) for b in blocks_idx)
-    return GlPartition(blocks, a, diam_max, iterations, trivial, separation,
-                       tuple(history))
+    return GlPartition(blocks, a, diam_max, iterations, separation, tuple(history))
 
 
-class GlVerification:
-    """Outcome of the independent partition re-check."""
+class GlVerification(Record):
+    """Outcome of the independent partition re-check; ``proper`` means at
+    least two blocks."""
 
-    __slots__ = ("passed", "blocks_disjoint", "covers_space", "proper",
-                 "separation_ok", "D", "failures")
+    __slots__ = ("blocks_disjoint", "covers_space", "proper", "separation_ok", "D",
+                 "failures")
 
-    def __init__(self, passed: bool, blocks_disjoint: bool, covers_space: bool,
-                 proper: bool, separation_ok: bool, D: float, failures: list):
-        self.passed = passed
-        self.blocks_disjoint = blocks_disjoint
-        self.covers_space = covers_space
-        self.proper = proper              # at least two blocks
-        self.separation_ok = separation_ok
-        self.D = D
-        self.failures = failures
+    @property
+    def passed(self) -> bool:
+        return self.blocks_disjoint and self.covers_space and self.proper and self.separation_ok
 
     def to_dict(self) -> dict:
         return {
@@ -362,9 +350,7 @@ def verify_gl_partition(space: FiniteMetricSpace, partition: GlPartition,
                 "condition": "separation", "block": bi,
                 "detail": f"distance {sep} to the rest is not > {a} * {diam_max}"})
 
-    passed = disjoint and covers and proper and separation_ok
-    return GlVerification(passed, disjoint, covers, proper, separation_ok,
-                          diam_max, failures)
+    return GlVerification(disjoint, covers, proper, separation_ok, diam_max, failures)
 
 
 def sphere_as_metric_space(oracle: GroupOracle, table: BallTable,

@@ -208,19 +208,24 @@ def _check_keys(d, allowed: tuple, what: str) -> None:
         raise InvalidParameter(f"{what} has unexpected keys: {', '.join(extra)}")
 
 
-class Codec:
-    """Packed int codes for a window around the identity (module docstring)."""
+class Record:
+    """A plain record: the constructor takes one value per name in
+    ``__slots__``, positionally and in order, and raises ValueError on one
+    too few or too many. A fact the fields determine is a property, not a
+    field, so a record cannot contradict itself."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+
+class Codec(Record):
+    """Packed int codes for a window around the identity (module docstring):
+    ``encode`` maps an element to its code or None, ``decode`` a code back."""
 
     __slots__ = ("span", "identity", "steps", "encode", "decode")
-
-    def __init__(self, span: int, identity: int, steps: tuple,
-                 encode: Callable[[Element], Optional[int]],
-                 decode: Callable[[int], Element]):
-        self.span = span
-        self.identity = identity
-        self.steps = steps
-        self.encode = encode
-        self.decode = decode
 
 
 def _shift(d: int) -> Callable[[int], int]:

@@ -278,7 +278,7 @@ def line_witness(oracle, axis, indices, n=2, r_of=None, a_of=None, b_of=None) ->
         else:
             B = tuple(key(j) for j in range(i + 2, i + r + 1))
         items.append(WitnessItem(K, r, A, B))
-    return ObssWitness(n, items)
+    return ObssWitness(n, items, None)
 
 
 def clustered_line_space(rng, n_max=12, huge_gap=30000):

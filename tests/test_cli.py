@@ -274,6 +274,34 @@ def test_finite_group_explored_whole(tmp_path, capsys):
         assert "requested" not in err
 
 
+# a finite group's search stops at its diameter, so only the budget bounds
+# the rows of growth and classify --mode spheres, one per radius 0..rmax
+FINITE_ROWS = [
+    (["growth", "--group", '{"family":"trivial"}'], 100, 0,
+     "5a609d8a7432f7280575ed0448a6e6a19e7609b1e8dba9980f6d759a3cf2ccc1"),
+    (["classify", "--group", '{"family":"cyclic_finite","m":5}', "--mode", "spheres"], 40, 2,
+     "d4e8fcfc9fa5e81a7a2980d0574ab28ea79024c30e2454852800c4f7e045220a"),
+]
+
+
+@pytest.mark.parametrize("command,budget,diameter,digest", FINITE_ROWS,
+                         ids=["growth", "classify"])
+def test_finite_group_rows_bounded_by_budget(tmp_path, capsys, command, budget, diameter,
+                                             digest):
+    code, out = run(tmp_path, "rows", command + ["--rmax", str(budget - 1),
+                                                 "--budget", str(budget)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+    for rmax, limit in ((budget, budget), (10**8, cli.DEFAULT_NODE_BUDGET)):
+        code, out = run(tmp_path, "never", command + ["--rmax", str(rmax),
+                                                      "--budget", str(limit)])
+        assert code == 3 and not out.exists()
+        assert (f"endslab: infeasible: --rmax {rmax} asks for {rmax + 1} rows, above the "
+                f"node budget {limit}; the whole group lies within radius {diameter}\n"
+                ) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("budget,message", [
     (2_000, "node budget 2000 exceeded after 2474 vertices: reached radius 10 of requested 22"),
     (100_000, "node budget 100000 exceeded after 100884 vertices: "

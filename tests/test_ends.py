@@ -112,7 +112,7 @@ def test_sweep_finds_bounded_root_at_top_of_inner_sphere(spec):
     # by hand: layers {0}, {1, 2}, {3, 4}, {5}, rows of k = 2 ids, all
     # wired; the oracle only selects the bipartite or the general path
     rows = [[1, 2], [0, 3], [0, 4], [1, 5], [2, 2], [3, 3]]
-    table = BallTable(make_group(spec), 3, Codec(6, 0, (None, None), None, None),
+    table = BallTable(make_group(spec), Codec(6, 0, (None, None), None, None),
                       {i: i for i in range(6)}, [0, 1, 3, 5, 6], 6,
                       array("i", chain.from_iterable(rows)))
     for truncs in ((2,), (3,), (2, 3)):
@@ -193,6 +193,14 @@ def test_end_depth_warns_on_two_ended(z_oracle):
 def test_end_depth_caller_assertion(z2_oracle):
     res = end_depth(z2_oracle, 3, one_ended=True)
     assert res.certified and res.ends_classification is None
+
+
+def test_one_ended_false_runs_the_estimate(z_oracle, z2_oracle):
+    # only True asserts one-endedness; False is the default, the estimate
+    for oracle in (z_oracle, z2_oracle):
+        got, want = end_depth_profile(oracle, 3, one_ended=False), end_depth_profile(oracle, 3)
+        assert (got.to_dict(), got.nodes_explored) == (want.to_dict(), want.nodes_explored)
+    assert end_depth_profile(z_oracle, 3, one_ended=False).classification == "two"
 
 
 def test_truncation_stability(z2_oracle):
@@ -486,7 +494,7 @@ def test_witness_mutation_fat_core(z_oracle, z_table_30):
 
 def test_witness_truncation_guard(z_oracle):
     table = explore(z_oracle, 8)
-    witness = ObssWitness(2, [WitnessItem(("5", "6"), 4, ("4",), ("7",))])
+    witness = ObssWitness(2, [WitnessItem(("5", "6"), 4, ("4",), ("7",))], None)
     with pytest.raises(TruncationTooSmall):
         check_obss_witness(table, witness)
 
@@ -550,7 +558,7 @@ def test_obss_components_match_reference(spec, radius):
     items += line_witness(oracle, _line(oracle, table, 2 * last), range(2, last + 1)).items
     separated = 0
     for item in items:
-        report = check_obss_witness(table, ObssWitness(2, [item])).items[0]
+        report = check_obss_witness(table, ObssWitness(2, [item], None)).items[0]
         got = (report.A_single_component, report.B_single_component,
                report.distinct_components)
         assert got == reference_obss_components(table, item), item

@@ -11,7 +11,7 @@ import endslab
 from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis, TruncationTooSmall
 from endslab.ends import end_depth_profile
 from endslab.explore import build_axis, explore, sphere_size_series
-from endslab.groups import make_group
+from endslab.groups import Record, make_group
 
 from oracles import (free_sphere_count, l1_sphere_count, lamplighter2_sphere_counts,
                      reference_ball, reference_bfs, reference_set_diameter)
@@ -325,6 +325,39 @@ def test_record_fields_are_read():
               if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", "") == "__slots__"
               for name in ast.literal_eval(stmt.value) if name not in read]
     assert unread == []
+
+
+def _record_classes():
+    classes, todo = [], [Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes += subclasses
+        todo += subclasses
+    return classes
+
+
+def test_record_constructor_takes_every_field_in_order():
+    classes = _record_classes()
+    assert len(classes) >= 15
+    for cls in classes:
+        n = len(cls.__slots__)
+        record = cls(*range(n))
+        assert [getattr(record, name) for name in cls.__slots__] == list(range(n)), cls
+        for values in (range(n - 1), range(n + 1)):
+            with pytest.raises(ValueError):
+                cls(*values)
+
+
+def test_records_define_no_init():
+    # a record's fields are named once, in __slots__; Record.__init__ sets them
+    modules = sorted(Path(endslab.__file__).parent.glob("*.py"))
+    inits = [f"{path.name}: {cls.name}" for path in modules
+             for cls in ast.walk(ast.parse(path.read_text()))
+             if isinstance(cls, ast.ClassDef)
+             and any(getattr(base, "id", "") == "Record" for base in cls.bases)
+             for stmt in cls.body
+             if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"]
+    assert inits == []
 
 
 def test_axis_families(z_table_30, z2_table_22, dihedral_oracle, lamp_oracle):

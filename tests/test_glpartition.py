@@ -235,7 +235,7 @@ def test_diameter_and_set_distance_read_the_matrix_as_given():
 
 def test_verifier_rejects_hand_made_singletons():
     space = FiniteMetricSpace.from_line([0, 1, 20000])
-    bad = GlPartition((("0",), ("1",), ("20000",)), 3, 1, 0, False)
+    bad = GlPartition((("0",), ("1",), ("20000",)), 3, 1, 0, None, (1,))
     report = verify_gl_partition(space, bad, 3)
     assert not report.passed
     assert not report.separation_ok
@@ -245,10 +245,10 @@ def test_verifier_rejects_hand_made_singletons():
 
 def test_verifier_rejects_overlap_and_gap():
     space = FiniteMetricSpace.from_line([0, 1, 20000])
-    overlapping = GlPartition((("0", "1"), ("1", "20000")), 3, 1, 0, False)
+    overlapping = GlPartition((("0", "1"), ("1", "20000")), 3, 1, 0, None, (1,))
     report = verify_gl_partition(space, overlapping, 3)
     assert not report.blocks_disjoint and not report.passed
-    gappy = GlPartition((("0", "1"),), 3, 1, 0, False)
+    gappy = GlPartition((("0", "1"),), 3, 1, 0, None, (1,))
     report = verify_gl_partition(space, gappy, 3)
     assert not report.covers_space and not report.passed
 
