@@ -192,9 +192,15 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
     The table is explored once, to 3 rho + 40: every step needs the ball of
     radius 40D + 3 rho, and D >= 1. Only a partition with D > 1 explores
     again, to that larger radius. The axis is built out to 40D + rho on the
-    final table, and ``build_axis`` checks each of its vertices there.
+    final table, and ``build_axis`` checks each of its vertices there. A
+    finite group has no axis and an empty sphere of radius rho, so it is
+    rejected before any search.
     """
     rho = _criterion_radius(a, n)
+    if oracle.order is not None:
+        raise InvalidParameter(
+            f"the covering demo needs an infinite group; {oracle.label()} "
+            f"is finite, of order {oracle.order}")
     steps: list = []
     note = ""
     if a < CRITERION_MIN_FACTOR:

@@ -5,10 +5,12 @@ factor a when every block is further than a times the largest block diameter
 (floored at 1) from the rest of the space. The builder grows one candidate
 set around every point by repeated neighborhood expansion, scaling the reach
 by the factor at each round, until the sets stabilize; stabilized sets that
-meet coincide, so deduplication yields a partition. Whenever the space's
-diameter exceeds (2a+1)^(n+2) the result is guaranteed to be proper (more
-than one block); otherwise it may collapse to a single block, which is
-reported as a flagged outcome rather than an error.
+meet coincide, so deduplication yields a partition. Each row of the matrix
+is sorted once, so a point's ball of any radius is a prefix of its sorted
+row, and a round joins prefixes instead of scanning whole rows. Whenever
+the space's diameter exceeds (2a+1)^(n+2) the result is guaranteed to be
+proper (more than one block); otherwise it may collapse to a single block,
+which is reported as a flagged outcome rather than an error.
 
 The verifier re-checks the partition conditions straight from the distance
 matrix, sharing no state with the builder.
@@ -16,10 +18,10 @@ matrix, sharing no state with the builder.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import compress
+from bisect import bisect_right
+from itertools import chain
 from math import isfinite
-from operator import add, ge
+from operator import add, getitem, itemgetter
 from typing import Optional, Sequence
 
 from .errors import Infeasible, InvalidParameter, TruncationTooSmall
@@ -37,6 +39,8 @@ class FiniteMetricSpace:
                  validate: bool = True):
         self.labels = tuple(str(x) for x in labels)
         self.dist = tuple(tuple(row) for row in dist)
+        # label -> point id; validation rejects repeated labels
+        self.label_ids = dict(zip(self.labels, range(len(self.labels))))
         if validate:
             self.validate()
 
@@ -45,37 +49,56 @@ class FiniteMetricSpace:
         return len(self.labels)
 
     def validate(self) -> None:
+        """Check the metric axioms, raising on the first violation.
+
+        Each per-entry rule is first decided by a pass over the whole matrix
+        that runs in C: the set of entry types, ``isfinite`` over every
+        entry, the transpose against the matrix, the diagonal and the count
+        of entries <= 0. Only a failed pass scans entry by entry, in the
+        order that names the first violation. The type set also picks the
+        triangle check: packed rows when no entry is a float.
+        """
         n = self.n
         if n == 0:
             raise InvalidParameter("metric space needs at least one point")
-        if len(set(self.labels)) != n:
+        if len(self.label_ids) != n:
             raise InvalidParameter("point labels must be distinct")
         d = self.dist
         if len(d) != n or any(len(row) != n for row in d):
             raise InvalidParameter(f"distance matrix must be {n}x{n}")
+        types = set(map(type, chain.from_iterable(d)))
         try:
-            for i, row in enumerate(d):
-                for j, x in enumerate(row):
-                    if isinstance(x, bool) or not isinstance(x, (int, float)) or not isfinite(x):
-                        raise ValueError
-        except (ValueError, OverflowError):  # isfinite overflows on an int past float range
-            raise InvalidParameter(
-                f"distance between {self.labels[i]} and {self.labels[j]} "
-                f"is not a finite number: {x!r}") from None
-        for i in range(n):
-            if d[i][i] != 0:
-                raise InvalidParameter(f"nonzero diagonal at {self.labels[i]}")
-            for j in range(i + 1, n):
-                if d[i][j] != d[j][i]:
-                    raise InvalidParameter(
-                        f"asymmetric distances between {self.labels[i]} and {self.labels[j]}")
-                if d[i][j] <= 0:
-                    raise InvalidParameter(
-                        f"non-positive distance between {self.labels[i]} and {self.labels[j]}")
+            finite = types <= {int, float} and all(map(isfinite, chain.from_iterable(d)))
+        except OverflowError:  # isfinite overflows on an int past float range
+            finite = False
+        if not finite:  # the scan also accepts int and float subclasses
+            try:
+                for i, row in enumerate(d):
+                    for j, x in enumerate(row):
+                        if isinstance(x, bool) or not isinstance(x, (int, float)) or not isfinite(x):
+                            raise ValueError
+            except (ValueError, OverflowError):
+                raise InvalidParameter(
+                    f"distance between {self.labels[i]} and {self.labels[j]} "
+                    f"is not a finite number: {x!r}") from None
+        # with a zero diagonal, no entry < 0 and exactly n zeros leave every
+        # off-diagonal entry > 0
+        if (any(map(getitem, d, range(n))) or tuple(zip(*d)) != d
+                or min(map(min, d)) < 0 or sum(row.count(0) for row in d) != n):
+            for i in range(n):
+                if d[i][i] != 0:
+                    raise InvalidParameter(f"nonzero diagonal at {self.labels[i]}")
+                for j in range(i + 1, n):
+                    if d[i][j] != d[j][i]:
+                        raise InvalidParameter(
+                            f"asymmetric distances between {self.labels[i]} and {self.labels[j]}")
+                    if d[i][j] <= 0:
+                        raise InvalidParameter(
+                            f"non-positive distance between {self.labels[i]} and {self.labels[j]}")
         # With d symmetric, a failing (j, i, k) makes (i, j, k) fail too, so
         # the first failing triple in (i, j, k) order has i < j and only
         # pairs j > i need checking; a failing pair is scanned for its first k.
-        exact = not any(isinstance(x, float) for row in d for x in row)
+        exact = not any(issubclass(t, float) for t in types)
         pair = (_first_failing_pair_packed if exact else _first_failing_pair)(d)
         if pair is not None:
             i, j = pair
@@ -87,14 +110,19 @@ class FiniteMetricSpace:
 
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.label_ids[label]
+        except KeyError:
             raise InvalidParameter(f"unknown point label {label!r}") from None
 
     def diameter(self, ids: Optional[Sequence[int]] = None) -> float:
+        """The first largest entry over the rows of ``ids`` in order, each
+        read at ``ids`` in order (0 for no ids); a single point gives its
+        diagonal entry as stored."""
         d = self.dist
         ids = range(self.n) if ids is None else list(ids)
-        return max((max(map(d[i].__getitem__, ids)) for i in ids), default=0)
+        if len(ids) < 2:
+            return d[ids[0]][ids[0]] if ids else 0
+        return max(map(max, map(itemgetter(*ids), map(d.__getitem__, ids))))
 
     def set_distance(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> float:
         d = self.dist
@@ -228,26 +256,32 @@ def build_gl_partition(space: FiniteMetricSpace, a: int) -> GlPartition:
     at 1). The loop stops once all sets are stable; the internal diameter
     sequence is bounded by (2a+1)^m and the round count by n + 1, both of
     which are asserted.
+
+    Each row is sorted once, point ids by distance and ties by id, so the
+    ball B_i(rho) = {j : d_ij <= rho} is the prefix of ``orders[i]`` that
+    ``bisect_right`` cuts at rho. Some d_ij <= rho exactly when
+    min_i d_ij <= rho, so a set grows to the union of its members' balls.
+    A round costs n bisects plus the sizes of the balls it joins, where
+    scanning the members' rows would cost |s| * n comparisons per set.
     """
     _check_factor(a)
     n = space.n
     d = space.dist
-    points = range(n)
-    sets = [frozenset([i]) for i in points]
+    orders = [sorted(range(n), key=row.__getitem__) for row in d]
+    sets = [frozenset([i]) for i in range(n)]
     d_prev = 1
     history = [1]
     iterations = 0
     for m in range(1, n + 3):
-        # reach >= x through operator.ge: int.__ge__ returns NotImplemented on floats
-        within = partial(ge, a * d_prev)
+        reach = a * d_prev
+        cuts = [bisect_right(order, reach, key=row.__getitem__)
+                for order, row in zip(orders, d)]
         # points that share a candidate set share its expansion: after the
         # first round there is one distinct set per block, not one per point
         grown = {}
         for s in sets:
             if s not in grown:
-                rows = [d[i] for i in s]
-                near = map(min, *rows) if len(rows) > 1 else rows[0]
-                grown[s] = frozenset(compress(points, map(within, near)))
+                grown[s] = frozenset(chain.from_iterable(orders[i][:cuts[i]] for i in s))
         if all(g == s for s, g in grown.items()):
             iterations = m - 1
             break

@@ -368,6 +368,49 @@ def reference_triangle_violation(dist, tol):
     return None
 
 
+def _finite_number(x):
+    """An int or float (not a bool) that is neither NaN nor infinite, and an
+    int that a float can hold."""
+    if type(x) is float:
+        return x == x and abs(x) != float("inf")
+    if type(x) is int:
+        try:
+            float(x)
+        except OverflowError:
+            return False
+        return True
+    return False
+
+
+def reference_metric_violation(labels, dist):
+    """The message validation gives for ``dist``, or None for a metric.
+
+    Each rule runs over the whole matrix, entry by entry in row-major order:
+    every entry a finite number; then at (i, i) a zero diagonal and at
+    (i, j) with j > i symmetry, then positivity; then the first failing
+    triangle, with tolerance 1e-9 when some entry is a float.
+    """
+    n = len(dist)
+    for i in range(n):
+        for j in range(n):
+            if not _finite_number(dist[i][j]):
+                return (f"distance between {labels[i]} and {labels[j]} "
+                        f"is not a finite number: {dist[i][j]!r}")
+    for i in range(n):
+        for j in range(n):
+            if j == i and dist[i][j] != 0:
+                return f"nonzero diagonal at {labels[i]}"
+            if j > i and dist[i][j] != dist[j][i]:
+                return f"asymmetric distances between {labels[i]} and {labels[j]}"
+            if j > i and dist[i][j] <= 0:
+                return f"non-positive distance between {labels[i]} and {labels[j]}"
+    tol = 1e-9 if any(type(x) is float for row in dist for x in row) else 0
+    triple = reference_triangle_violation(dist, tol)
+    if triple is None:
+        return None
+    return "triangle inequality fails at ({})".format(", ".join(labels[x] for x in triple))
+
+
 def reference_diameter(dist, ids):
     """Largest entry over all ordered pairs of ``ids`` (0 for no ids)."""
     ids = list(ids)

@@ -198,6 +198,26 @@ def test_covering_step(spec, missed):
         assert table.id_of((5, 0)) not in missing
 
 
+@pytest.mark.parametrize("spec,order", [
+    ({"family": "cyclic_finite", "m": 5}, 5),
+    ({"family": "trivial"}, 1),
+    ({"family": "product", "left": {"family": "cyclic_finite", "m": 2},
+      "right": {"family": "cyclic_finite", "m": 3}}, 6),
+], ids=str)
+def test_demo_rejects_finite_group_before_searching(spec, order, monkeypatch):
+    # a finite group has an empty sphere at radius rho and no axis
+    def no_search(*args, **kwargs):
+        raise AssertionError("a finite group must be rejected before any search")
+
+    monkeypatch.setattr(classify, "sphere_size_series", no_search)
+    monkeypatch.setattr(classify, "explore", no_search)
+    oracle = make_group(spec)
+    with pytest.raises(InvalidParameter) as exc:
+        sphere_cover_demo(oracle, 3, 2)
+    assert str(exc.value) == (f"the covering demo needs an infinite group; "
+                              f"{oracle.label()} is finite, of order {order}")
+
+
 def test_demo_declines_plane():
     report = sphere_cover_demo(make_group({"family": "z_pow", "k": 2}), 3, 2,
                                budget=12_000_000)

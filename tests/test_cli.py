@@ -242,6 +242,20 @@ def test_demo_cover_line(tmp_path):
     assert doc["passed"] and doc["D"] == 1
 
 
+def test_demo_cover_finite_group_exit(tmp_path, capsys):
+    code, out = run(tmp_path, "demo.json", ["demo-cover", "--group",
+                                            '{"family":"cyclic_finite","m":5}', "--a", "3",
+                                            "--n", "2"])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == ("endslab: invalid input: the covering demo needs an "
+                                       "infinite group; cyclic_finite(5) is finite, of order 5\n")
+    # an infinite group whose sphere is too large still declines
+    product = '{"family":"product","left":{"family":"z"},"right":{"family":"cyclic_finite","m":3}}'
+    code, out = run(tmp_path, "declined.json",
+                    ["demo-cover", "--group", product, "--a", "3", "--n", "2"])
+    assert code == 1 and load(out)["report"]["declined"]
+
+
 def test_invalid_group_exit(capsys):
     assert main(["growth", "--group", '{"family":"nope"}', "--rmax", "3"]) == 2
     assert "invalid" in capsys.readouterr().err

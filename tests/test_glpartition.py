@@ -1,6 +1,7 @@
 """Separation-certified partitions: worked examples, property suite, spheres."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from endslab.glpartition import (TRIANGLE_TOL, FiniteMetricSpace, GlPartition,
 from endslab.groups import make_group
 
 from oracles import (clustered_line_space, clustered_plane_space, near_equality_space,
-                     reference_diameter, reference_gl_partition, reference_set_distance,
-                     reference_sphere_space, reference_triangle_violation)
+                     reference_diameter, reference_gl_partition, reference_metric_violation,
+                     reference_set_distance, reference_sphere_space,
+                     reference_triangle_violation)
 
 
 def test_worked_example_two_blocks():
@@ -123,6 +125,103 @@ def test_triangle_message_matches_reference_triple():
         triple = ", ".join(space.labels[x] for x in expected)
         assert str(exc.value) == f"triangle inequality fails at ({triple})"
     assert failures > 100
+
+
+def _reach_chain(a, start, unit, count):
+    """Positions from ``start`` whose k-th gap is a times the span before it:
+    at the round that has grown a set from the chain's first point to its
+    k-th, the next point lies exactly at the reach a * diameter."""
+    positions = [start, start + unit]
+    while len(positions) < count:
+        positions.append(positions[-1] + a * (positions[-1] - start))
+    return positions
+
+
+def _sized_space(rng, a):
+    """A space of 40 to 120 points: integer or half-integer L1 clusters, or
+    reach chains with integer, float or mixed entries."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        sizes = [rng.randint(10, 20) for _ in range(rng.randint(3, 6))]
+        while sum(sizes) < 40:
+            sizes.append(rng.randint(10, 20))
+        space = clustered_plane_space(rng, sizes, [max(3, s // 3) for s in sizes],
+                                      spacing=rng.choice((40, 400, 4000)))
+        if kind == 0:
+            return space
+        return FiniteMetricSpace(space.labels, [[x * 0.5 for x in row] for row in space.dist])
+    positions = []
+    unit = rng.choice((1, 0.5, 0.25))
+    size = rng.choice((40, 100))
+    while len(positions) < size:
+        start = positions[-1] + rng.choice((1, 3, 4000, 10 ** 6)) if positions else 0
+        positions += _reach_chain(a, start, unit, rng.randint(2, 5))
+        for _ in range(rng.randint(0, 20)):
+            positions.append(positions[-1] + rng.choice((1, 2, a)))
+    return FiniteMetricSpace.from_line(positions, labels=[f"p{i}" for i in range(len(positions))])
+
+
+def test_builder_matches_reference_at_size():
+    # a set joins a point exactly at its reach a * d_prev, as the reference's
+    # "<= reach" does: a cut before equal entries would drop it
+    rng = random.Random(2718)
+    at_reach = floats = 0
+    for _ in range(12):
+        a = rng.choice((3, 4, 7))
+        space = _sized_space(rng, a)
+        assert 40 <= space.n <= 130
+        expected = reference_gl_partition(space, a)
+        assert _fields(build_gl_partition(space, a)) == repr(expected)
+        reaches = {a * h for h in expected[-1]}
+        at_reach += any(x in reaches for row in space.dist for x in row)
+        floats += any(isinstance(x, float) for row in space.dist for x in row)
+    assert at_reach >= 6 and floats >= 4
+
+
+@pytest.mark.parametrize("entry", [0, 0.0, 3, 2.5])
+def test_single_point_diameter_is_the_diagonal_entry(entry):
+    space = FiniteMetricSpace(["p", "q"], [[entry, 1], [1, 0]], validate=False)
+    assert repr(space.diameter([0])) == repr(reference_diameter(space.dist, [0])) == repr(entry)
+    single = FiniteMetricSpace(["p"], [[entry]], validate=False)
+    assert repr(single.diameter()) == repr(entry)
+
+
+BAD_ENTRIES = (True, float("nan"), float("inf"), float("-inf"), 2 ** 1100, "1", None)
+
+
+def _plant_defect(rng, dist, clean):
+    """One defect at a random place: a bad entry, an asymmetric pair, a zero
+    or negative pair, a nonzero diagonal entry or a stretched pair that may
+    break a triangle."""
+    n = len(dist)
+    i, j = rng.randrange(n), rng.randrange(n)
+    kind = rng.choice(("entry", "asymmetric", "zero", "diagonal", "triangle"))
+    if kind == "entry":
+        dist[i][j] = rng.choice(BAD_ENTRIES)
+    elif kind == "diagonal" or i == j:
+        dist[i][i] = rng.choice((1, 0.5, -2, 1e-300))
+    elif kind == "asymmetric":
+        dist[i][j] = clean[i][j] + rng.choice((1, 0.25, 1e-12))
+    elif kind == "zero":
+        dist[i][j] = dist[j][i] = rng.choice((0, 0.0, -0.0, -3))
+    else:
+        dist[i][j] = dist[j][i] = clean[i][j] + rng.choice((rng.randint(1, 40), 1.5))
+
+
+def test_validation_message_matches_reference_order():
+    # each whole-matrix pass falls back to the scan that names the first defect
+    rng = random.Random(60013)
+    kinds = Counter()
+    for trial in range(600):
+        space = _random_space(rng)
+        dist = [list(row) for row in space.dist]
+        for _ in range(rng.randint(1, 3)):
+            _plant_defect(rng, dist, space.dist)
+        expected = reference_metric_violation(space.labels, dist)
+        assert _validation_message(space.labels, dist) == expected, (trial, dist)
+        kinds[expected.split(" ")[0] if expected else None] += 1
+    assert min(kinds[k] for k in ("distance", "asymmetric", "non-positive", "nonzero",
+                                  "triangle")) >= 25, kinds
 
 
 def _shortest_path_metric(rng, n, scale):
