@@ -138,7 +138,7 @@ def _reach_chain(a, start, unit, count):
 
 
 def _sized_space(rng, a):
-    """A space of 40 to 120 points: integer or half-integer L1 clusters, or
+    """A space of 40 to 125 points: integer or half-integer L1 clusters, or
     reach chains with integer, float or mixed entries."""
     kind = rng.randrange(3)
     if kind < 2:
