@@ -29,11 +29,11 @@ DEMONSTRATION_ONLY = "demonstration_only"
 #: least this large; smaller factors downgrade the verdict kind.
 CRITERION_MIN_FACTOR = 100
 
-LINEAR_DEPTH_FACTOR = 4
+LINEAR_DEPTH_FACTOR = 2
 
 
 class LinearityReport(Record):
-    """Check of depth values against the linear bound value <= 4r."""
+    """Check of depth values against the bound value <= 2r (``ends`` lemma)."""
 
     __slots__ = ("checked", "max_ratio", "violations", "note")
 
@@ -48,10 +48,10 @@ class LinearityReport(Record):
 
 
 def linear_end_depth_check(profile: EndDepthProfile) -> LinearityReport:
-    """Verify value <= 4r on every certified profile entry.
+    """Verify value <= 2r on every certified profile entry.
 
-    A failure here contradicts a theorem about one ended groups, so it
-    signals an implementation bug rather than a mathematical discovery.
+    A certified value is exact and the 2r lemma (``ends``) bounds it, so a
+    failure signals an implementation bug, not a mathematical discovery.
     """
     entries = profile.certified_entries()
     if not entries:
@@ -190,11 +190,11 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
     Infeasible that names the radius it reached.
 
     The table is explored once, to 3 rho + 40: every step needs the ball of
-    radius 40D + 3 rho, and D >= 1. Only a partition with D > 1 explores
-    again, to that larger radius. The axis is built out to 40D + rho on the
-    final table, and ``build_axis`` checks each of its vertices there. A
-    finite group has no axis and an empty sphere of radius rho, so it is
-    rejected before any search.
+    radius 40D + 3 rho, and D >= 1. A partition with D > 1 grows that table
+    to the larger radius (``BallTable.grow``). The axis is built out to
+    40D + rho on the grown table, and ``build_axis`` checks each of its
+    vertices there. A finite group has no axis and an empty sphere of
+    radius rho, so it is rejected before any search.
     """
     rho = _criterion_radius(a, n)
     if oracle.order is not None:
@@ -224,9 +224,7 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
             f"partition of the radius-{rho} sphere collapsed to one block")
     D = int(base_partition.D)
 
-    horizon = 40 * D + 3 * rho
-    if table.reached < horizon:
-        table = explore(oracle, horizon, budget)
+    table.grow(40 * D + 3 * rho)
     axis = build_axis(oracle, table, 40 * D + rho)
 
     similar = True

@@ -35,9 +35,9 @@ moving it to 2r + 1 changes those reports, so it waits for a change that
 re-pins them. What ``--truncation auto`` explores is less already: a table
 of B(2 r_max + 1), and when every touching count there is 1, only a lean
 count of B(4 r_max + 2) (``sphere_size_series``), whose size the report
-still records as the node usage; else the table of B(4 r_max + 2). The
-certified flag on results records that the truncation reached the default
-and that the one-endedness evidence held.
+still records as the node usage; else that table, grown to B(4 r_max + 2)
+(``BallTable.grow``). The certified flag on results records that the
+truncation reached the default and that the one-endedness evidence held.
 
 The vertex ids of a ball table are sorted by distance, which this module
 exploits throughout: a union-find that always keeps the largest id as root
@@ -271,8 +271,8 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     and T for the ends estimate, T alone otherwise). If every touching
     count there is 1, that sweep is the sweep at T (module docstring) and
     ``nodes_explored`` still counts B(T), from ``sphere_size_series``;
-    otherwise B(T) is explored and swept. A budget error names T as the
-    radius requested either way.
+    otherwise that table grows to T and is swept. A caller's table is never
+    grown. A budget error names T as the radius requested either way.
 
     ``one_ended=True`` asserts one-endedness; otherwise it is taken from
     the ends estimate over the schedule (truncation - 1, truncation), as
@@ -293,13 +293,20 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     finite = oracle.order is not None
     estimate = not finite and not one_ended
     truncs = (truncation - 1, truncation) if estimate else (truncation,)
-    settled = None
+    nodes = None
     if table is None and not finite and 2 * r_max + 1 < truncs[0]:
-        settled = _settled_sweep(oracle, r_max, truncation, budget)
-    if settled is not None:
-        table, nodes, sweep = settled
-        sweeps = dict.fromkeys(truncs, sweep)
-    else:
+        double = 2 * r_max + 1
+        try:
+            table = explore(oracle, double, budget)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(exc.budget, exc.nodes, exc.radius_reached, truncation) from None
+        sweep = _complement_sweep(table, range(r_max + 1), (double,))[double]
+        if all(touching == 1 for _, touching, _ in sweep.values()):
+            sweeps = dict.fromkeys(truncs, sweep)
+            nodes = sphere_size_series(oracle, truncation, budget).nodes
+        else:
+            table.grow(truncation)
+    if nodes is None:
         table = _ball_table(oracle, truncation, budget, table)
         nodes = table.size
         if finite:
@@ -344,30 +351,6 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
 
     return EndDepthProfile(oracle.label(), generator_words(oracle), entries,
                            classification, truncation, nodes)
-
-
-def _settled_sweep(oracle: GroupOracle, r_max: int, truncation: int,
-                   budget: Optional[int]) -> Optional[tuple]:
-    """(table, nodes, sweep) that give the sweep of B(``truncation``) for
-    snapshots 0..r_max without its table, or None when they cannot.
-
-    In an infinite group the sweep of B(2 r_max + 1) decides: its bounded
-    components are those of every larger truncation (module docstring), and
-    so are their ids, a prefix of every larger table's. A touching count
-    never grows with T and stays at least 1, so where every count there is
-    1 the whole sweep holds at ``truncation``. Then ``nodes`` is |B(T)|,
-    from a search that keeps no table. A budget error names ``truncation``
-    as the radius requested, as the search of B(T) would.
-    """
-    double = 2 * r_max + 1
-    try:
-        table = explore(oracle, double, budget)
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(exc.budget, exc.nodes, exc.radius_reached, truncation) from None
-    sweep = _complement_sweep(table, range(r_max + 1), (double,))[double]
-    if any(touching != 1 for _, touching, _ in sweep.values()):
-        return None
-    return table, sphere_size_series(oracle, truncation, budget).nodes, sweep
 
 
 _STABILIZED = {CLASS_ZERO: 0, CLASS_ONE: 1, CLASS_TWO: 2}

@@ -18,7 +18,9 @@ them with one int function per generator; elements are decoded only when a
 caller asks for one. A table records each code once, as a key of its
 code-to-id dict: keys are inserted in discovery order, so the key order is
 the id order, and the list from id to code is derived from the dict on the
-first decode. The search reads each frontier off the tail of that dict.
+first decode. The search reads each frontier off the tail of that dict,
+so ``BallTable.grow`` resumes it there: ``explore`` grows the ball of
+radius 0, whose codes cover every radius its node budget can reach.
 
 Adjacency is one flat array of rows, k = len(steps) slots per vertex in
 generator order, so the row of u is the implicit slice ``adj[k*u:k*u + k]``
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, pairwise, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
@@ -68,30 +70,28 @@ class BallTable:
     ids; the rows of the outermost sphere of an unexhausted ball are
     appended on first use (module docstring).
 
-    A table changes after ``explore`` in two lazy steps, each run at most
-    once: the code list is built on the first decode, and the outer rows
-    are wired on first use. Neither alters a recorded fact. Building the
-    code list reads ``_index`` only, so two threads racing to build it
-    each get the same list. Wiring is not thread-safe: it appends to
-    ``_adj`` in batches, so two threads wiring at once can interleave rows,
-    and an append while another thread iterates ``rows_down`` raises
-    BufferError. A table shared between threads should be wired first, by
-    ``neighbors`` on its last id.
-
-    Nothing searches a finished table: distances between its elements are
-    read by left invariance (``distance_rows``), and spheres around any
-    element are left translates of its layers (``translates``).
+    A table changes in three lazy steps: the code list is built on the
+    first decode, the outer rows are wired on first use, and ``grow``
+    extends the ball, keeping every id, layer and inner row. Building the
+    code list reads ``_index`` only, so two threads racing to build it each
+    get the same list. Wiring and growth are not thread-safe: they append
+    to ``_adj`` in batches, so two threads at once can interleave rows, and
+    an append while another thread iterates ``rows_down`` raises
+    BufferError. A table shared between threads should be grown, then
+    wired by ``neighbors`` on its last id.
     """
 
-    def __init__(self, oracle, codec, index, layer_start, wired, adj):
+    def __init__(self, oracle: GroupOracle, budget: int):
+        """The ball of radius 0, which ``grow`` extends within ``budget``."""
         self.oracle = oracle
-        self._k = len(codec.steps)
-        self._wired = wired
-        self._adj = adj
-        self._codec = codec
-        self._index = index
+        self._budget = budget
+        self._codec = _codec(oracle, budget, budget)  # every radius the budget reaches
+        self._k = len(self._codec.steps)
+        self._wired = 0
+        self._adj = array("i")
+        self._index = {self._codec.identity: 0}
         self._codes = None
-        self._layer_start = layer_start
+        self._layer_start = [0, 1]
         self._key_index = None
 
     def __len__(self):
@@ -155,14 +155,35 @@ class BallTable:
 
     def _wire_outer(self) -> None:
         """Append the rows of the ids from ``_wired`` on, -1 for a step that
-        leaves the ball. Runs once, on first use by ``neighbors`` or
-        ``rows_down``: the complement sweep on a family that is not
-        bipartite."""
+        leaves the ball. Runs on first use by ``neighbors`` or
+        ``rows_down``, once per radius: the complement sweep on a family
+        that is not bipartite."""
         steps, get = self._codec.steps, self._index.get
         outer = islice(self._index, self._wired, None)
         while batch := list(islice(outer, _BATCH)):
             self._adj.extend(map(get, _neighbor_codes(steps, batch), repeat(-1)))
         self._wired = self.size
+
+    def grow(self, radius: int) -> None:
+        """Extend the table to the ball of ``radius`` that ``explore`` gives,
+        resuming the search at the outermost sphere, whose wired rows it
+        writes again. BudgetExceeded leaves the table as it was."""
+        _search_budget(radius, self._budget)
+        if radius <= self.reached:
+            return
+        starts, index, adj = self._layer_start, self._index, self._adj
+        depth, size, outer = len(starts), self.size, starts[-2]
+        del adj[self._k * outer:]
+        self._wired, self._codes, self._key_index = outer, None, None
+        try:
+            _search(self._codec, radius, self._budget, index, starts, adj)
+        except BudgetExceeded:
+            del starts[depth:], adj[self._k * outer:]
+            while len(index) > size:
+                index.popitem()
+            raise
+        # every sphere but S(radius) is expanded, unless the group ran out first
+        self._wired = starts[-2] if self.reached == radius else starts[-1]
 
     def id_of(self, g: Element) -> Optional[int]:
         code = self._codec.encode(g)
@@ -228,13 +249,9 @@ def _neighbor_codes(steps: tuple, batch: list) -> list:
 
 
 def _codec(oracle: GroupOracle, radius: int, budget: int) -> Codec:
-    """Codes for a search that steps to elements at distance <= ``radius``.
-
-    A search expands sphere r only while the ball of radius r fits in the
-    budget, so it never steps beyond ``oracle.radius_bound(budget) + 1``;
-    a smaller code radius keeps codes short when the requested radius is far
-    out of reach.
-    """
+    """Codes for a search that steps to elements at distance <= ``radius``,
+    capped at ``oracle.radius_bound(budget) + 1``: a search expands sphere
+    r only while the ball of radius r fits in the budget."""
     bound = oracle.radius_bound(budget)
     return oracle.codec(radius if bound is None else min(radius, bound + 1))
 
@@ -250,36 +267,34 @@ def _search_budget(radius: int, budget: Optional[int]) -> int:
     return budget
 
 
-def _search(codec: Codec, radius: int, budget: int, index: dict,
-            adj: Optional[array] = None) -> list:
-    """The breadth-first loop over int codes; returns the sphere sizes.
+def _search(codec: Codec, radius: int, budget: int, index: dict, starts: list,
+            adj: Optional[array] = None) -> None:
+    """The breadth-first loop over int codes, resumed at the last sphere.
 
-    Builds spheres 1..radius and stops at the first empty one; ``index``
-    receives every code found, in discovery order (by frontier vertex, then
-    generator), so the newest sphere is always its tail. Each frontier is
-    read off that tail, or is the new codes of the previous round's last
-    batch when that batch found them all (a thin sphere); the outermost
-    sphere is never copied out. A ball table passes an empty ``adj``: then
-    ``index`` keeps every vertex and maps its code to its id, and ``adj``
-    gets the neighbor ids of every vertex expanded, len(steps) per vertex
-    in generator order. Without it ``index`` maps codes to None and keeps
-    only spheres r - 1, r and r + 1 while r + 1 is built: the generating
-    set is inversion-closed, so no neighbor of sphere r lies further in.
+    Appends to ``starts``, the layer bounds so far (``[0, 1]`` for a new
+    search), the bound of each sphere up to ``radius``, and stops at the
+    first empty one; ``index`` receives every code found, in discovery order
+    (by frontier vertex, then generator), so each frontier is its tail, or
+    the new codes of the previous round's last batch if they are the whole
+    sphere. A ball table passes its ``adj``: then ``index`` keeps every
+    vertex and maps its code to its id, and ``adj`` gets the neighbor ids
+    of every vertex expanded, len(steps) per vertex in generator order.
+    Without it ``index`` maps codes to None and keeps only spheres r - 1,
+    r and r + 1 while r + 1 is built: the generating set is
+    inversion-closed, so no neighbor of sphere r lies further in.
 
     Raises BudgetExceeded once more than ``budget`` vertices are found; the
     error reports the last complete radius.
     """
     steps = codec.steps
-    index[codec.identity] = 0
-    nodes = 1
-    sizes = [1]
-    older, new = (), [codec.identity]
-    for r in range(radius):
+    nodes = starts[-1]
+    older = new = ()
+    for r in range(len(starts) - 2, radius):
         first = nodes
-        if len(new) == sizes[r]:  # the last batch found all of sphere r
+        if len(new) == first - starts[r]:  # the last batch found all of sphere r
             frontier = new
         else:
-            frontier = list(islice(reversed(index), sizes[r]))
+            frontier = list(islice(reversed(index), first - starts[r]))
             frontier.reverse()
         for lo in range(0, len(frontier), _BATCH):
             neighbors = _neighbor_codes(steps, frontier[lo:lo + _BATCH])
@@ -296,12 +311,11 @@ def _search(codec: Codec, radius: int, budget: int, index: dict,
             nodes += len(new)
         if nodes == first:
             break
-        sizes.append(nodes - first)
+        starts.append(nodes)
         if adj is None:
             for v in older:
                 del index[v]
             older = frontier
-    return sizes
 
 
 def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> BallTable:
@@ -312,16 +326,9 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
     search records the layer bounds, which give every distance; a table
     whose size is the group order is flagged ``complete_group``.
     """
-    budget = _search_budget(radius, budget)
-    codec = _codec(oracle, radius + 1, budget)  # the outermost sphere's neighbors too
-    index: dict = {}
-    adj = array("i")
-    sizes = _search(codec, radius, budget, index, adj)
-    layer_start = list(accumulate(sizes, initial=0))
-    # the search expanded every sphere but S(radius), each vertex with all of
-    # its len(steps) neighbors in the ball
-    wired = layer_start[-2] if len(sizes) == radius + 1 else layer_start[-1]
-    return BallTable(oracle, codec, index, layer_start, wired, adj)
+    table = BallTable(oracle, _search_budget(radius, budget))
+    table.grow(radius)
+    return table
 
 
 class SphereSizeSeries:
@@ -366,8 +373,9 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
     vertex of the ball against the budget.
     """
     budget = _search_budget(radius, budget)
-    sizes = _search(_codec(oracle, radius, budget), radius, budget, {})
-    return SphereSizeSeries(sizes, sum(sizes) == oracle.order)
+    codec, starts = _codec(oracle, radius, budget), [0, 1]
+    _search(codec, radius, budget, {codec.identity: None}, starts)
+    return SphereSizeSeries([b - a for a, b in pairwise(starts)], starts[-1] == oracle.order)
 
 
 class GeodesicAxis(Record):

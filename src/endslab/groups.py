@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from math import isqrt
 from operator import add
 from typing import Any, Callable, Optional
 
@@ -299,7 +300,8 @@ class GroupOracle:
         Every sphere of an infinite group has two elements on a bi-infinite
         geodesic through the identity, so the ball of radius r has at least
         2r + 1. Families of exponential growth override this with a bound
-        logarithmic in the budget.
+        logarithmic in the budget; Z^k (k >= 2) and products of two
+        infinite groups with one near its square root.
         """
         return None if self.order is not None else (budget - 1) // 2
 
@@ -437,6 +439,10 @@ class _ZPowOracle(GroupOracle):
             weight = w ** (k - 1 - i)
             steps += (_shift(weight), _shift(-weight))
         return Codec(w ** k, encode(self.identity()), tuple(steps), encode, decode)
+
+    def radius_bound(self, budget):
+        # Z^k contains Z^2, where |B(r)| = 2r^2 + 2r + 1 >= r(r + 2) = (r + 1)^2 - 1
+        return super().radius_bound(budget) if self.k == 1 else isqrt(budget + 1) - 1
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -736,9 +742,12 @@ class _ProductOracle(GroupOracle):
                      steps, encode, decode)
 
     def radius_bound(self, budget):
-        # a ball of the product contains the same ball of either factor
+        # a ball of the product contains the same ball of either factor; with both
+        # infinite, B_left(r // 2) x B_right(r - r // 2), of >= r(r + 2) elements
         bounds = [b for b in (self.left.radius_bound(budget), self.right.radius_bound(budget))
                   if b is not None]
+        if len(bounds) == 2:
+            bounds.append(isqrt(budget + 1) - 1)
         return min(bounds, default=None)
 
 

@@ -55,6 +55,13 @@ def test_linear_check_flags_violation():
     assert report.violations == [{"r": 2, "value": 9}]
 
 
+def test_linear_check_flags_one_past_the_double_radius():
+    # a certified value of 2r + 1 breaks the 2r lemma; 2r itself does not
+    report = linear_end_depth_check(_profile_with([3, 4, 6]))
+    assert report.violations == [{"r": 1, "value": 3}]
+    assert report.max_ratio == 3.0
+
+
 def test_linear_check_empty_when_uncertified(z_oracle):
     profile = end_depth_profile(z_oracle, 4)
     report = linear_end_depth_check(profile)

@@ -500,8 +500,10 @@ def test_outer_sphere_wired_only_where_read(tmp_path, monkeypatch, command, opti
                   '{"family":"z_cross_cyclic","m":4}', '{"family":"z_cross_cyclic","m":3}'):
         code, _ = run(tmp_path, "out.json", [command, "--group", group, *options])
         assert code == 0
-    # end-depth on the two-ended z_cross_cyclic(3) reads B(5), whose counts
-    # of 2 settle nothing, and then B(10): each table wires its outer sphere
+    # end-depth on the two-ended z_cross_cyclic(3) sweeps B(5), whose counts
+    # of 2 settle nothing, and grows that table to B(10): the sweep wires
+    # S(5), the growth writes those rows again as ordinary rows, and the
+    # sweep of B(10) wires S(10)
     expected = ["z_cross_cyclic(3)"] * (2 if command == "end-depth" else 1)
     assert wired == expected
     # a witness check reads rows within radius R - 1 only, even on a family

@@ -2,6 +2,7 @@
 
 import random
 from array import array
+from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
 
@@ -13,13 +14,15 @@ from endslab.ends import (ObssWitness, WitnessItem, _complement_sweep,
                           end_depth_profile)
 from endslab.errors import BudgetExceeded, InvalidParameter, TruncationTooSmall
 from endslab.explore import BallTable, build_axis, explore, sphere_size_series
-from endslab.groups import Codec, GroupSpec, make_group
+from endslab.groups import GroupSpec, make_group
 
 from oracles import (complement_components, line_witness, reference_bfs,
                      reference_obss_components)
 from test_groups import ALL_SPECS
 
 INFINITE_SPECS = [s for s in ALL_SPECS if make_group(s).order is None]
+# the module, which the package's ``explore`` function shadows as an attribute
+explore_module = import_module("endslab.explore")
 
 
 def test_line_complement_two_rays(z_table_30):
@@ -112,9 +115,9 @@ def test_sweep_finds_bounded_root_at_top_of_inner_sphere(spec):
     # by hand: layers {0}, {1, 2}, {3, 4}, {5}, rows of k = 2 ids, all
     # wired; the oracle only selects the bipartite or the general path
     rows = [[1, 2], [0, 3], [0, 4], [1, 5], [2, 2], [3, 3]]
-    table = BallTable(make_group(spec), Codec(6, 0, (None, None), None, None),
-                      {i: i for i in range(6)}, [0, 1, 3, 5, 6], 6,
-                      array("i", chain.from_iterable(rows)))
+    table = BallTable(make_group(spec), 6)
+    table._k, table._index, table._layer_start = 2, {i: i for i in range(6)}, [0, 1, 3, 5, 6]
+    table._wired, table._adj = 6, array("i", chain.from_iterable(rows))
     for truncs in ((2,), (3,), (2, 3)):
         sweeps = _complement_sweep(table, range(truncs[0]), truncs)
         for trunc in truncs:
@@ -283,30 +286,34 @@ _LAMP_FREE = {"family": "product", "left": _LAMP, "right": {"family": "free", "k
     (_LAMP, 3), (_LAMP, 5),
 ], ids=lambda x: GroupSpec.from_dict(x).label() if isinstance(x, dict) else str(x))
 def test_default_path_matches_whole_table(spec, r_max, monkeypatch):
-    # where every touching count is 1 at 2 r_max + 1 the profile explores
-    # only B(2 r_max + 1); with or without the ends estimate it must give
-    # what a sweep of the whole B(T) gives, node count included
+    # the profile searches from the identity for B(2 r_max + 1) alone; where
+    # every touching count there is 1 it counts B(T) without a table, else
+    # it grows that table to T. With or without the ends estimate it must
+    # give what a sweep of the whole B(T) gives, node count included
     settled = spec in ({"family": "z_pow", "k": 3}, _LAMP_FREE) or (spec, r_max) == (_LAMP, 5)
     oracle = make_group(spec)
-    trunc = 4 * r_max + 2
+    trunc, double = 4 * r_max + 2, 2 * r_max + 1
     table = explore(oracle, trunc)
-    radii = []
+    searches = []
+    search = explore_module._search
 
-    def counted(oracle, radius, budget=None):
-        radii.append(radius)
-        return explore(oracle, radius, budget)
+    def counted(codec, radius, budget, index, starts, adj=None):
+        # (radius searched from, radius searched to, builds a table)
+        searches.append((len(starts) - 2, radius, adj is not None))
+        return search(codec, radius, budget, index, starts, adj)
 
-    monkeypatch.setattr(ends, "explore", counted)
+    monkeypatch.setattr(explore_module, "_search", counted)
     for one_ended in (None, True):
-        radii.clear()
+        searches.clear()
         got = end_depth_profile(oracle, r_max, one_ended=one_ended)
+        assert searches == [(0, double, True),
+                            (0, trunc, False) if settled else (double, trunc, True)]
         want = end_depth_profile(oracle, r_max, one_ended=one_ended, table=table,
                                  truncation=trunc)
         assert [e.to_dict() for e in got.entries] == [e.to_dict() for e in want.entries]
         assert (got.classification, got.truncation_max) == (want.classification,
                                                             want.truncation_max)
         assert got.nodes_explored == want.nodes_explored == table.size
-        assert radii == ([2 * r_max + 1] if settled else [2 * r_max + 1, trunc])
 
 
 @pytest.mark.parametrize("r_max", [3, 5], ids=["unsettled", "settled"])

@@ -3,6 +3,7 @@ structure invariants, axes, budgets."""
 
 import ast
 import random
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -414,7 +415,12 @@ def test_key_round_trip(z_table_30):
 @pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
 def test_packed_explore_matches_tuple_reference(spec, radius):
     oracle = make_group(spec)
-    table = explore(oracle, radius)
+    _assert_reference_ball(oracle, explore(oracle, radius), radius)
+
+
+def _assert_reference_ball(oracle, table, radius):
+    """The table holds the ball of ``radius`` as the tuple search finds it:
+    element order, layer bounds, rows, keys and the complete flag."""
     elements, dist, rows, complete = reference_ball(oracle, radius)
     assert table.size == len(elements)
     assert [table.dist_of(v) for v in range(table.size)] == dist
@@ -428,6 +434,77 @@ def test_packed_explore_matches_tuple_reference(spec, radius):
         assert table.element(v) == g
         assert table.key_of(v) == oracle.key_str(g)
         assert table.id_of(g) == v
+
+
+@pytest.mark.parametrize("spec,radii", [
+    ({"family": "z_pow", "k": 2}, (3, 7)),
+    ({"family": "lamplighter", "m": 2}, (0, 2, 5, 9)),
+    # not bipartite: the rows of S(R) have slots inside S(R)
+    ({"family": "z_cross_cyclic", "m": 3}, (3, 4, 7)),
+    ({"family": "lamplighter", "m": 3}, (2, 6)),
+    ({"family": "cyclic_finite", "m": 7}, (1, 3)),  # complete, with an edge inside S(3)
+    ({"family": "cyclic_finite", "m": 12}, (3, 9)),  # grown past the diameter 6
+    ({"family": "cyclic_finite", "m": 12}, (6, 8, 12)),  # complete before any growth
+    ({"family": "trivial"}, (0, 2)),
+    (NESTED, (1, 4)),
+], ids=str)
+def test_grown_table_matches_tuple_reference(spec, radii):
+    # a table grown radius by radius is the table explored at once; each
+    # check decodes every element first, so the code list and the key index
+    # must be rebuilt by the next growth
+    oracle = make_group(spec)
+    table = explore(oracle, radii[0])
+    _assert_reference_ball(oracle, table, radii[0])
+    for radius in radii[1:]:
+        table.grow(radius)
+        _assert_reference_ball(oracle, table, radius)
+        assert table.id_of_key(table.key_of(table.size - 1)) == table.size - 1
+
+
+@pytest.mark.parametrize("spec", [{"family": "z_cross_cyclic", "m": 3},
+                                  {"family": "lamplighter", "m": 3}], ids=str)
+def test_grow_rewrites_the_wired_outer_sphere(spec):
+    # a sweep of B(5) wires the rows of S(5) with -1 for the steps that leave
+    # the ball; growing must write them again with their new neighbors
+    oracle = make_group(spec)
+    table = explore(oracle, 5)
+    end_depth_profile(oracle, 2, table=table, truncation=5, one_ended=True)
+    assert len(table.neighbors(table.size - 1)) < len(oracle.generators)
+    table.grow(7)
+    _assert_reference_ball(oracle, table, 7)
+
+
+def test_grow_within_reach_searches_nothing(monkeypatch):
+    oracle = make_group({"family": "z_cross_cyclic", "m": 3})
+    table = explore(oracle, 6)
+    table.neighbors(table.size - 1)
+
+    def no_search(*args):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(import_module("endslab.explore"), "_search", no_search)
+    for radius in (6, 2, 0):
+        table.grow(radius)
+        _assert_reference_ball(oracle, table, 6)
+    with pytest.raises(InvalidParameter, match="radius must be a nonnegative integer"):
+        table.grow(-1)
+
+
+def test_failed_grow_raises_as_explore_and_keeps_the_table():
+    # |B(r)| of free(2) is 53, 161, 485 and 1457 for r = 3..6
+    oracle = make_group({"family": "free", "k": 2})
+    table = explore(oracle, 3, budget=500)
+    table.neighbors(table.size - 1)
+    for radius in (6, 10):
+        with pytest.raises(BudgetExceeded) as want:
+            explore(oracle, radius, budget=500)
+        with pytest.raises(BudgetExceeded) as got:
+            table.grow(radius)
+        assert str(got.value) == str(want.value)
+        assert got.value.radius_requested == radius
+        _assert_reference_ball(oracle, table, 3)
+    table.grow(5)
+    _assert_reference_ball(oracle, table, 5)
 
 
 @pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
@@ -453,7 +530,7 @@ def test_windowed_series_matches_tuple_reference(spec, radius):
 def test_id_of_outside_the_window_is_none():
     lamp = explore(make_group({"family": "lamplighter", "m": 2}), 6)
     assert lamp.id_of((0, 0, 0)) == 0
-    assert lamp.id_of((8, 0, 0)) is None           # cursor beyond the window
+    assert lamp.id_of((100, 0, 0)) is None         # cursor beyond the window
     assert lamp.id_of((0, 100, 1)) is None         # lamp beyond the window
     assert lamp.id_of((0, -3, 0b1111111)) is None  # inside the window, outside the ball
     prod = explore(make_group(NESTED), 3)

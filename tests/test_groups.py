@@ -103,15 +103,29 @@ def test_codec_contract(spec):
             assert step(code) == codec.encode(oracle.multiply(g, s))
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: GroupSpec.from_dict(s).label())
+# balls of quadratic growth or more: Z^k for k >= 2 and products of two
+# infinite factors take a square-root bound
+PLANE_SPECS = [
+    {"family": "z_pow", "k": 2},
+    {"family": "product", "left": {"family": "z"}, "right": {"family": "z"}},
+    {"family": "product", "left": {"family": "dihedral_inf"},
+     "right": {"family": "z_cross_cyclic", "m": 2}},
+    {"family": "product", "left": {"family": "z"}, "right": {"family": "free", "k": 2}},
+]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + PLANE_SPECS,
+                         ids=lambda s: GroupSpec.from_dict(s).label())
 def test_radius_bound_holds(spec):
     # a ball within the budget never has a radius above the bound
     oracle = make_group(spec)
-    series = sphere_size_series(oracle, 7)
-    for budget in (1, 2, 3, 5, 10, 30, 100, 1000, 10_000):
+    # the balls of free and lamplighter factors outgrow a quick test past 7
+    radius = 7 if "free" in str(spec) or "lamplighter" in str(spec) else 12
+    series = sphere_size_series(oracle, radius)
+    for budget in (1, 2, 3, 5, 10, 30, 48, 49, 100, 1000, 10_000):
         bound = oracle.radius_bound(budget)
         assert (bound is None) == (oracle.order is not None)
-        for r in range(8):
+        for r in range(radius + 1):
             if bound is not None and series.ball(r) <= budget:
                 assert r <= bound, (budget, r, bound)
 
