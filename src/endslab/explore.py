@@ -19,8 +19,8 @@ caller asks for one. A table records each code once, as a key of its
 code-to-id dict: keys are inserted in discovery order, so the key order is
 the id order, and the list from id to code is derived from the dict on the
 first decode. The search reads each frontier off the tail of that dict,
-so ``BallTable.grow`` resumes it there: ``explore`` grows the ball of
-radius 0, whose codes cover every radius its node budget can reach.
+so ``BallTable.grow`` resumes it there, recoding the table first when
+its codes do not reach the new radius; ``explore`` grows the ball of radius 0.
 
 Adjacency is one flat array of rows, k = len(steps) slots per vertex in
 generator order, so the row of u is the implicit slice ``adj[k*u:k*u + k]``
@@ -72,20 +72,20 @@ class BallTable:
 
     A table changes in three lazy steps: the code list is built on the
     first decode, the outer rows are wired on first use, and ``grow``
-    extends the ball, keeping every id, layer and inner row. Building the
-    code list reads ``_index`` only, so two threads racing to build it each
-    get the same list. Wiring and growth are not thread-safe: they append
-    to ``_adj`` in batches, so two threads at once can interleave rows, and
-    an append while another thread iterates ``rows_down`` raises
-    BufferError. A table shared between threads should be grown, then
-    wired by ``neighbors`` on its last id.
+    extends the ball (recoding it if need be), keeping every id, layer and
+    inner row. Building the code list reads ``_index`` only, so two threads
+    racing to build it each get the same list. Wiring and growth are not
+    thread-safe: they append to ``_adj`` in batches, so two threads at once
+    can interleave rows, and an append while another thread iterates
+    ``rows_down`` raises BufferError. A table shared between threads should
+    be grown, then wired by ``neighbors`` on its last id.
     """
 
     def __init__(self, oracle: GroupOracle, budget: int):
         """The ball of radius 0, which ``grow`` extends within ``budget``."""
         self.oracle = oracle
         self._budget = budget
-        self._codec = _codec(oracle, budget, budget)  # every radius the budget reaches
+        self._codec = _codec(oracle, 1, budget)  # S(0) and its neighbors
         self._k = len(self._codec.steps)
         self._wired = 0
         self._adj = array("i")
@@ -93,9 +93,6 @@ class BallTable:
         self._codes = None
         self._layer_start = [0, 1]
         self._key_index = None
-
-    def __len__(self):
-        return self._layer_start[-1]
 
     @property
     def size(self) -> int:
@@ -165,12 +162,17 @@ class BallTable:
         self._wired = self.size
 
     def grow(self, radius: int) -> None:
-        """Extend the table to the ball of ``radius`` that ``explore`` gives,
-        resuming the search at the outermost sphere, whose wired rows it
-        writes again. BudgetExceeded leaves the table as it was."""
+        """Extend the table to the ball of ``radius`` that ``explore`` gives:
+        recode every vertex if the codes do not reach that far (ids stay),
+        then resume the search at the outermost sphere, whose wired rows it
+        writes again. BudgetExceeded leaves the ball as it was."""
         _search_budget(radius, self._budget)
         if radius <= self.reached:
             return
+        codec = _codec(self.oracle, radius + 1, self._budget)  # S(radius)'s neighbors too
+        if codec.span != self._codec.span:  # codes widen with their radius
+            codes = map(codec.encode, map(self._codec.decode, self._index))
+            self._index, self._codec = dict(zip(codes, range(self.size))), codec
         starts, index, adj = self._layer_start, self._index, self._adj
         depth, size, outer = len(starts), self.size, starts[-2]
         del adj[self._k * outer:]

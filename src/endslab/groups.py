@@ -54,7 +54,8 @@ Codes by family (w = 2 * radius + 1, o = radius):
 * ``z_pow(k)``       -- digits ``a_i + o`` in base w, first coordinate highest
 * ``free(k)``        -- digits in base 2k + 1, letter +i as 2i - 1 and -i as
                         2i, first letter highest; a step appends a digit or
-                        drops the last one
+                        drops the last one. ``free(1)``, whose words are
+                        powers of one letter, codes the power as ``z`` does
 * ``dihedral_inf``   -- ``2 * (p + o) + f``
 * ``z_cross_cyclic`` -- ``(n + o) * m + c``, the product code of its factors
 * ``lamplighter(m)`` -- ``lamps * w + cursor + o``: written base m, digit 2i
@@ -383,8 +384,8 @@ class _ZOracle(GroupOracle):
     def key_str(self, g):
         return str(g)
 
-    def codec(self, radius):
-        o = radius
+    @staticmethod
+    def codec(o):
         return Codec(2 * o + 1, o, (_shift(1), _shift(-1)),
                      lambda g: g + o if -o <= g <= o else None, lambda v: v - o)
 
@@ -485,6 +486,10 @@ class _FreeOracle(GroupOracle):
         return ".".join(str(a) for a in g)
 
     def codec(self, radius):
+        if self.k == 1:  # the word a^n or A^-n, of exponent n = sum(g)
+            z = _ZOracle.codec(radius)
+            return Codec(z.span, z.identity, z.steps, lambda g: z.encode(sum(g)),
+                         lambda v: (1,) * z.decode(v) or (-1,) * -z.decode(v))
         base = 2 * self.k + 1
 
         def digit(a):

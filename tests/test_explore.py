@@ -22,6 +22,9 @@ NESTED = {"family": "product",
                    "right": {"family": "lamplighter", "m": 2}},
           "right": {"family": "free", "k": 2}}
 
+C3_FREE1 = {"family": "product", "left": {"family": "cyclic_finite", "m": 3},
+            "right": {"family": "free", "k": 1}}
+
 REFERENCE_CASES = [
     ({"family": "trivial"}, 3),
     ({"family": "trivial"}, 0),
@@ -32,6 +35,7 @@ REFERENCE_CASES = [
     ({"family": "z"}, 12),
     ({"family": "z_pow", "k": 2}, 7),
     ({"family": "z_pow", "k": 3}, 4),
+    ({"family": "free", "k": 1}, 9),
     ({"family": "free", "k": 2}, 5),
     ({"family": "free", "k": 3}, 4),
     ({"family": "dihedral_inf"}, 11),
@@ -442,6 +446,7 @@ def _assert_reference_ball(oracle, table, radius):
     # not bipartite: the rows of S(R) have slots inside S(R)
     ({"family": "z_cross_cyclic", "m": 3}, (3, 4, 7)),
     ({"family": "lamplighter", "m": 3}, (2, 6)),
+    (C3_FREE1, (2, 5)),
     ({"family": "cyclic_finite", "m": 7}, (1, 3)),  # complete, with an edge inside S(3)
     ({"family": "cyclic_finite", "m": 12}, (3, 9)),  # grown past the diameter 6
     ({"family": "cyclic_finite", "m": 12}, (6, 8, 12)),  # complete before any growth
@@ -530,7 +535,7 @@ def test_windowed_series_matches_tuple_reference(spec, radius):
 def test_id_of_outside_the_window_is_none():
     lamp = explore(make_group({"family": "lamplighter", "m": 2}), 6)
     assert lamp.id_of((0, 0, 0)) == 0
-    assert lamp.id_of((100, 0, 0)) is None         # cursor beyond the window
+    assert lamp.id_of((8, 0, 0)) is None           # cursor beyond the window
     assert lamp.id_of((0, 100, 1)) is None         # lamp beyond the window
     assert lamp.id_of((0, -3, 0b1111111)) is None  # inside the window, outside the ball
     prod = explore(make_group(NESTED), 3)
@@ -552,6 +557,24 @@ def test_codes_beyond_63_bits():
     assert [list(table.neighbors(v)) for v in range(table.size)] == rows
     assert all(table.id_of(g) == v for v, g in enumerate(elements))
     assert sphere_size_series(oracle, 5).sizes == [dist.count(r) for r in range(6)]
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ({"family": "free", "k": 1}, 40),
+    (C3_FREE1, 40),
+    ({"family": "product", "left": {"family": "z"}, "right": {"family": "free", "k": 1}}, 40),
+    ({"family": "z_pow", "k": 3}, 20),
+], ids=str)
+def test_table_codes_fit_the_radius_grown_to(spec, radius):
+    # codes are sized for the ball a table holds, not for all the budget
+    # could reach, and free(1) words are coded by their exponent: one-digit
+    # ints (below 2^30) at these radii, before and after growth
+    oracle = make_group(spec)
+    table = explore(oracle, radius // 2)
+    assert max(table._index) < 2 ** 30
+    table.grow(radius)
+    assert max(table._index) < 2 ** 30
+    _assert_reference_ball(oracle, table, radius)
 
 
 def test_codes_stay_short_far_beyond_reach():

@@ -16,6 +16,7 @@ ALL_SPECS = [
     {"family": "z"},
     {"family": "z_pow", "k": 1},
     {"family": "z_pow", "k": 3},
+    {"family": "free", "k": 1},
     {"family": "free", "k": 2},
     {"family": "dihedral_inf"},
     {"family": "z_cross_cyclic", "m": 3},
@@ -133,6 +134,9 @@ def test_radius_bound_holds(spec):
 def test_codec_window_edges():
     assert make_group({"family": "z"}).codec(3).encode(4) is None
     assert make_group({"family": "free", "k": 2}).codec(3).encode((1, 1, 1, 1)) is None
+    free1 = make_group({"family": "free", "k": 1}).codec(3)
+    assert free1.encode((1, 1, 1, 1)) is None and free1.encode((-1, -1, -1, -1)) is None
+    assert free1.decode(free1.encode((-1, -1, -1))) == (-1, -1, -1)
     assert make_group({"family": "dihedral_inf"}).codec(3).encode((-4, 1)) is None
     assert make_group({"family": "z_cross_cyclic", "m": 3}).codec(3).encode((4, 0)) is None
     lamp = make_group({"family": "lamplighter", "m": 3}).codec(3)
@@ -268,7 +272,7 @@ NESTED_SPEC = {"family": "product",
 
 SPEC_LABELS = [
     "trivial", "cyclic_finite(5)", "cyclic_finite(2)", "z", "z_pow(1)", "z_pow(3)",
-    "free(2)", "dihedral_inf", "z_cross_cyclic(3)", "z_cross_cyclic(2)",
+    "free(1)", "free(2)", "dihedral_inf", "z_cross_cyclic(3)", "z_cross_cyclic(2)",
     "lamplighter(2)", "lamplighter(3)", "product(z, cyclic_finite(3))",
     "product(lamplighter(2), free(2))",
     "product(product(z_pow(2), lamplighter(3)), product(dihedral_inf, trivial))",
