@@ -11,11 +11,12 @@ separation factor is below the threshold the criterion actually requires.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidParameter, TrivialPartition
-from .explore import (DEFAULT_NODE_BUDGET, BallTable, GeodesicAxis, build_axis,
-                      explore, sphere_size_series)
+from .explore import (BallTable, GeodesicAxis, _search_budget, build_axis, explore,
+                      sphere_size_series)
 from .ends import EndDepthProfile
 from .glpartition import build_gl_partition, similar_partitions, sphere_as_metric_space
 from .groups import GroupOracle, Record, _is_int
@@ -103,11 +104,20 @@ def bounded_sphere_detector(sizes: Sequence[int]) -> Verdict:
 
 def _criterion_radius(a: int, n: int) -> int:
     """The criterion radius rho = (2a+1)^(n+2), exact; InvalidParameter
-    unless a >= 3 and n >= 2 are integers."""
+    unless a >= 3 and n >= 2 are integers and rho has few enough digits to
+    be written out (``sys.get_int_max_str_digits``), which is checked from
+    the exponent before the power is computed."""
     if not _is_int(a) or a < 3:
         raise InvalidParameter(f"need integer a >= 3, got {a!r}")
     if not _is_int(n) or n < 2:
         raise InvalidParameter(f"need integer n >= 2, got {n!r}")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    # rho has about (n + 2) log10(2a + 1) digits; more than one digit past
+    # the limit, beyond the float error, needs no power computed
+    if limit and (n + 2 > (limit + 1) / math.log10(2 * a + 1)
+                  or (2 * a + 1) ** (n + 2) >= 10 ** limit):
+        raise InvalidParameter(f"the criterion radius (2a+1)^(n+2) has more than {limit} "
+                               "digits, too many to write out")
     return (2 * a + 1) ** (n + 2)
 
 
@@ -121,21 +131,21 @@ def sphere_bound_criterion(oracle: GroupOracle, a: int, n: int,
     demonstration_only, since the criterion is only established from 100 up.
     """
     rho = _criterion_radius(a, n)
-    effective_budget = budget if budget is not None else DEFAULT_NODE_BUDGET
+    budget = _search_budget(rho, budget)
     base = {"a": a, "n": n, "required_radius": rho}
-    if oracle.order is None and rho + 1 > effective_budget:
+    if oracle.order is None and rho + 1 > budget:
         # an infinite group has more than rho vertices within radius rho
         return Verdict(INFEASIBLE, dict(base, reason="ball size exceeds node budget",
-                                        budget=effective_budget))
+                                        budget=budget))
     try:
-        series = sphere_size_series(oracle, rho, effective_budget)
+        series = sphere_size_series(oracle, rho, budget)
     except BudgetExceeded as exc:
         return Verdict(INFEASIBLE, dict(base, reason="ball size exceeds node budget",
-                                        budget=effective_budget,
+                                        budget=budget,
                                         radius_reached=exc.radius_reached))
-    size = series.sphere(rho)
+    size = series.sphere_size(rho)
     details = dict(base, sphere_size=size, complete_group=series.complete_group,
-                   nodes_explored=series.nodes)
+                   nodes_explored=series.size)
     if size > n:
         return Verdict(NO_EVIDENCE, details)
     if a >= CRITERION_MIN_FACTOR:
@@ -208,12 +218,12 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
                 "mechanics demonstration only")
 
     series = sphere_size_series(oracle, rho, budget)
-    size = series.sphere(rho)
+    size = series.sphere_size(rho)
     hypothesis_ok = size <= n
     steps.append(DemoStep("sphere_size_hypothesis", hypothesis_ok,
                           {"radius": rho, "sphere_size": size, "max_allowed": n}))
     if not hypothesis_ok:
-        return DemoReport(oracle.label(), a, n, rho, steps, None, series.nodes, note)
+        return DemoReport(oracle.label(), a, n, rho, steps, None, series.size, note)
 
     table = explore(oracle, 3 * rho + 40, budget)
 

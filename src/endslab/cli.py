@@ -218,7 +218,7 @@ def _row_series(oracle, rmax: int, budget: int):
     if oracle.order is not None and rmax + 1 > budget:
         raise Infeasible(
             f"--rmax {rmax} asks for {rmax + 1} rows, above the node budget {budget}; "
-            f"the whole group lies within radius {len(series.sizes) - 1}")
+            f"the whole group lies within radius {series.reached}")
     return series
 
 
@@ -229,12 +229,12 @@ def cmd_growth(args, oracle, budget):
     if args.rmax < 0:
         raise InvalidParameter("--rmax must be >= 0")
     series = _row_series(oracle, args.rmax, budget)
-    rows = [[r, series.sphere(r), series.ball(r)] for r in range(args.rmax + 1)]
+    rows = [[r, series.sphere_size(r), series.ball_size(r)] for r in range(args.rmax + 1)]
     if args.format == "csv":
         payload = {"header": ["r", "sphere_size", "ball_size"], "rows": rows}
     else:
         payload = {"rows": rows, "complete_group": series.complete_group}
-    return {"rmax": args.rmax, "format": args.format}, series.nodes, payload, EXIT_OK
+    return {"rmax": args.rmax, "format": args.format}, series.size, payload, EXIT_OK
 
 
 def cmd_end_depth(args, oracle, budget):
@@ -311,10 +311,10 @@ def cmd_classify(args, oracle, budget):
             if value is not None:
                 raise InvalidParameter(f"spheres mode takes no {option}")
         series = _row_series(oracle, rmax, budget)
-        sizes = [series.sphere(r) for r in range(1, rmax + 1)]
+        sizes = [series.sphere_size(r) for r in range(1, rmax + 1)]
         verdict = classify.bounded_sphere_detector(sizes)
         params = {"mode": "spheres", "rmax": rmax}
-        nodes = series.nodes
+        nodes = series.size
         payload = {"verdict": verdict.to_dict(), "sphere_sizes": sizes}
     code = EXIT_INFEASIBLE if verdict.kind == classify.INFEASIBLE else EXIT_OK
     return params, nodes, payload, code

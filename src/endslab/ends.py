@@ -292,6 +292,10 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
         raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
     finite = oracle.order is not None
     estimate = not finite and not one_ended
+    if estimate and truncation - 1 <= r_max:
+        raise InvalidParameter(
+            f"the ends estimate needs truncation >= r_max + 2, "
+            f"got truncation {truncation} for r_max={r_max}")
     truncs = (truncation - 1, truncation) if estimate else (truncation,)
     nodes = None
     if table is None and not finite and 2 * r_max + 1 < truncs[0]:
@@ -303,7 +307,7 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
         sweep = _complement_sweep(table, range(r_max + 1), (double,))[double]
         if all(touching == 1 for _, touching, _ in sweep.values()):
             sweeps = dict.fromkeys(truncs, sweep)
-            nodes = sphere_size_series(oracle, truncation, budget).nodes
+            nodes = sphere_size_series(oracle, truncation, budget).size
         else:
             table.grow(truncation)
     if nodes is None:
@@ -316,10 +320,6 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
                 raise InvalidParameter(
                     f"the whole group lies within radius {table.reached}; "
                     f"no complement to analyze at r_max={r_max}")
-        elif estimate and truncation - 1 <= r_max:
-            raise InvalidParameter(
-                f"the ends estimate needs truncation >= r_max + 2, "
-                f"got truncation {truncation} for r_max={r_max}")
         # snapshots 0..r_max - 1 also give the ends estimate its counts e(r)
         sweeps = _complement_sweep(table, range(r_max + 1), truncs)
 

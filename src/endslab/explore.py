@@ -9,9 +9,10 @@ left invariance, d(x, y) = |x^-1 y|: one group product and one lookup.
 Vertices are numbered in discovery order, which is also distance order, so a
 layer is a contiguous id range and the whole table is deterministic: two runs
 over the same oracle and radius produce identical tables. The layer bounds
-are the only record of distance: the distance of an id is the layer whose
-range holds it. A table or series holds the whole group exactly when its
-size is the group order.
+are the one record of distance and size, ``SphereSizeSeries``: the distance
+of an id is the layer whose range holds it. ``sphere_size_series`` returns
+that record bare, and a ``BallTable`` adds the vertices and their rows.
+Either holds the whole group exactly when its size is the group order.
 
 The search runs on the packed int codes of ``GroupOracle.codec`` and steps
 them with one int function per generator; elements are decoded only when a
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice, pairwise, repeat
+from itertools import islice, pairwise, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
@@ -53,55 +54,36 @@ from .groups import Codec, Element, GroupOracle, Record, _is_int
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-class BallTable:
-    """All elements within a truncation radius, with distances and adjacency.
+class SphereSizeSeries:
+    """The layer record of a search: ``_layer_start[r]`` is the first id of
+    S(r) and ``_layer_start[-1]`` the size, and every size and distance is
+    read off these bounds. A finite group exhausted before the requested
+    radius stops the list, and ``sphere_size`` reports zero beyond it (the
+    requested radius may be astronomically large). ``complete_group``
+    holds when the size is the group order."""
 
-    Vertices are stored as the int codes of ``codec`` and decoded only on
-    request. ``_index`` is the one record of the codes: it maps each code to
-    its id, and its insertion order is the id order. ``_codes``, the list
-    from id to code, is derived from it as ``list(_index)`` by the first
-    decode (``element``, and through it ``key_of``, ``translates`` and
-    ``distance_rows``); a caller that only sweeps the table never builds it.
-    Layers are contiguous id ranges, ``_layer_start[r]`` the first id of
-    S(r), so ``_layer_start[-1]`` is the size, and ``dist_of`` reads a
-    distance off these bounds. ``complete_group`` holds when the size is the
-    group order. Adjacency covers exactly the edges of the induced subgraph
-    on the ball. ``_adj`` holds ``_k`` slots per id for the first ``_wired``
-    ids; the rows of the outermost sphere of an unexhausted ball are
-    appended on first use (module docstring).
+    __slots__ = ("oracle", "_layer_start")
 
-    A table changes in three lazy steps: the code list is built on the
-    first decode, the outer rows are wired on first use, and ``grow``
-    extends the ball (recoding it if need be), keeping every id, layer and
-    inner row. Building the code list reads ``_index`` only, so two threads
-    racing to build it each get the same list. Wiring and growth are not
-    thread-safe: they append to ``_adj`` in batches, so two threads at once
-    can interleave rows, and an append while another thread iterates
-    ``rows_down`` raises BufferError. A table shared between threads should
-    be grown, then wired by ``neighbors`` on its last id.
-    """
-
-    def __init__(self, oracle: GroupOracle, budget: int):
-        """The ball of radius 0, which ``grow`` extends within ``budget``."""
+    def __init__(self, oracle: GroupOracle, starts: list):
         self.oracle = oracle
-        self._budget = budget
-        self._codec = _codec(oracle, 1, budget)  # S(0) and its neighbors
-        self._k = len(self._codec.steps)
-        self._wired = 0
-        self._adj = array("i")
-        self._index = {self._codec.identity: 0}
-        self._codes = None
-        self._layer_start = [0, 1]
-        self._key_index = None
+        self._layer_start = starts
 
     @property
     def size(self) -> int:
         return self._layer_start[-1]
 
+    def __len__(self) -> int:  # clibench's tracer counts explore's vertices with len()
+        return self.size
+
     @property
     def reached(self) -> int:
         """The outermost radius with a vertex: the last layer."""
         return len(self._layer_start) - 2
+
+    @property
+    def sizes(self) -> list:
+        """|S(r)| for r = 0..reached."""
+        return [b - a for a, b in pairwise(self._layer_start)]
 
     @property
     def complete_group(self) -> bool:
@@ -117,6 +99,7 @@ class BallTable:
         return self._layer_start[r + 1] - self._layer_start[r]
 
     def ball_size(self, r: int) -> int:
+        """|B(r)|: 0 for r < 0, and the size beyond the last layer."""
         r = min(r, self.reached)
         if r < 0:
             return 0
@@ -126,6 +109,52 @@ class BallTable:
         if r < 0 or r > self.reached:
             return range(0)
         return range(self._layer_start[r], self._layer_start[r + 1])
+
+    # ``nodes`` (the vertices counted against the budget) is read by clibench's tracer
+    sphere, ball, nodes = sphere_size, ball_size, size
+
+
+class BallTable(SphereSizeSeries):
+    """All elements within a truncation radius: a layer record
+    (``SphereSizeSeries``) with the vertices and their adjacency.
+
+    Vertices are stored as the int codes of ``codec`` and decoded only on
+    request. ``_index`` is the one record of the codes: it maps each code to
+    its id, and its insertion order is the id order. ``_codes``, the list
+    from id to code, is derived from it as ``list(_index)`` by the first
+    decode (``element``, and through it ``key_of``, ``translates`` and
+    ``distance_rows``); a caller that only sweeps the table never builds it.
+    Adjacency covers exactly the edges of the induced subgraph on the ball.
+    ``_adj`` holds ``_k`` slots per id, so the rows it holds are those of
+    the first ``_wired`` = len(_adj) // _k ids; the rows of the outermost
+    sphere of an unexhausted ball are appended on first use (module
+    docstring).
+
+    A table changes in three lazy steps: the code list is built on the
+    first decode, the outer rows are wired on first use, and ``grow``
+    extends the ball (recoding it if need be), keeping every id, layer and
+    inner row. Building the code list reads ``_index`` only, so two threads
+    racing to build it each get the same list. Wiring and growth are not
+    thread-safe: they append to ``_adj`` in batches, so two threads at once
+    can interleave rows, and an append while another thread iterates
+    ``rows_down`` raises BufferError. A table shared between threads should
+    be grown, then wired by ``neighbors`` on its last id.
+    """
+
+    def __init__(self, oracle: GroupOracle, budget: int):
+        """The ball of radius 0, which ``grow`` extends within ``budget``."""
+        super().__init__(oracle, [0, 1])
+        self._budget = budget
+        self._codec = _codec(oracle, 1, budget)  # S(0) and its neighbors
+        self._k = len(self._codec.steps)
+        self._adj = array("i")
+        self._index = {self._codec.identity: 0}
+        self._codes = None
+        self._key_index = None
+
+    @property
+    def _wired(self) -> int:  # every id of the trivial group, which has no generators
+        return len(self._adj) // self._k if self._k else self.size
 
     def element(self, vid: int) -> Element:
         codes = self._codes
@@ -159,7 +188,6 @@ class BallTable:
         outer = islice(self._index, self._wired, None)
         while batch := list(islice(outer, _BATCH)):
             self._adj.extend(map(get, _neighbor_codes(steps, batch), repeat(-1)))
-        self._wired = self.size
 
     def grow(self, radius: int) -> None:
         """Extend the table to the ball of ``radius`` that ``explore`` gives:
@@ -176,7 +204,7 @@ class BallTable:
         starts, index, adj = self._layer_start, self._index, self._adj
         depth, size, outer = len(starts), self.size, starts[-2]
         del adj[self._k * outer:]
-        self._wired, self._codes, self._key_index = outer, None, None
+        self._codes = self._key_index = None
         try:
             _search(self._codec, radius, self._budget, index, starts, adj)
         except BudgetExceeded:
@@ -184,8 +212,6 @@ class BallTable:
             while len(index) > size:
                 index.popitem()
             raise
-        # every sphere but S(radius) is expanded, unless the group ran out first
-        self._wired = starts[-2] if self.reached == radius else starts[-1]
 
     def id_of(self, g: Element) -> Optional[int]:
         code = self._codec.encode(g)
@@ -333,51 +359,18 @@ def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> B
     return table
 
 
-class SphereSizeSeries:
-    """Layer counts from a lean exploration that keeps no geometry.
-
-    ``sizes[r]`` is |S(r)| for every populated layer; a finite group exhausted
-    before the requested radius simply stops the list, and ``sphere`` reports
-    zero beyond it (the requested radius may be astronomically large).
-    ``complete_group`` holds when the sizes add up to the group order, as
-    for ``BallTable``; ``nodes``, the vertices counted against the budget,
-    is the size of the whole series.
-    """
-
-    __slots__ = ("sizes", "complete_group", "_balls")
-
-    def __init__(self, sizes: list[int], complete_group: bool):
-        self.sizes = sizes
-        self.complete_group = complete_group
-        self._balls = list(accumulate(sizes))
-
-    @property
-    def nodes(self) -> int:
-        return self._balls[-1]
-
-    def sphere(self, r: int) -> int:
-        return self.sizes[r] if 0 <= r < len(self.sizes) else 0
-
-    def ball(self, r: int) -> int:
-        """|B(r)|, as ``BallTable.ball_size``: 0 for r < 0, and the whole
-        series beyond its last layer."""
-        if r < 0:
-            return 0
-        return self._balls[min(r, len(self._balls) - 1)]
-
-
 def sphere_size_series(oracle: GroupOracle, radius: int,
                        budget: Optional[int] = None) -> SphereSizeSeries:
     """Sphere sizes up to ``radius`` without building a table.
 
     Keeps only the codes of three consecutive spheres, so it scales to balls
-    far beyond what a full table can hold; ``nodes`` still counts every
+    far beyond what a full table can hold; ``size`` still counts every
     vertex of the ball against the budget.
     """
     budget = _search_budget(radius, budget)
     codec, starts = _codec(oracle, radius, budget), [0, 1]
     _search(codec, radius, budget, {codec.identity: None}, starts)
-    return SphereSizeSeries([b - a for a, b in pairwise(starts)], starts[-1] == oracle.order)
+    return SphereSizeSeries(oracle, starts)
 
 
 class GeodesicAxis(Record):

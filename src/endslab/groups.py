@@ -72,6 +72,7 @@ so a product can lift it to another translation instead of a divmod.
 from __future__ import annotations
 
 import json
+import sys
 from functools import partial
 from math import isqrt
 from operator import add
@@ -190,7 +191,8 @@ def _is_int(x) -> bool:
 
 def _loads(text: str, what: str):
     """Decode JSON, rejecting an object that repeats a key: plain
-    ``json.loads`` keeps the last copy and drops the others unseen."""
+    ``json.loads`` keeps the last copy and drops the others unseen. An
+    integer too long to convert is InvalidParameter too."""
     def unique_keys(pairs: list) -> dict:
         d = {}
         for key, value in pairs:
@@ -198,7 +200,13 @@ def _loads(text: str, what: str):
                 raise InvalidParameter(f"{what} repeats the key {key!r}")
             d[key] = value
         return d
-    return json.loads(text, object_pairs_hook=unique_keys)
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except (json.JSONDecodeError, InvalidParameter):
+        raise
+    except ValueError:  # json's int() past the digit limit, its only other ValueError
+        raise InvalidParameter(f"{what} holds an integer of more than "
+                               f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _check_keys(d, allowed: tuple, what: str) -> None:

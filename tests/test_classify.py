@@ -1,5 +1,8 @@
 """Linear-depth check, detectors, growth against ends, criterion, covering demo."""
 
+import math
+import sys
+
 import pytest
 
 from endslab import classify
@@ -166,6 +169,35 @@ def test_criterion_validates_parameters():
         sphere_bound_criterion(z, 2, 2)
     with pytest.raises(InvalidParameter):
         sphere_bound_criterion(z, 3, 1)
+
+
+def test_criterion_validates_budget():
+    z = make_group({"family": "z"})
+    for budget in (0, -5, True, 2.5):
+        with pytest.raises(InvalidParameter, match="budget must be positive"):
+            sphere_bound_criterion(z, 3, 2, budget)
+
+
+def _writable(x: int) -> bool:
+    try:
+        str(x)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return False
+    return True
+
+
+def test_criterion_radius_bounded_by_digit_limit():
+    # rho = (2a+1)^(n+2) is refused exactly when str() refuses to write it
+    limit = sys.get_int_max_str_digits()
+    for a in (3, 4, 100, 10 ** 50):
+        n = max(2, int(limit / math.log10(2 * a + 1)) - 4)
+        while _writable((2 * a + 1) ** (n + 3)):
+            n += 1
+        assert _writable(classify._criterion_radius(a, n))
+        with pytest.raises(InvalidParameter, match=f"more than {limit} digits"):
+            classify._criterion_radius(a, n + 1)
+    with pytest.raises(InvalidParameter):
+        classify._criterion_radius(3, 4_000_000)  # refused before the power
 
 
 def test_demo_on_line(z_oracle, monkeypatch):

@@ -7,6 +7,7 @@ import platform
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,18 @@ def test_end_depth_fixed_truncation(tmp_path):
     assert code == 0
     doc = load(out)["report"]
     assert all(e["truncation"] == 20 for e in doc["profile"]["entries"])
+
+
+def test_end_depth_estimate_truncation_checked_before_search(tmp_path, capsys):
+    # B(6) of free(3) holds 23,437 vertices, far past the budget; the
+    # truncation is refused before any search
+    code, out = run(tmp_path, "never.json",
+                    ["end-depth", "--group", '{"family":"free","k":3}', "--rmax", "5",
+                     "--truncation", "6", "--budget", "100"])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "endslab: invalid input: the ends estimate needs truncation >= r_max + 2, "
+        "got truncation 6 for r_max=5\n")
 
 
 def test_ends_classifications(tmp_path):
@@ -217,6 +230,23 @@ def test_classify_criterion_exit_codes(tmp_path):
     verdict = load(out)["report"]["verdict"]
     assert verdict["kind"] == "infeasible"
     assert verdict["details"]["required_radius"] == 1_632_240_801
+
+
+@pytest.mark.parametrize("command", [["classify", "--mode", "criterion"], ["demo-cover"]],
+                         ids=["classify", "demo-cover"])
+def test_criterion_radius_past_digit_limit_exit_2(tmp_path, capsys, command):
+    # rho = 7^(n+2) would go into the report; at n = 6000 it has 5,073 digits,
+    # at n = 4,000,000 the power alone takes seconds: both are refused at once
+    for n in ("6000", "4000000"):
+        started = time.perf_counter()
+        code, out = run(tmp_path, "never.json",
+                        [*command, "--group", '{"family":"z"}', "--a", "3", "--n", n])
+        assert time.perf_counter() - started < 1.0, n
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert (f"the criterion radius (2a+1)^(n+2) has more than "
+                f"{sys.get_int_max_str_digits()} digits") in err, err
+        assert "Traceback" not in err
 
 
 def test_classify_criterion_needs_parameters():
@@ -653,6 +683,10 @@ def test_foreign_spec_key_exit_2(tmp_path, capsys):
 ], ids=["group", "metric_space", "witness"])
 def test_repeated_json_key_exit_2(tmp_path, capsys, command, option, text, message):
     # plain JSON decoding would keep the last copy of the key and exit 0
+    _assert_json_input_exit_2(tmp_path, capsys, command, option, text, message)
+
+
+def _assert_json_input_exit_2(tmp_path, capsys, command, option, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)
     args = {"growth": ["--rmax", "2"], "glpartition": ["--a", "3"],
@@ -662,7 +696,25 @@ def test_repeated_json_key_exit_2(tmp_path, capsys, command, option, text, messa
         assert main([command, option, source, *args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert message in err, err
+        assert "Traceback" not in err
         assert not out.exists()
+
+
+_LONG = "1" + "0" * 5000  # past the int conversion limit, 4,300 digits by default
+
+
+@pytest.mark.parametrize("command,option,text,what", [
+    ("growth", "--group", '{"family":"cyclic_finite","m":%s}' % _LONG, "group spec"),
+    ("glpartition", "--input", '{"points":["a","b"],"distances":[[0,%s],[%s,0]]}' % (_LONG, _LONG),
+     "metric space"),
+    ("obss", "--witness",
+     '{"n":2,"truncation":%s,"items":[{"K":["0"],"r":2,"A":["-2"],"B":["2"]}]}' % _LONG,
+     "witness"),
+], ids=["group", "metric_space", "witness"])
+def test_over_long_json_integer_exit_2(tmp_path, capsys, command, option, text, what):
+    # json.loads raises a plain ValueError for such an integer
+    message = f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits"
+    _assert_json_input_exit_2(tmp_path, capsys, command, option, text, message)
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -117,7 +117,7 @@ def test_sweep_finds_bounded_root_at_top_of_inner_sphere(spec):
     rows = [[1, 2], [0, 3], [0, 4], [1, 5], [2, 2], [3, 3]]
     table = BallTable(make_group(spec), 6)
     table._k, table._index, table._layer_start = 2, {i: i for i in range(6)}, [0, 1, 3, 5, 6]
-    table._wired, table._adj = 6, array("i", chain.from_iterable(rows))
+    table._adj = array("i", chain.from_iterable(rows))
     for truncs in ((2,), (3,), (2, 3)):
         sweeps = _complement_sweep(table, range(truncs[0]), truncs)
         for trunc in truncs:

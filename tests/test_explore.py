@@ -120,7 +120,7 @@ def test_lean_series_matches_full_tables(spec, radius):
         [table.sphere_size(r) for r in range(radius + 1)]
     assert [series.ball(r) for r in range(-3, radius + 3)] == \
         [table.ball_size(r) for r in range(-3, radius + 3)]
-    assert series.nodes == table.size
+    assert series.size == table.size == len(table) == len(series)
 
 
 def test_layer_property(z2_table_22, f2_table_8):
@@ -528,7 +528,7 @@ def test_windowed_series_matches_tuple_reference(spec, radius):
     _, dist, _, complete = reference_ball(oracle, radius)
     series = sphere_size_series(oracle, radius)
     assert series.sizes == [dist.count(r) for r in range(dist[-1] + 1)]
-    assert series.nodes == len(dist)
+    assert series.size == len(dist)
     assert series.complete_group == complete
 
 
