@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import BudgetExceeded, InvalidParameter, TrivialPartition
 from .explore import (BallTable, GeodesicAxis, _search_budget, build_axis, explore,
                       sphere_size_series)
-from .ends import EndDepthProfile
+from .ends import EndDepthProfile, _writable
 from .glpartition import build_gl_partition, similar_partitions, sphere_as_metric_space
 from .groups import GroupOracle, Record, _is_int
 
@@ -111,14 +111,13 @@ def _criterion_radius(a: int, n: int) -> int:
         raise InvalidParameter(f"need integer a >= 3, got {a!r}")
     if not _is_int(n) or n < 2:
         raise InvalidParameter(f"need integer n >= 2, got {n!r}")
+    what = "the criterion radius (2a+1)^(n+2)"
     limit = sys.get_int_max_str_digits()  # 0: no limit
     # rho has about (n + 2) log10(2a + 1) digits; more than one digit past
     # the limit, beyond the float error, needs no power computed
-    if limit and (n + 2 > (limit + 1) / math.log10(2 * a + 1)
-                  or (2 * a + 1) ** (n + 2) >= 10 ** limit):
-        raise InvalidParameter(f"the criterion radius (2a+1)^(n+2) has more than {limit} "
-                               "digits, too many to write out")
-    return (2 * a + 1) ** (n + 2)
+    if limit and n + 2 > (limit + 1) / math.log10(2 * a + 1):
+        raise InvalidParameter(f"{what} has more than {limit} digits, too many to write out")
+    return _writable((2 * a + 1) ** (n + 2), what)
 
 
 def sphere_bound_criterion(oracle: GroupOracle, a: int, n: int,
@@ -227,7 +226,7 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
 
     table = explore(oracle, 3 * rho + 40, budget)
 
-    base_space = sphere_as_metric_space(oracle, table, oracle.identity(), rho)
+    base_space = sphere_as_metric_space(table, oracle.identity(), rho)
     base_partition = build_gl_partition(base_space, a)
     if base_partition.trivial:
         raise TrivialPartition(
@@ -240,7 +239,7 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
     similar = True
     partitions = {}
     for i in range(-40 * D, 40 * D + 1):
-        space_i = sphere_as_metric_space(oracle, table, axis.vertex(i), rho)
+        space_i = sphere_as_metric_space(table, axis.vertex(i), rho)
         part_i = build_gl_partition(space_i, a)
         if part_i.trivial:
             raise TrivialPartition(

@@ -143,7 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--truncation", default="auto",
                    help="'auto' for one truncation, 4*rmax+2, for the whole profile, "
-                        "or a fixed integer T; entry r is certified when T >= 4r+2")
+                        "or a fixed integer T; entry r is certified when T >= 4r+2 and "
+                        "one component of B(T) minus B(r) touches S(T), or the group "
+                        "is assumed one ended")
     p.add_argument("--assume-one-ended", action="store_true",
                    help="skip the internal ends estimate and certify on the caller's word")
 

@@ -37,7 +37,11 @@ of B(2 r_max + 1), and when every touching count there is 1, only a lean
 count of B(4 r_max + 2) (``sphere_size_series``), whose size the report
 still records as the node usage; else that table, grown to B(4 r_max + 2)
 (``BallTable.grow``). The certified flag on results records that the
-truncation reached the default and that the one-endedness evidence held.
+truncation reached the default and that the one-endedness evidence held:
+the caller's assertion, or the ends estimate together with a touching
+count of 1 at T, which proves one unbounded component. The estimate alone
+reads open balls, and G \\ {e} is connected in some two-ended groups
+(z_cross_cyclic(2) at r = 1), where touching(1, T) is 2.
 
 The vertex ids of a ball table are sorted by distance, which this module
 exploits throughout: a union-find that always keeps the largest id as root
@@ -47,6 +51,7 @@ root itself.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from typing import Optional, Sequence
 
@@ -204,6 +209,15 @@ def default_truncation(r: int) -> int:
     return 4 * r + CERTIFIED_MARGIN
 
 
+def _writable(n: int, what: str) -> int:
+    """``n``, or InvalidParameter when a report or an error message could
+    not write it: it has more digits than ``sys.get_int_max_str_digits``."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and n >= 10 ** limit:
+        raise InvalidParameter(f"{what} has more than {limit} digits, too many to write out")
+    return n
+
+
 def end_depth(oracle: GroupOracle, r: int, truncation: Optional[int] = None,
               one_ended: bool = False, budget: Optional[int] = None,
               table: Optional[BallTable] = None) -> EndDepthResult:
@@ -276,9 +290,10 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
 
     ``one_ended=True`` asserts one-endedness; otherwise it is taken from
     the ends estimate over the schedule (truncation - 1, truncation), as
-    ``end_count_estimate`` would give it. Groups whose estimate is not
-    "one" get their values anyway, flagged with a warning, since the notion
-    is only meaningful one ended. A finite group has no unbounded
+    ``end_count_estimate`` would give it, and an entry is certified only
+    where its touching count at the truncation is 1. Groups whose estimate
+    is not "one" get their values anyway, flagged with a warning, since the
+    notion is only meaningful one ended. A finite group has no unbounded
     component: it is explored whole, whatever the truncation, so its whole
     complement is bounded, the depth and the truncation are its diameter,
     and it classifies as zero, never certified. An r_max at or past that
@@ -287,7 +302,7 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     if not _is_int(r_max) or r_max < 1:
         raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
     if truncation is None:
-        truncation = default_truncation(r_max)
+        truncation = _writable(default_truncation(r_max), "the truncation 4 r_max + 2")
     if truncation <= r_max:
         raise InvalidParameter(f"truncation {truncation} must exceed r_max={r_max}")
     finite = oracle.order is not None
@@ -344,7 +359,8 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
             bounded_count = components - touching
         if value < r:
             raise AssertionError(f"depth {value} below r={r}: exploration is inconsistent")
-        certified = one_ended_evidence and truncation >= default_truncation(r)
+        certified = (one_ended_evidence and (one_ended or touching == 1)
+                     and truncation >= default_truncation(r))
         entries.append(EndDepthResult(
             r, value, certified, truncation, bounded_count, classification,
             not one_ended_evidence))
@@ -415,6 +431,7 @@ def end_count_estimate(oracle: GroupOracle, r_max: int,
         raise InvalidParameter(f"r_max must be a positive integer, got {r_max!r}")
     if schedule is None:
         schedule = default_schedule(r_max)
+        _writable(schedule[-1], "the truncation 2 r_max + 3")
     schedule = tuple(schedule)
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidParameter(f"schedule must be strictly increasing with >= 2 entries: {schedule}")

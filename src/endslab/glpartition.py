@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import Infeasible, InvalidParameter, TruncationTooSmall
 from .explore import BallTable
-from .groups import Element, GroupOracle, Record, _check_keys, _is_int, _loads
+from .groups import Element, Record, _check_keys, _is_int, _loads
 
 TRIANGLE_TOL = 1e-9
 ISOMETRY_MAX_BLOCK = 16
@@ -387,8 +387,7 @@ def verify_gl_partition(space: FiniteMetricSpace, partition: GlPartition,
     return GlVerification(disjoint, covers, proper, separation_ok, diam_max, failures)
 
 
-def sphere_as_metric_space(oracle: GroupOracle, table: BallTable,
-                           center: Element, r: int) -> FiniteMetricSpace:
+def sphere_as_metric_space(table: BallTable, center: Element, r: int) -> FiniteMetricSpace:
     """The sphere of radius r around a center, with exact pairwise distances.
 
     The points are center * S(e, r), left translates of a table layer,

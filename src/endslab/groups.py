@@ -19,10 +19,12 @@ Canonical element forms:
 * ``z_cross_cyclic(m)``-- pair ``(n, c)`` with ``c`` a residue mod m: the
                           product of ``z`` and ``cyclic_finite(m)``, keyed
                           ``n,c``
-* ``lamplighter(m)``   -- triple ``(cursor, base, mask)``: the lamp map sends
-                          ``base + i`` to digit i of ``mask`` written base m,
-                          with the lowest digit nonzero (``(c, 0, 0)`` when no
-                          lamp is lit)
+* ``lamplighter(m)``   -- pair ``(cursor, lamps)``: written base m, digit 2p
+                          of ``lamps`` is the lamp at position p >= 0 and
+                          digit -2p - 1 the lamp at p < 0; keyed
+                          ``cursor;base;mask`` with base the lowest lit
+                          position and digit i of ``mask`` the lamp at
+                          ``base + i``
 * ``product``          -- pair of factor elements
 
 Packed integer codes. Breadth-first search runs on Python ints, not on the
@@ -58,10 +60,10 @@ Codes by family (w = 2 * radius + 1, o = radius):
                         powers of one letter, codes the power as ``z`` does
 * ``dihedral_inf``   -- ``2 * (p + o) + f``
 * ``z_cross_cyclic`` -- ``(n + o) * m + c``, the product code of its factors
-* ``lamplighter(m)`` -- ``lamps * w + cursor + o``: written base m, digit 2i
-                        of ``lamps`` is the lamp at position i >= 0 and digit
-                        -2i - 1 the lamp at i < 0, so codes stay as short as
-                        the lamps lit, however large the radius
+* ``lamplighter(m)`` -- ``lamps * w + cursor + o``, with the element's own
+                        ``lamps`` (the window holds lamps < m ** w, those at
+                        positions -o..o), so codes stay as short as the
+                        lamps lit, however large the radius
 * ``product``        -- ``left * right_span + right``, both factors coded
                         for the same radius
 
@@ -584,116 +586,92 @@ class _DihedralOracle(GroupOracle):
         return Codec(2 * (2 * o + 1), 2 * o, (s, t), encode, decode)
 
 
+def _digit(p: int) -> int:
+    """The base-m digit of a lamplighter ``lamps`` integer that holds the
+    lamp at position p: 2p, or -2p - 1 if p < 0."""
+    return 2 * p if p >= 0 else -2 * p - 1
+
+
 class _LamplighterOracle(GroupOracle):
     """Wreath product (Z/m) wr Z with cursor shift t and lamp increment a.
 
-    The lamp map is stored as (cursor, base, mask): digit i of mask, written
-    base m, is the lamp value at position base + i, and the lowest digit is
-    nonzero. Multiplication follows the wreath rule: the right factor's lamps
-    are shifted by the left factor's cursor before adding pointwise mod m.
+    An element is (cursor, lamps): digit ``_digit(p)`` of lamps, written base
+    m, is the lamp value at position p. Multiplication follows the wreath
+    rule: the right factor's lamps are shifted by the left factor's cursor
+    before adding pointwise mod m.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.m = spec.m
-        a_inv = (0, 0, self.m - 1)
-        self.generators = tuple(dict.fromkeys(((1, 0, 0), (-1, 0, 0), (0, 0, 1), a_inv)))
-        self.axis_word = ((1, 0, 0),)
+        self.generators = tuple(dict.fromkeys(((1, 0), (-1, 0), (0, 1), (0, self.m - 1))))
+        self.axis_word = ((1, 0),)
         self.bipartite = self.m % 2 == 0
 
     def identity(self):
-        return (0, 0, 0)
+        return (0, 0)
 
-    def _normalize(self, base: int, mask: int):
-        if mask == 0:
-            return 0, 0
+    def _lit(self, lamps: int) -> list:
+        """(position, value) of every lit lamp, by increasing digit."""
         m = self.m
-        while mask % m == 0:
-            mask //= m
-            base += 1
-        return base, mask
-
-    def _add_masks(self, m1: int, m2: int) -> int:
-        m = self.m
-        out = 0
-        mult = 1
-        while m1 or m2:
-            out += ((m1 % m + m2 % m) % m) * mult
-            mult *= m
-            m1 //= m
-            m2 //= m
-        return out
+        lit = []
+        i = 0
+        while lamps:
+            lamps, value = divmod(lamps, m)
+            if value:
+                lit.append((-(i + 1) // 2 if i & 1 else i // 2, value))
+            i += 1
+        return lit
 
     def multiply(self, g, h):
-        c1, b1, k1 = g
-        c2, b2, k2 = h
-        cursor = c1 + c2
-        if k2 == 0:
-            return (cursor, b1, k1)
-        nb2 = b2 + c1
-        if k1 == 0:
-            return (cursor, nb2, k2)
-        base = b1 if b1 < nb2 else nb2
+        c1, lamps = g
+        c2, right = h
         m = self.m
-        merged = self._add_masks(k1 * m ** (b1 - base), k2 * m ** (nb2 - base))
-        base, merged = self._normalize(base, merged)
-        return (cursor, base, merged)
+        for p, value in self._lit(right):
+            unit = m ** _digit(p + c1)
+            old = lamps // unit % m
+            lamps += ((old + value) % m - old) * unit
+        return (c1 + c2, lamps)
 
     def invert(self, g):
-        c, b, mask = g
-        if mask == 0:
-            return (-c, 0, 0)
+        c, lamps = g
         m = self.m
-        out = 0
-        mult = 1
-        while mask:
-            out += (-mask % m) * mult
-            mult *= m
-            mask //= m
-        return (-c, b - c, out)
+        return (-c, sum((m - value) * m ** _digit(p - c) for p, value in self._lit(lamps)))
 
     def key_str(self, g):
-        c, b, mask = g
-        return f"{c};{b};{mask:x}"
+        # "cursor;base;mask": digit i of mask, base m, is the lamp at base + i,
+        # and base is the lowest lit position (0 when none is lit)
+        c, lamps = g
+        m = self.m
+        base = low = below = above = 0  # lamps below 0 from base up, lamps from low up
+        for p, value in self._lit(lamps):  # positions 0, -1, 1, -2, ... in turn
+            if p < 0:
+                below = below * m ** (base - p) + value
+                base = p
+            else:
+                if not above:
+                    low = p
+                above += value * m ** (p - low)
+        if base < 0:
+            return f"{c};{base};{below + above * m ** (low - base):x}"
+        return f"{c};{low};{above:x}"
 
     def codec(self, radius):
         o, m = radius, self.m
         w = 2 * o + 1  # cursor codes c + o for |c| <= o
-
-        def digit(p):  # the lamp at position p is base-m digit 2p, or -2p - 1 if p < 0
-            return 2 * p if p >= 0 else -2 * p - 1
+        top = m ** w   # lamps at positions -o..o are digits 0..2o
 
         def encode(g):
-            c, p, mask = g
-            if not -o <= c <= o:
-                return None
-            lamps = 0
-            while mask:
-                mask, value = divmod(mask, m)
-                if value:
-                    if not -o <= p <= o:
-                        return None
-                    lamps += value * m ** digit(p)
-                p += 1
-            return lamps * w + c + o
+            c, lamps = g
+            return lamps * w + c + o if -o <= c <= o and lamps < top else None
 
         def decode(v):
             lamps, c = divmod(v, w)
-            lit = {}
-            i = 0
-            while lamps:
-                lamps, value = divmod(lamps, m)
-                if value:
-                    lit[i // 2 if i % 2 == 0 else -(i + 1) // 2] = value
-                i += 1
-            if not lit:
-                return (c - o, 0, 0)
-            base = min(lit)
-            return (c - o, base, sum(value * m ** (p - base) for p, value in lit.items()))
+            return (c - o, lamps)
 
         # code weight of the lamp under the cursor, per cursor code; filled
         # on demand, since a search rarely strays far from the identity
-        unit = _Memo(lambda i: w * m ** digit(i - o))
+        unit = _Memo(lambda i: w * m ** _digit(i - o))
 
         def up(v):  # a: the lamp under the cursor goes up by one mod m
             u = unit[v % w]
@@ -704,7 +682,7 @@ class _LamplighterOracle(GroupOracle):
             return v + (m - 1) * u if v // u % m == 0 else v - u
 
         steps = (_shift(1), _shift(-1), up) + ((down,) if m > 2 else ())
-        return Codec(m ** w * w, o, steps, encode, decode)
+        return Codec(top * w, o, steps, encode, decode)
 
     def radius_bound(self, budget):
         # the words (t a^e)^j, e in {0, 1}, give 2^j elements within radius 2j

@@ -75,6 +75,33 @@ def lamplighter2_sphere_counts(n_max: int) -> list:
     return counts
 
 
+def lamplighter_triple(element, m: int) -> tuple:
+    """(cursor, base, mask) of a lamplighter(m) element (cursor, lamps), the
+    form its key writes as ``cursor;base;mask`` with mask in hex.
+
+    Written base m, the lamps integer holds the lamp at position p >= 0 in
+    digit 2p and the lamp at p < 0 in digit -2p - 1. Digit i of mask is the
+    lamp at base + i, and base is the lowest lit position (0 when no lamp is
+    lit). Positions are read off a digit string, one lamp at a time.
+    """
+    cursor, lamps = element
+    digits = []
+    while lamps:
+        digits.append(lamps % m)
+        lamps //= m
+    lit = {}
+    for i, value in enumerate(digits):
+        if value:
+            lit[i // 2 if i % 2 == 0 else -(i + 1) // 2] = value
+    if not lit:
+        return cursor, 0, 0
+    base = min(lit)
+    mask = 0
+    for position in range(max(lit), base - 1, -1):
+        mask = mask * m + lit.get(position, 0)
+    return cursor, base, mask
+
+
 def reference_ball(oracle, radius):
     """The ball table by breadth-first search over tuple elements.
 

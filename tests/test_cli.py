@@ -249,6 +249,42 @@ def test_criterion_radius_past_digit_limit_exit_2(tmp_path, capsys, command):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("group", [
+    '{"family":"z_cross_cyclic","m":2}', '{"family":"z_cross_cyclic","m":3}',
+    '{"family":"product","left":{"family":"z"},"right":{"family":"cyclic_finite","m":3}}',
+], ids=["z_cross_cyclic(2)", "z_cross_cyclic(3)", "product(z, cyclic_finite(3))"])
+def test_end_depth_two_ended_not_certified_at_rmax_1(tmp_path, group):
+    # the ends estimate at r_max 1 reads one end, but two components of
+    # B(6) minus B(1) touch S(6): the value stands, uncertified
+    code, out = run(tmp_path, "depth.json", ["end-depth", "--group", group, "--rmax", "1"])
+    assert code == 0
+    report = load(out)["report"]
+    assert report["profile"]["classification"] == "one"
+    assert [e["certified"] for e in report["profile"]["entries"]] == [False]
+    assert report["linearity"]["checked"] == 0
+
+
+@pytest.mark.parametrize("command,lead,what", [
+    ("end-depth", "3", "the truncation 4 r_max + 2"),
+    ("ends", "5", "the truncation 2 r_max + 3"),
+], ids=["end-depth", "ends"])
+@pytest.mark.parametrize("budget", [[], ["--budget", "100"]], ids=["default", "budget"])
+def test_derived_truncation_past_digit_limit_exit_2(tmp_path, capsys, command, lead, what,
+                                                    budget):
+    # r_max has as many digits as may be written, the truncation one more
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no integer string conversion limit")
+    started = time.perf_counter()
+    code, out = run(tmp_path, "never.json", [command, "--group", '{"family":"z"}',
+                                             "--rmax", lead + "0" * (limit - 1), *budget])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert f"{what} has more than {limit} digits" in err, err
+    assert "Traceback" not in err
+
+
 def test_classify_criterion_needs_parameters():
     assert main(["classify", "--group", '{"family":"z"}', "--mode", "criterion"]) == 2
 

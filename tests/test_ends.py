@@ -332,6 +332,21 @@ def test_profile_budget_error_names_whole_ball(lamp_oracle, r_max):
             assert got.value.radius_requested == trunc
 
 
+@pytest.mark.parametrize("spec,r_max", [
+    *((s, 1) for s in INFINITE_SPECS),
+    *((s, 2) for s in INFINITE_SPECS if s not in ({"family": "free", "k": 2}, _LAMP_FREE)),
+], ids=lambda x: GroupSpec.from_dict(x).label() if isinstance(x, dict) else str(x))
+def test_certified_entries_touch_once(spec, r_max):
+    # without the caller's word, an entry is certified exactly where the
+    # estimate reads one end and one component of B(T) \ B(r) touches S(T)
+    oracle = make_group(spec)
+    profile = end_depth_profile(oracle, r_max)
+    table = explore(oracle, profile.truncation_max)
+    for e in profile.entries:
+        touching = complement_components(table, e.r, e.truncation).touching_count
+        assert e.certified == (touching == 1 and e.ends_classification == "one"), e.r
+
+
 def test_profile_values_and_floor(z2_oracle):
     profile = end_depth_profile(z2_oracle, 10)
     assert profile.values() == list(range(1, 11))

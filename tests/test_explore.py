@@ -385,7 +385,7 @@ def test_axis_families(z_table_30, z2_table_22, dihedral_oracle, lamp_oracle):
     lt = explore(lamp_oracle, 8)
     laxis = build_axis(lamp_oracle, lt, 8)
     for i in range(-8, 9):
-        assert laxis.vertex(i) == (i, 0, 0)  # cursor moves, no lamps
+        assert laxis.vertex(i) == (i, 0)  # cursor moves, no lamps
 
     ft = explore(make_group({"family": "free", "k": 2}), 6)
     faxis = build_axis(ft.oracle, ft, 6)
@@ -534,15 +534,15 @@ def test_windowed_series_matches_tuple_reference(spec, radius):
 
 def test_id_of_outside_the_window_is_none():
     lamp = explore(make_group({"family": "lamplighter", "m": 2}), 6)
-    assert lamp.id_of((0, 0, 0)) == 0
-    assert lamp.id_of((8, 0, 0)) is None           # cursor beyond the window
-    assert lamp.id_of((0, 100, 1)) is None         # lamp beyond the window
-    assert lamp.id_of((0, -3, 0b1111111)) is None  # inside the window, outside the ball
+    assert lamp.id_of((0, 0)) == 0
+    assert lamp.id_of((8, 0)) is None           # cursor beyond the window
+    assert lamp.id_of((0, 2 ** 200)) is None    # lamp at 100, beyond the window
+    assert lamp.id_of((0, 0b1111111)) is None   # lamps -3..3: inside the window, outside the ball
     prod = explore(make_group(NESTED), 3)
-    assert prod.id_of(((0, (0, 0, 0)), ())) == 0
-    assert prod.id_of(((1000, (0, 0, 0)), ())) is None
-    assert prod.id_of(((0, (0, 0, 0)), (1, 2, 1, 2, 1))) is None
-    assert prod.id_of(((0, (0, 0, 0)), (1, 2, 1, 2))) is None
+    assert prod.id_of(((0, (0, 0)), ())) == 0
+    assert prod.id_of(((1000, (0, 0)), ())) is None
+    assert prod.id_of(((0, (0, 0)), (1, 2, 1, 2, 1))) is None
+    assert prod.id_of(((0, (0, 0)), (1, 2, 1, 2))) is None
 
 
 def test_codes_beyond_63_bits():

@@ -416,34 +416,34 @@ def test_relabeling_equivariance(positions, perm):
     assert blocks_a == blocks_b
 
 
-def test_sphere_space_on_line(z_oracle, z_table_30):
-    space = sphere_as_metric_space(z_oracle, z_table_30, 0, 5)
+def test_sphere_space_on_line(z_table_30):
+    space = sphere_as_metric_space(z_table_30, 0, 5)
     assert space.n == 2
     assert space.dist[0][1] == 10
 
 
-def test_sphere_space_plane(z2_oracle, z2_table_22):
-    space = sphere_as_metric_space(z2_oracle, z2_table_22, (0, 0), 2)
+def test_sphere_space_plane(z2_table_22):
+    space = sphere_as_metric_space(z2_table_22, (0, 0), 2)
     assert space.n == 8
     assert space.diameter() == 4
 
 
 def test_sphere_space_tree(f2_oracle):
     table = explore(f2_oracle, 7)
-    space = sphere_as_metric_space(f2_oracle, table, (), 2)
+    space = sphere_as_metric_space(table, (), 2)
     assert space.n == 12
     assert space.diameter() == 4  # through the tree
 
 
-def test_sphere_space_window_guard(z2_oracle, z2_table_22):
+def test_sphere_space_window_guard(z2_table_22):
     with pytest.raises(TruncationTooSmall):
-        sphere_as_metric_space(z2_oracle, z2_table_22, (0, 0), 8)
+        sphere_as_metric_space(z2_table_22, (0, 0), 8)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, 0, -1, "2"])
-def test_sphere_space_radius_must_be_a_positive_int(z_oracle, z_table_30, bad):
+def test_sphere_space_radius_must_be_a_positive_int(z_table_30, bad):
     with pytest.raises(InvalidParameter, match="sphere radius must be a positive integer"):
-        sphere_as_metric_space(z_oracle, z_table_30, 0, bad)
+        sphere_as_metric_space(z_table_30, 0, bad)
 
 
 # (spec, table radius): every family, with a finite one whose table is complete
@@ -473,7 +473,7 @@ def test_sphere_space_matches_reference_search(spec, radius):
         ball = table.ball_size(reach)
         for vid in rng.sample(range(1, ball), min(3, ball - 1)) + [ball - 1]:
             center = table.element(vid)
-            space = sphere_as_metric_space(oracle, table, center, r)
+            space = sphere_as_metric_space(table, center, r)
             labels, rows = reference_sphere_space(table, center, r)
             assert space.labels == labels, (vid, r)
             assert repr(space.dist) == repr(rows), (vid, r)
@@ -481,8 +481,8 @@ def test_sphere_space_matches_reference_search(spec, radius):
 
 def test_similar_on_translated_spheres(z_oracle, z_table_30):
     axis = build_axis(z_oracle, z_table_30, 10)
-    s0 = sphere_as_metric_space(z_oracle, z_table_30, 0, 5)
-    s5 = sphere_as_metric_space(z_oracle, z_table_30, axis.vertex(5), 5)
+    s0 = sphere_as_metric_space(z_table_30, 0, 5)
+    s5 = sphere_as_metric_space(z_table_30, axis.vertex(5), 5)
     p0, p5 = build_gl_partition(s0, 3), build_gl_partition(s5, 3)
     assert similar_partitions(p0, s0, p5, s5)
 

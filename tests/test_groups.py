@@ -4,10 +4,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endslab.errors import InvalidParameter
-from endslab.explore import sphere_size_series
+from endslab.explore import explore, sphere_size_series
 from endslab.groups import GroupSpec, make_group, parse_group_spec
+
+from oracles import lamplighter_triple
 
 ALL_SPECS = [
     {"family": "trivial"},
@@ -140,20 +144,22 @@ def test_codec_window_edges():
     assert make_group({"family": "dihedral_inf"}).codec(3).encode((-4, 1)) is None
     assert make_group({"family": "z_cross_cyclic", "m": 3}).codec(3).encode((4, 0)) is None
     lamp = make_group({"family": "lamplighter", "m": 3}).codec(3)
-    assert lamp.encode((4, 0, 0)) is None        # cursor beyond the window
-    assert lamp.encode((0, -4, 1)) is None       # lamp beyond the window
-    assert lamp.encode((0, 3, 1 + 3 * 2)) is None   # lamps at 3 and 4
-    assert lamp.decode(lamp.encode((0, -3, 2 + 9 * 27))) == (0, -3, 2 + 9 * 27)
+    assert lamp.encode((4, 0)) is None               # cursor beyond the window
+    assert lamp.encode((0, 3 ** 7)) is None          # lamp at -4, digit 7, beyond the window
+    assert lamp.encode((0, 3 ** 6 + 2 * 3 ** 8)) is None   # lamps at 3 and 4
+    assert lamp.encode((0, 3 ** 7 - 1)) is not None  # every lamp of -3..3 at 2
+    g = (0, 2 * 3 ** 5 + 3 ** 4)                     # 2 at position -3, 1 at position 2
+    assert lamp.decode(lamp.encode(g)) == g
     prod = make_group({"family": "product", "left": {"family": "z"},
                        "right": {"family": "lamplighter", "m": 2}}).codec(3)
-    assert prod.encode((4, (0, 0, 0))) is None
-    assert prod.encode((0, (0, 5, 1))) is None
+    assert prod.encode((4, (0, 0))) is None
+    assert prod.encode((0, (0, 2 ** 10))) is None    # lamp at 5
 
 
 def test_lamplighter_codes_track_lamps_not_radius():
     # a search far short of a huge requested radius keeps small codes
     codec = make_group({"family": "lamplighter", "m": 2}).codec(10**6)
-    assert codec.encode((3, -2, 0b101)) < 2**64
+    assert codec.encode((3, 0b1001)) < 2**64  # lamps at -2 (digit 3) and 0
 
 
 def test_default_generator_counts():
@@ -170,25 +176,51 @@ def test_default_generator_counts():
 
 def test_lamplighter_wreath_rule():
     lamp = make_group({"family": "lamplighter", "m": 2})
-    t = (1, 0, 0)
-    a = (0, 0, 1)
+    t = (1, 0)
+    a = (0, 1)
     g = lamp.multiply(lamp.identity(), t)
     g = lamp.multiply(g, a)
-    # one move right, then toggle: lamp lit at position 1, cursor at 1
-    assert g == (1, 1, 1)
+    # one move right, then toggle: lamp lit at position 1 (digit 2), cursor at 1
+    assert g == (1, 0b100)
     inv = lamp.invert(g)
     assert lamp.multiply(g, inv) == lamp.identity()
     assert lamp.multiply(inv, g) == lamp.identity()
-    # lamp of the inverse sits at position 0 with cursor -1
-    assert inv == (-1, 0, 1)
+    # lamp of the inverse sits at position 0 (digit 0) with cursor -1
+    assert inv == (-1, 1)
 
 
 def test_lamplighter_mod3_values():
     lamp = make_group({"family": "lamplighter", "m": 3})
-    a = (0, 0, 1)
+    a = (0, 1)
     twice = lamp.multiply(a, a)
-    assert twice == (0, 0, 2)
+    assert twice == (0, 2)
     assert lamp.multiply(twice, a) == lamp.identity()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lamplighter_keys_match_triples(m):
+    # every key of B(7) writes the (cursor, base, mask) form of its lamps
+    table = explore(make_group({"family": "lamplighter", "m": m}), 7)
+    for vid in range(table.size):
+        c, base, mask = lamplighter_triple(table.element(vid), m)
+        assert table.key_of(vid) == f"{c};{base};{mask:x}"
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lamplighter_group_axioms(m):
+    lamp = make_group({"family": "lamplighter", "m": m})
+    e = lamp.identity()
+    elements = st.tuples(st.integers(-12, 12), st.integers(0, m ** 30))  # (cursor, lamps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(elements, elements, elements)
+    def check(g, h, k):
+        assert lamp.multiply(lamp.multiply(g, h), k) == lamp.multiply(g, lamp.multiply(h, k))
+        assert lamp.multiply(g, e) == g == lamp.multiply(e, g)
+        g_inv = lamp.invert(g)
+        assert lamp.multiply(g, g_inv) == e == lamp.multiply(g_inv, g)
+
+    check()
 
 
 def test_free_reduction():
