@@ -12,8 +12,7 @@ from .errors import (BudgetExceeded, EndslabError, Infeasible, InvalidParameter,
 from .explore import (DEFAULT_NODE_BUDGET, BallTable, GeodesicAxis,
                       SphereSizeSeries, build_axis, explore, sphere_size_series)
 from .glpartition import (FiniteMetricSpace, GlPartition, build_gl_partition,
-                          similar_partitions, sphere_as_metric_space,
-                          verify_gl_partition)
+                          sphere_as_metric_space, verify_gl_partition)
 from .groups import GroupOracle, GroupSpec, make_group, parse_group_spec
 
 __version__ = "0.1.0"

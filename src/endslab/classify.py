@@ -18,8 +18,9 @@ from .errors import BudgetExceeded, InvalidParameter, TrivialPartition
 from .explore import (BallTable, GeodesicAxis, _search_budget, build_axis, explore,
                       sphere_size_series)
 from .ends import EndDepthProfile, _writable
-from .glpartition import build_gl_partition, similar_partitions, sphere_as_metric_space
-from .groups import GroupOracle, Record, _is_int
+from .glpartition import (FiniteMetricSpace, GlPartition, build_gl_partition,
+                          sphere_as_metric_space)
+from .groups import Element, GroupOracle, Record, _is_int
 
 VC_EVIDENCE = "virtually_cyclic_evidence"
 INFEASIBLE = "infeasible"
@@ -204,6 +205,12 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
     40D + rho on the grown table, and ``build_axis`` checks each of its
     vertices there. A finite group has no axis and an empty sphere of
     radius rho, so it is rejected before any search.
+
+    Similarity needs no search: the sphere around c is c * S(e, rho) and
+    x -> c^-1 x is an isometry, so the partitions are pairwise similar
+    when all of them pull back to one partition of S(e, rho)
+    (``_pulled_back``). One isometry then carries every block at once,
+    whatever the block sizes.
     """
     rho = _criterion_radius(a, n)
     if oracle.order is not None:
@@ -236,28 +243,26 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
     table.grow(40 * D + 3 * rho)
     axis = build_axis(oracle, table, 40 * D + rho)
 
-    similar = True
-    partitions = {}
+    partitions = []
+    pulled = set()  # each partition pulled back to S(e, rho)
     for i in range(-40 * D, 40 * D + 1):
-        space_i = sphere_as_metric_space(table, axis.vertex(i), rho)
+        center = axis.vertex(i)
+        space_i = sphere_as_metric_space(table, center, rho)
         part_i = build_gl_partition(space_i, a)
         if part_i.trivial:
             raise TrivialPartition(
                 f"partition of the sphere centered at axis index {i} is trivial")
-        partitions[i] = (part_i, space_i)
-        if i != -40 * D:
-            first_part, first_space = partitions[-40 * D]
-            if not similar_partitions(first_part, first_space, part_i, space_i):
-                similar = False
+        partitions.append(part_i)
+        pulled.add(_pulled_back(table, center, rho, space_i, part_i))
     # a trivial partition raised above, so every partition is proper
     steps.append(DemoStep("partitions_proper", True,
                           {"spheres": len(partitions),
-                           "block_counts": sorted({p.block_count for p, _ in partitions.values()})}))
+                           "block_counts": sorted({p.block_count for p in partitions})}))
     steps.append(DemoStep(
-        "partitions_pairwise_similar", similar,
+        "partitions_pairwise_similar", len(pulled) == 1,
         {"compared_against_first": len(partitions) - 1,
          "note": "isometry composes, so matching the first chains to all pairs"}))
-    same_D = {int(p.D) for p, _ in partitions.values()} == {D}
+    same_D = {int(p.D) for p in partitions} == {D}
     steps.append(DemoStep("common_diameter_bound", same_D, {"D": D}))
 
     missing = uncovered_ids(table, axis, D)
@@ -269,6 +274,23 @@ def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,
          "missing": [table.key_of(v) for v in missing[:5]]}))
 
     return DemoReport(oracle.label(), a, n, rho, steps, D, table.size, note)
+
+
+def _pulled_back(table: BallTable, center: Element, rho: int,
+                 space: FiniteMetricSpace, partition: GlPartition) -> frozenset:
+    """The blocks of a partition of the sphere c * S(e, rho) pulled back to
+    S(e, rho) by the isometry x -> c^-1 x: each point c * g becomes the
+    position of g in ``table.layer_ids(rho)``. The space lists its points
+    in table id order (``sphere_as_metric_space``), so sorting the
+    positions by the ids of their translates numbers them as the space
+    does. The partitions of c * S(e, rho) and c' * S(e, rho) pull back
+    equal exactly when left multiplication by c' c^-1 carries one onto the
+    other."""
+    ids = table.translates([center], table.layer_ids(rho))
+    position = sorted(range(len(ids)), key=ids.__getitem__)
+    label_ids = space.label_ids
+    return frozenset(frozenset(position[label_ids[lbl]] for lbl in block)
+                     for block in partition.blocks)
 
 
 def uncovered_ids(table: BallTable, axis: GeodesicAxis, D: int) -> list:

@@ -603,7 +603,7 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
     union-find over ``BallTable.neighbors``. Both are exact: the guard
     |k| + r <= reached keeps every translate and every geodesic from K
     inside the table, so distances in the truncated graph equal word
-    distances there.
+    distances there. A table of the whole group needs no guard.
 
     A pair further apart than the truncation raises TruncationTooSmall,
     naming the item and the set, as does a K whose reach leaves the
@@ -627,13 +627,13 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
         A = _resolve(table, it.A, f"items[{idx}].A")
         B = _resolve(table, it.B, f"items[{idx}].B")
         max_dist = max(map(table.dist_of, K))
-        if max_dist + it.r > table.reached:
+        if not table.complete_group and max_dist + it.r > table.reached:
             raise TruncationTooSmall(
                 f"items[{idx}]: need radius {max_dist + it.r}, table has {table.reached}")
 
         diam_K = _diameter(table, K, f"items[{idx}].K")
-        # d(v, K) < r: the translates k B(e, r - 1); the guard above keeps
-        # every translate inside the table
+        # d(v, K) < r: the translates k B(e, r - 1); the guard above, or a
+        # whole group, keeps every translate inside the table
         hood = table.translates(map(table.element, K), range(table.ball_size(it.r - 1)))
         region = set(hood).difference(K)
         comp_of = _component_map(table, region)

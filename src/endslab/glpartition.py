@@ -24,12 +24,11 @@ from math import isfinite
 from operator import add, getitem, itemgetter
 from typing import Optional, Sequence
 
-from .errors import Infeasible, InvalidParameter, TruncationTooSmall
+from .errors import InvalidParameter, TruncationTooSmall
 from .explore import BallTable
 from .groups import Element, Record, _check_keys, _is_int, _loads
 
 TRIANGLE_TOL = 1e-9
-ISOMETRY_MAX_BLOCK = 16
 
 
 class FiniteMetricSpace:
@@ -295,8 +294,8 @@ def build_gl_partition(space: FiniteMetricSpace, a: int) -> GlPartition:
     else:
         raise AssertionError(f"expansion failed to stabilize in {n + 1} rounds: builder bug")
 
+    # the stable sets are the last round's, so d_prev is their diameter
     blocks_idx = list(dict.fromkeys(sets))  # dedupe, ordered by first owner
-    diam_max = max(max((space.diameter(b) for b in blocks_idx), default=0), 1)
     separation = None
     if len(blocks_idx) > 1:
         separation = min(
@@ -304,7 +303,7 @@ def build_gl_partition(space: FiniteMetricSpace, a: int) -> GlPartition:
             for b in blocks_idx)
     blocks = tuple(
         tuple(space.labels[i] for i in sorted(b)) for b in blocks_idx)
-    return GlPartition(blocks, a, diam_max, iterations, separation, tuple(history))
+    return GlPartition(blocks, a, d_prev, iterations, separation, tuple(history))
 
 
 class GlVerification(Record):
@@ -417,77 +416,3 @@ def sphere_as_metric_space(table: BallTable, center: Element, r: int) -> FiniteM
             dist[j][i] = d
     labels = [table.key_of(v) for v in points]
     return FiniteMetricSpace(labels, dist)
-
-
-def similar_partitions(p1: GlPartition, s1: FiniteMetricSpace,
-                       p2: GlPartition, s2: FiniteMetricSpace) -> bool:
-    """Whether two proper partitions match up to a block-wise isometry.
-
-    True when the factors agree, the block counts agree, and some matching of
-    blocks pairs each with an isometric counterpart (checked by distance
-    multiset comparison, then backtracking point assignment).
-    """
-    if p1.trivial or p2.trivial:
-        raise InvalidParameter("similarity is defined for proper partitions only")
-    if p1.a != p2.a or p1.block_count != p2.block_count:
-        return False
-    for p, s in ((p1, s1), (p2, s2)):
-        for block in p.blocks:
-            if len(block) > ISOMETRY_MAX_BLOCK:
-                raise Infeasible(
-                    f"block of {len(block)} points exceeds the isometry search bound "
-                    f"{ISOMETRY_MAX_BLOCK}")
-
-    blocks1 = [_submatrix(s1, b) for b in p1.blocks]
-    blocks2 = [_submatrix(s2, b) for b in p2.blocks]
-    return _match_blocks(blocks1, blocks2, [False] * len(blocks2))
-
-
-def _submatrix(space: FiniteMetricSpace, block: Sequence[str]):
-    ids = [space.index_of(lbl) for lbl in block]
-    return [[space.dist[i][j] for j in ids] for i in ids]
-
-
-def _match_blocks(blocks1, blocks2, used) -> bool:
-    if not blocks1:
-        return True
-    head, rest = blocks1[0], blocks1[1:]
-    for j, cand in enumerate(blocks2):
-        if not used[j] and _isometric(head, cand):
-            used[j] = True
-            if _match_blocks(rest, blocks2, used):
-                return True
-            used[j] = False
-    return False
-
-
-def _isometric(m1, m2) -> bool:
-    n = len(m1)
-    if len(m2) != n:
-        return False
-    multiset = sorted(x for row in m1 for x in row)
-    if multiset != sorted(x for row in m2 for x in row):
-        return False
-
-    assigned = [None] * n  # m1 point i -> m2 point assigned[i]
-    taken = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if taken[j]:
-                continue
-            ok = all(
-                abs(m1[i][k] - m2[j][assigned[k]]) <= TRIANGLE_TOL
-                for k in range(i))
-            if ok:
-                assigned[i] = j
-                taken[j] = True
-                if extend(i + 1):
-                    return True
-                assigned[i] = None
-                taken[j] = False
-        return False
-
-    return extend(0)

@@ -1,6 +1,7 @@
 """Linear-depth check, detectors, growth against ends, criterion, covering demo."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from endslab.classify import (bounded_sphere_detector, linear_end_depth_check,
 from endslab.ends import EndDepthProfile, EndDepthResult, end_count_estimate, end_depth_profile
 from endslab.errors import BudgetExceeded, InvalidParameter
 from endslab.explore import build_axis, explore, sphere_size_series
+from endslab.glpartition import GlPartition, build_gl_partition, sphere_as_metric_space
 from endslab.groups import GroupSpec, make_group
 
 from oracles import lamplighter2_sphere_counts
@@ -235,6 +237,96 @@ def test_covering_step(spec, missed):
     if missed:
         assert table.id_of((0, 2)) in missing
         assert table.id_of((5, 0)) not in missing
+
+
+def _axis_partitions(spec, radius, r, indices):
+    """(table, center, sphere, partition) for the radius-r spheres around
+    the given axis vertices, on one table of the given radius."""
+    oracle = make_group(spec)
+    table = explore(oracle, radius)
+    axis = build_axis(oracle, table, max(map(abs, indices)))
+    for i in indices:
+        space = sphere_as_metric_space(table, axis.vertex(i), r)
+        yield table, axis.vertex(i), space, build_gl_partition(space, 3)
+
+
+def _reference_pull_back(table, center, r, partition):
+    """Each block mapped point by point through x -> c^-1 x to positions
+    in the layer S(e, r), one key at a time."""
+    oracle = table.oracle
+    layer = [table.key_of(v) for v in table.layer_ids(r)]
+    inverse = oracle.invert(center)
+    pull = lambda key: layer.index(oracle.key_str(
+        oracle.multiply(inverse, table.element(table.id_of_key(key)))))
+    return frozenset(frozenset(map(pull, block)) for block in partition.blocks)
+
+
+@pytest.mark.parametrize("spec,radius,r", [
+    ({"family": "z_pow", "k": 2}, 12, 3),
+    ({"family": "free", "k": 2}, 8, 2),
+    ({"family": "lamplighter", "m": 2}, 10, 2),
+    ({"family": "z_cross_cyclic", "m": 3}, 20, 4),
+], ids=str)
+def test_pull_back_matches_reference(spec, radius, r):
+    # random centers, whose translates seldom come in id order, and random
+    # partitions into up to three blocks
+    oracle = make_group(spec)
+    table = explore(oracle, radius)
+    rng = random.Random(radius)
+    for vid in rng.sample(range(table.ball_size(radius - 3 * r)), 12):
+        center = table.element(vid)
+        space = sphere_as_metric_space(table, center, r)
+        labels = list(space.labels)
+        rng.shuffle(labels)
+        cuts = sorted(rng.sample(range(1, len(labels)), 2))
+        blocks = tuple(tuple(labels[i:j]) for i, j in zip([0, *cuts], [*cuts, None]))
+        part = GlPartition(blocks, 3, 1, 0, None, (1,))
+        assert (classify._pulled_back(table, center, r, space, part)
+                == _reference_pull_back(table, center, r, part))
+
+
+def _swapped(part):
+    """The partition with the first points of its first two blocks swapped."""
+    (x, *b0), (y, *b1), *rest = part.blocks
+    return GlPartition(((y, *b0), (x, *b1), *rest), part.a, part.D, part.iterations,
+                       part.separation, part.diameter_history)
+
+
+@pytest.mark.parametrize("m,r,block", [(3, 5, 3), (17, 40, 17)])
+def test_partitions_along_the_axis_pull_back_equal(m, r, block):
+    # the check has no bound on block size (17 points here); two points
+    # swapped between blocks pull back to another partition
+    pulled = set()
+    for table, center, space, part in _axis_partitions(
+            {"family": "z_cross_cyclic", "m": m}, 3 * r + 5, r, range(-5, 6)):
+        assert [len(b) for b in part.blocks] == [block, block]
+        got = classify._pulled_back(table, center, r, space, part)
+        assert got == _reference_pull_back(table, center, r, part)
+        planted = classify._pulled_back(table, center, r, space, _swapped(part))
+        assert planted == _reference_pull_back(table, center, r, _swapped(part)) != got
+        pulled.add(got)
+    assert len(pulled) == 1
+
+
+@pytest.mark.parametrize("plant", [False, True])
+def test_demo_similarity_step_reads_the_pull_back(monkeypatch, plant):
+    # the demo on z_cross_cyclic(3), whose 6-point spheres hold blocks of 3,
+    # at a radius of 5: one sphere's partition with two points swapped
+    # fails the similarity step and no other
+    monkeypatch.setattr(classify, "_criterion_radius", lambda a, n: 5)
+    built = []
+
+    def planting_build(space, a):
+        part = build_gl_partition(space, a)
+        built.append(part)
+        return _swapped(part) if plant and len(built) == 7 else part
+
+    monkeypatch.setattr(classify, "build_gl_partition", planting_build)
+    report = sphere_cover_demo(make_group({"family": "z_cross_cyclic", "m": 3}), 3, 6)
+    steps = {s.step: s for s in report.steps}
+    assert len(built) == steps["partitions_proper"].detail["spheres"] + 1
+    assert steps["partitions_pairwise_similar"].ok == (not plant)
+    assert steps["partitions_proper"].ok and steps["common_diameter_bound"].ok
 
 
 @pytest.mark.parametrize("spec,order", [

@@ -521,6 +521,24 @@ def test_witness_truncation_guard(z_oracle):
         check_obss_witness(table, witness)
 
 
+def test_witness_on_a_whole_finite_group():
+    # C12 explored whole reaches its diameter 6, below |k| + r = 7, yet
+    # every translate lies in the table; d(v, 1) < 6 leaves out 7 alone,
+    # so 3 and 9 lie on the two arcs between 1 and 7
+    oracle = make_group({"family": "cyclic_finite", "m": 12})
+    item = WitnessItem(("1",), 6, ("3",), ("9",))
+    table = explore(oracle, 10)
+    assert table.complete_group and table.reached == 6
+    report = check_obss_witness(table, ObssWitness(2, [item], None)).items[0]
+    assert (report.A_single_component, report.B_single_component,
+            report.distinct_components) == reference_obss_components(table, item)
+    assert report.passed
+    cut = explore(oracle, 5)
+    assert not cut.complete_group
+    with pytest.raises(TruncationTooSmall, match="need radius 7, table has 5"):
+        check_obss_witness(cut, ObssWitness(2, [item], None))
+
+
 def test_witness_json_round_trip(z_oracle, z_table_30):
     axis = build_axis(z_oracle, z_table_30, 14)
     witness = line_witness(z_oracle, axis, range(2, 5))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endslab.errors import Infeasible, InvalidParameter, TruncationTooSmall
-from endslab.explore import build_axis, explore
+from endslab.errors import InvalidParameter, TruncationTooSmall
+from endslab.explore import explore
 from endslab.glpartition import (TRIANGLE_TOL, FiniteMetricSpace, GlPartition,
-                                 build_gl_partition, similar_partitions,
-                                 sphere_as_metric_space, verify_gl_partition)
+                                 build_gl_partition, sphere_as_metric_space,
+                                 verify_gl_partition)
 from endslab.groups import make_group
 
 from oracles import (clustered_line_space, clustered_plane_space, near_equality_space,
@@ -477,53 +477,6 @@ def test_sphere_space_matches_reference_search(spec, radius):
             labels, rows = reference_sphere_space(table, center, r)
             assert space.labels == labels, (vid, r)
             assert repr(space.dist) == repr(rows), (vid, r)
-
-
-def test_similar_on_translated_spheres(z_oracle, z_table_30):
-    axis = build_axis(z_oracle, z_table_30, 10)
-    s0 = sphere_as_metric_space(z_table_30, 0, 5)
-    s5 = sphere_as_metric_space(z_table_30, axis.vertex(5), 5)
-    p0, p5 = build_gl_partition(s0, 3), build_gl_partition(s5, 3)
-    assert similar_partitions(p0, s0, p5, s5)
-
-
-def test_similar_rejects_block_count_mismatch():
-    s1 = FiniteMetricSpace.from_line([0, 1, 20000])
-    s2 = FiniteMetricSpace.from_line([0, 20000, 40000])
-    p1 = build_gl_partition(s1, 3)   # two blocks
-    p2 = build_gl_partition(s2, 3)   # three blocks
-    assert p1.block_count == 2 and p2.block_count == 3
-    assert not similar_partitions(p1, s1, p2, s2)
-
-
-def test_similar_rejects_non_isometric_blocks():
-    s1 = FiniteMetricSpace.from_line([0, 1, 20000])
-    s2 = FiniteMetricSpace.from_line([0, 2, 20000])
-    p1, p2 = build_gl_partition(s1, 3), build_gl_partition(s2, 3)
-    assert p1.block_count == p2.block_count == 2
-    assert not similar_partitions(p1, s1, p2, s2)  # {0,1} vs {0,2} differ
-
-
-def test_similar_rejects_factor_mismatch():
-    s = FiniteMetricSpace.from_line([0, 1, 20000])
-    assert not similar_partitions(build_gl_partition(s, 3), s,
-                                  build_gl_partition(s, 4), s)
-
-
-def test_similar_requires_proper():
-    s = FiniteMetricSpace.from_line([0, 1, 2])
-    trivial = build_gl_partition(s, 3)
-    with pytest.raises(InvalidParameter):
-        similar_partitions(trivial, s, trivial, s)
-
-
-def test_similar_block_size_bound():
-    positions = list(range(0, 17)) + [10 ** 7]
-    space = FiniteMetricSpace.from_line(positions)
-    part = build_gl_partition(space, 3)
-    assert not part.trivial and max(len(b) for b in part.blocks) == 17
-    with pytest.raises(Infeasible):
-        similar_partitions(part, space, part, space)
 
 
 def test_partition_json_round_trip():
