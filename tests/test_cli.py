@@ -492,6 +492,29 @@ def test_end_depth_golden_bytes(tmp_path, group, options, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the classify verdicts and of a JSON growth report: criterion
+# mode below the theorem's factor (demonstration_only) and at it, where the
+# radius 201^4 exceeds the budget (infeasible, exit 3); spheres mode
+REPORT_GOLDEN = [
+    (["classify", "--group", '{"family":"z"}', "--mode", "criterion", "--a", "3", "--n", "2"], 0,
+     "5f16934ddd04330d48c092a977577c5210c9b74865d22141982b02f685dcd168"),
+    (["classify", "--group", '{"family":"z"}', "--mode", "criterion", "--a", "100", "--n", "2"],
+     3, "06e82ed5b7bbf6f41009fe43989def83bc655b862f043bed61f32cc39170bbcf"),
+    (["classify", "--group", '{"family":"dihedral_inf"}', "--mode", "spheres"], 0,
+     "530cd63932ed807c30b986c64678ee2a7f9cdac9c8ba7c764887a63b15ea1b90"),
+    (["growth", "--group", '{"family":"z_pow","k":2}', "--rmax", "6", "--format", "json"], 0,
+     "41b0ddf43c8d98fff437d22aee87a09a7d82be3040b1fa97c3545f3101a446d8"),
+]
+
+
+@pytest.mark.parametrize("args,exit_code,digest", REPORT_GOLDEN,
+                         ids=["criterion_a3", "criterion_a100", "spheres", "growth_json"])
+def test_report_golden_bytes(tmp_path, args, exit_code, digest):
+    code, out = run(tmp_path, "golden.json", args)
+    assert code == exit_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of the benchmark's fixed-input growth reports (clibench/run.py,
 # plane_growth)
 GROWTH_GOLDEN = [
