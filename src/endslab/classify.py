@@ -38,15 +38,11 @@ class LinearityReport(Record):
     """Check of depth values against the bound value <= 2r (``ends`` lemma)."""
 
     __slots__ = ("checked", "max_ratio", "violations", "note")
+    report_keys = ("checked", "max_ratio", "passed", "violations", "note")
 
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {"checked": self.checked, "max_ratio": self.max_ratio,
-                "passed": self.passed, "violations": self.violations,
-                "note": self.note}
 
 
 def linear_end_depth_check(profile: EndDepthProfile) -> LinearityReport:
@@ -69,10 +65,7 @@ def linear_end_depth_check(profile: EndDepthProfile) -> LinearityReport:
 class Verdict(Record):
     """A detector outcome: the kind plus its numeric evidence."""
 
-    __slots__ = ("kind", "details")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "details": self.details}
+    __slots__ = report_keys = ("kind", "details")
 
 
 def bounded_sphere_detector(sizes: Sequence[int]) -> Verdict:
@@ -156,10 +149,7 @@ def sphere_bound_criterion(oracle: GroupOracle, a: int, n: int,
 
 
 class DemoStep(Record):
-    __slots__ = ("step", "ok", "detail")
-
-    def to_dict(self) -> dict:
-        return {"step": self.step, "ok": self.ok, "detail": self.detail}
+    __slots__ = report_keys = ("step", "ok", "detail")
 
 
 class DemoReport(Record):
@@ -167,6 +157,7 @@ class DemoReport(Record):
     when the demo declined."""
 
     __slots__ = ("group", "a", "n", "rho", "steps", "D", "nodes_explored", "note")
+    report_keys = ("group", "a", "n", "rho", "steps", "passed", "declined", "D", "note")
 
     @property
     def passed(self) -> bool:
@@ -176,14 +167,6 @@ class DemoReport(Record):
     def declined(self) -> bool:
         """The first step, the sphere-size hypothesis, failed."""
         return not self.steps[0].ok
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group, "a": self.a, "n": self.n, "rho": self.rho,
-            "steps": [s.to_dict() for s in self.steps],
-            "passed": self.passed, "declined": self.declined,
-            "D": self.D, "note": self.note,
-        }
 
 
 def sphere_cover_demo(oracle: GroupOracle, a: int, n: int,

@@ -284,6 +284,8 @@ def cmd_glpartition(args, oracle, budget):
 
 def cmd_obss(args, oracle, budget):
     witness = ends.ObssWitness.from_json(_read(args.witness, "--witness"))
+    if args.truncation is not None and args.truncation < 0:
+        raise InvalidParameter(f"--truncation must be a nonnegative integer, got {args.truncation}")
     truncation = args.truncation if args.truncation is not None else witness.truncation
     if truncation is None:
         raise InvalidParameter(

@@ -192,17 +192,13 @@ class EndDepthResult(Record):
 
     __slots__ = ("r", "value", "certified", "truncation", "bounded_count",
                  "ends_classification", "not_one_ended_warning")
+    report_keys = ("r", "value", "certified", "truncation", "bounded_components",
+                   "ends_classification", "not_one_ended_warning")
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "value": self.value,
-            "certified": self.certified,
-            "truncation": self.truncation,
-            "bounded_components": self.bounded_count,
-            "ends_classification": self.ends_classification,
-            "not_one_ended_warning": self.not_one_ended_warning,
-        }
+    @property
+    def bounded_components(self) -> int:
+        """The report's name for ``bounded_count``."""
+        return self.bounded_count
 
 
 def default_truncation(r: int) -> int:
@@ -251,21 +247,13 @@ class EndDepthProfile(Record):
 
     __slots__ = ("group", "generators", "entries", "classification",
                  "truncation_max", "nodes_explored")
+    report_keys = ("group", "generators", "entries", "classification", "truncation_max")
 
     def values(self) -> list:
         return [e.value for e in self.entries]
 
     def certified_entries(self) -> list:
         return [e for e in self.entries if e.certified]
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "generators": self.generators,
-            "classification": self.classification,
-            "truncation_max": self.truncation_max,
-            "entries": [e.to_dict() for e in self.entries],
-        }
 
 
 def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = None,
@@ -383,6 +371,8 @@ class EndsEstimate(Record):
 
     __slots__ = ("group", "r_max", "schedule", "counts", "stable", "classification",
                  "nodes_explored")
+    report_keys = ("group", "r_max", "schedule", "counts", "stable", "classification",
+                   "stabilized", "complete_group")
 
     @property
     def complete_group(self) -> bool:
@@ -396,18 +386,6 @@ class EndsEstimate(Record):
 
     def final_counts(self) -> list:
         return self.counts[self.schedule[-1]]
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "r_max": self.r_max,
-            "schedule": list(self.schedule),
-            "counts": {str(t): c for t, c in self.counts.items()},
-            "stable": self.stable,
-            "classification": self.classification,
-            "stabilized": self.stabilized,
-            "complete_group": self.complete_group,
-        }
 
 
 def default_schedule(r_max: int) -> tuple:
@@ -486,7 +464,7 @@ class WitnessItem(Record):
     """One separating configuration: a small set K, a reach radius, and two
     vertex sets that should fall in different components around K."""
 
-    __slots__ = ("K", "r", "A", "B")
+    __slots__ = report_keys = ("K", "r", "A", "B")
 
 
 class ObssWitness(Record):
@@ -497,23 +475,35 @@ class ObssWitness(Record):
     none.
     """
 
-    __slots__ = ("n", "items", "truncation")
+    __slots__ = report_keys = ("n", "items", "truncation")
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "items": [
-                {"K": list(it.K), "r": it.r, "A": list(it.A), "B": list(it.B)}
-                for it in self.items
-            ],
-        }
-        if self.truncation is not None:
-            d["truncation"] = self.truncation
+        d = super().to_dict()
+        if self.truncation is None:
+            del d["truncation"]
         return d
+
+    def validate(self) -> None:
+        """InvalidParameter, naming the field, unless there are items, n is
+        a positive integer, the truncation is None or a nonnegative integer,
+        and every item has an integer r >= 1 and a nonempty K, A and B."""
+        if not self.items:
+            raise InvalidParameter("witness has no items")
+        if not _is_int(self.n) or self.n < 1:
+            raise InvalidParameter(f"witness bound n must be a positive integer, got {self.n!r}")
+        if self.truncation is not None and (not _is_int(self.truncation) or self.truncation < 0):
+            raise InvalidParameter(f"witness truncation must be a nonnegative integer, "
+                                   f"got {self.truncation!r}")
+        for idx, it in enumerate(self.items):
+            if not _is_int(it.r) or it.r < 1:
+                raise InvalidParameter(f"items[{idx}].r must be an integer >= 1, got {it.r!r}")
+            for name in ("K", "A", "B"):
+                if not getattr(it, name):
+                    raise InvalidParameter(f"items[{idx}].{name} must name at least one vertex")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObssWitness":
-        """Read the JSON form; ``check_obss_witness`` validates the values."""
+        """Read and ``validate`` the JSON form."""
         _check_keys(d, ("n", "items", "truncation"), "witness")
         try:
             if not isinstance(d["items"], list):
@@ -523,9 +513,11 @@ class ObssWitness(Record):
                 _check_keys(it, ("K", "r", "A", "B"), f"items[{i}]")
                 items.append(WitnessItem(_keys(it, "K", i), it["r"],
                                          _keys(it, "A", i), _keys(it, "B", i)))
-            return cls(d["n"], items, d.get("truncation"))
+            witness = cls(d["n"], items, d.get("truncation"))
         except (KeyError, TypeError) as exc:
             raise InvalidParameter(f"malformed witness: {exc}") from exc
+        witness.validate()
+        return witness
 
     @classmethod
     def from_json(cls, text: str) -> "ObssWitness":
@@ -544,6 +536,7 @@ class WitnessItemReport(Record):
     __slots__ = ("index", "r", "diam_K", "diam_K_ok", "sets_nonempty", "sets_disjoint",
                  "A_single_component", "B_single_component", "distinct_components",
                  "diam_A", "diam_B")
+    report_keys = (*__slots__, "passed")
 
     @property
     def passed(self) -> bool:
@@ -551,22 +544,11 @@ class WitnessItemReport(Record):
                 and self.A_single_component and self.B_single_component
                 and self.distinct_components)
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index, "r": self.r,
-            "diam_K": self.diam_K, "diam_K_ok": self.diam_K_ok,
-            "sets_nonempty": self.sets_nonempty, "sets_disjoint": self.sets_disjoint,
-            "A_single_component": self.A_single_component,
-            "B_single_component": self.B_single_component,
-            "distinct_components": self.distinct_components,
-            "diam_A": self.diam_A, "diam_B": self.diam_B,
-            "passed": self.passed,
-        }
-
 
 class WitnessReport(Record):
     __slots__ = ("items", "r_strictly_increasing", "diam_A_strictly_increasing",
                  "diam_B_strictly_increasing", "note")
+    report_keys = (*__slots__, "passed")
 
     @property
     def passed(self) -> bool:
@@ -574,16 +556,6 @@ class WitnessReport(Record):
                 and self.r_strictly_increasing
                 and self.diam_A_strictly_increasing
                 and self.diam_B_strictly_increasing)
-
-    def to_dict(self) -> dict:
-        return {
-            "items": [it.to_dict() for it in self.items],
-            "r_strictly_increasing": self.r_strictly_increasing,
-            "diam_A_strictly_increasing": self.diam_A_strictly_increasing,
-            "diam_B_strictly_increasing": self.diam_B_strictly_increasing,
-            "passed": self.passed,
-            "note": self.note,
-        }
 
 
 _WITNESS_NOTE = (
@@ -607,25 +579,19 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
 
     A pair further apart than the truncation raises TruncationTooSmall,
     naming the item and the set, as does a K whose reach leaves the
-    truncation. An r that is not a positive integer, or an empty K, A or B,
-    raises InvalidParameter naming the item's field.
+    truncation. A witness that fails ``ObssWitness.validate``, or names a
+    vertex outside the table, raises InvalidParameter naming the field.
+    Every key is resolved in one scan of the table (``ids_of_keys``).
     """
-    if not witness.items:
-        raise InvalidParameter("witness has no items")
-    if not _is_int(witness.n) or witness.n < 1:
-        raise InvalidParameter(f"witness bound n must be a positive integer, got {witness.n!r}")
+    witness.validate()
+    found = table.ids_of_keys(key for it in witness.items for key in (*it.K, *it.A, *it.B))
 
     item_reports = []
     diams_A, diams_B = [], []
     for idx, it in enumerate(witness.items):
-        if not _is_int(it.r) or it.r < 1:
-            raise InvalidParameter(f"items[{idx}].r must be an integer >= 1, got {it.r!r}")
-        for name in ("K", "A", "B"):
-            if not getattr(it, name):
-                raise InvalidParameter(f"items[{idx}].{name} must name at least one vertex")
-        K = _resolve(table, it.K, f"items[{idx}].K")
-        A = _resolve(table, it.A, f"items[{idx}].A")
-        B = _resolve(table, it.B, f"items[{idx}].B")
+        K = _resolve(found, it.K, f"items[{idx}].K")
+        A = _resolve(found, it.A, f"items[{idx}].A")
+        B = _resolve(found, it.B, f"items[{idx}].B")
         max_dist = max(map(table.dist_of, K))
         if not table.complete_group and max_dist + it.r > table.reached:
             raise TruncationTooSmall(
@@ -661,14 +627,11 @@ def check_obss_witness(table: BallTable, witness: ObssWitness) -> WitnessReport:
     return WitnessReport(item_reports, r_inc, a_inc, b_inc, _WITNESS_NOTE)
 
 
-def _resolve(table: BallTable, keys: Sequence[str], where: str) -> list:
-    ids = []
+def _resolve(found: dict, keys: Sequence[str], where: str) -> list:
     for key in keys:
-        vid = table.id_of_key(key)
-        if vid is None:
+        if key not in found:
             raise InvalidParameter(f"{where}: vertex {key!r} not in the explored ball")
-        ids.append(vid)
-    return ids
+    return [found[key] for key in keys]
 
 
 def _diameter(table: BallTable, ids: list, where: str) -> int:

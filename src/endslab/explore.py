@@ -150,7 +150,6 @@ class BallTable(SphereSizeSeries):
         self._adj = array("i")
         self._index = {self._codec.identity: 0}
         self._codes = None
-        self._key_index = None
 
     @property
     def _wired(self) -> int:  # every id of the trivial group, which has no generators
@@ -204,7 +203,7 @@ class BallTable(SphereSizeSeries):
         starts, index, adj = self._layer_start, self._index, self._adj
         depth, size, outer = len(starts), self.size, starts[-2]
         del adj[self._k * outer:]
-        self._codes = self._key_index = None
+        self._codes = None
         try:
             _search(self._codec, radius, self._budget, index, starts, adj)
         except BudgetExceeded:
@@ -220,11 +219,20 @@ class BallTable(SphereSizeSeries):
     def key_of(self, vid: int) -> str:
         return self.oracle.key_str(self.element(vid))
 
-    def id_of_key(self, key: str) -> Optional[int]:
-        """Resolve a canonical key string; builds a full key index on first use."""
-        if self._key_index is None:
-            self._key_index = {self.key_of(i): i for i in range(self.size)}
-        return self._key_index.get(key)
+    def ids_of_keys(self, keys: Iterable[str]) -> dict:
+        """The id of each canonical key string found in the table, in one
+        scan in id order that stops at the last key it needs; a key that is
+        missing costs a pass over the whole table."""
+        wanted, found = set(keys), {}
+        key_str, decode = self.oracle.key_str, self._codec.decode
+        for vid, code in enumerate(self._index):
+            if not wanted:
+                break
+            key = key_str(decode(code))
+            if key in wanted:
+                wanted.remove(key)
+                found[key] = vid
+        return found
 
     def translates(self, centers: Iterable[Element], ids: Iterable[int]) -> list:
         """Ids of c * g for every center c and every vertex g of ``ids``,

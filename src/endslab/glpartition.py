@@ -222,6 +222,12 @@ class GlPartition(Record):
     """
 
     __slots__ = ("blocks", "a", "D", "iterations", "separation", "diameter_history")
+    report_keys = ("a", "blocks", "D", "k", "trivial")
+
+    @property
+    def k(self) -> int:
+        """The report's name for ``iterations``."""
+        return self.iterations
 
     @property
     def block_count(self) -> int:
@@ -231,15 +237,6 @@ class GlPartition(Record):
     def trivial(self) -> bool:
         """One block: the space did not split."""
         return len(self.blocks) == 1
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "blocks": [list(b) for b in self.blocks],
-            "D": self.D,
-            "k": self.iterations,
-            "trivial": self.trivial,
-        }
 
 
 def _check_factor(a) -> None:
@@ -312,21 +309,11 @@ class GlVerification(Record):
 
     __slots__ = ("blocks_disjoint", "covers_space", "proper", "separation_ok", "D",
                  "failures")
+    report_keys = (*__slots__, "passed")
 
     @property
     def passed(self) -> bool:
         return self.blocks_disjoint and self.covers_space and self.proper and self.separation_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "blocks_disjoint": self.blocks_disjoint,
-            "covers_space": self.covers_space,
-            "proper": self.proper,
-            "separation_ok": self.separation_ok,
-            "D": self.D,
-            "failures": self.failures,
-        }
 
 
 def verify_gl_partition(space: FiniteMetricSpace, partition: GlPartition,

@@ -224,13 +224,32 @@ class Record:
     """A plain record: the constructor takes one value per name in
     ``__slots__``, positionally and in order, and raises ValueError on one
     too few or too many. A fact the fields determine is a property, not a
-    field, so a record cannot contradict itself."""
+    field, so a record cannot contradict itself.
+
+    A report record names the keys of its JSON form in ``report_keys``, each
+    a slot or a property; a field it leaves out stays out of the report.
+    ``to_dict`` writes every report: a nested record as its ``to_dict``, a
+    tuple or list as a list and a dict with str keys."""
 
     __slots__ = ()
+    report_keys = ()
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
             setattr(self, name, value)
+
+    def to_dict(self) -> dict:
+        return {key: _plain(getattr(self, key)) for key in self.report_keys}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return value
 
 
 class Codec(Record):

@@ -270,7 +270,8 @@ def reference_obss_components(table, item):
     to depth r - 1, and the components of the neighborhood minus K from one
     search inside it per component.
     """
-    ids = lambda keys: [table.id_of_key(key) for key in keys]
+    found = table.ids_of_keys((*item.K, *item.A, *item.B))
+    ids = lambda keys: [found[key] for key in keys]
     K, A, B = ids(item.K), ids(item.A), ids(item.B)
     region = set(reference_bfs(table, K, item.r - 1)).difference(K)
     comp_of = {}

@@ -256,8 +256,9 @@ def _reference_pull_back(table, center, r, partition):
     oracle = table.oracle
     layer = [table.key_of(v) for v in table.layer_ids(r)]
     inverse = oracle.invert(center)
+    ids = table.ids_of_keys(key for block in partition.blocks for key in block)
     pull = lambda key: layer.index(oracle.key_str(
-        oracle.multiply(inverse, table.element(table.id_of_key(key)))))
+        oracle.multiply(inverse, table.element(ids[key]))))
     return frozenset(frozenset(map(pull, block)) for block in partition.blocks)
 
 

@@ -189,6 +189,33 @@ def test_obss_malformed_item_exit_2(tmp_path, capsys, field, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc,options,message", [
+    # the search to radius two million would visit 4M vertices; the error comes first
+    ({"n": 3, "items": [{"K": ["0"], "r": 0, "A": ["1"], "B": ["-1"]}], "truncation": 2000000},
+     [], "items[0].r must be an integer >= 1, got 0"),
+    ({"n": 3, "items": [{"K": ["0"], "r": 1, "A": ["1"], "B": ["-1"]}], "truncation": True},
+     [], "witness truncation must be a nonnegative integer, got True"),
+    ({"n": 0, "items": [{"K": ["0"], "r": 1, "A": ["1"], "B": ["-1"]}], "truncation": 4},
+     [], "witness bound n must be a positive integer, got 0"),
+    ({"n": 3, "items": [{"K": ["0"], "r": 1, "A": ["1"], "B": ["-1"]}]},
+     ["--truncation", "-1"], "--truncation must be a nonnegative integer, got -1"),
+], ids=["r_zero", "truncation_bool", "n_zero", "option_negative"])
+def test_obss_rejects_witness_before_search(tmp_path, capsys, monkeypatch, doc, options,
+                                            message):
+    def no_search(*args):
+        raise AssertionError("explored before the witness was validated")
+
+    monkeypatch.setattr(cli, "explore", no_search)
+    wfile = tmp_path / "witness.json"
+    wfile.write_text(json.dumps(doc))
+    out = tmp_path / "never.json"
+    assert main(["obss", "--group", '{"family":"z"}', "--witness", str(wfile), *options,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"endslab: invalid input: {message}\n" in err, err
+    assert not out.exists()
+
+
 def test_obss_requires_truncation(tmp_path, z_oracle, z_table_30):
     axis = build_axis(z_oracle, z_table_30, 14)
     witness = line_witness(z_oracle, axis, range(2, 4))

@@ -558,7 +558,7 @@ def _random_item(rng, table):
         table.key_of(v) for v in rng.sample(range(table.ball_size(radius)),
                                             min(count, table.ball_size(radius))))
     K = pick(table.reached // 3, rng.randint(1, 3))
-    far = max(table.dist_of(table.id_of_key(key)) for key in K)
+    far = max(map(table.dist_of, table.ids_of_keys(K).values()))
     r = rng.randint(1, table.reached - far)
     side = min(table.reached // 2, far + r)
     return WitnessItem(K, r, pick(side, rng.randint(1, 4)), pick(side, rng.randint(1, 4)))

@@ -318,12 +318,14 @@ def test_modules_use_every_import():
 
 
 def test_record_fields_are_read():
-    # a slot that neither the package nor a test ever reads records nothing
+    # a slot that neither the package nor a test ever reads records nothing;
+    # Record.to_dict reads every name in a record's report_keys
     modules = sorted(Path(endslab.__file__).parent.glob("*.py"))
     trees = {path: ast.parse(path.read_text())
              for path in modules + sorted(Path(__file__).parent.glob("*.py"))}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read.update(key for cls in _record_classes() for key in cls.report_keys)
     classes = [(path, cls) for path in modules for cls in ast.walk(trees[path])
                if isinstance(cls, ast.ClassDef)]
     unread = [f"{path.name}: {cls.name}.{name}" for path, cls in classes for stmt in cls.body
@@ -363,6 +365,20 @@ def test_records_define_no_init():
              for stmt in cls.body
              if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"]
     assert inits == []
+
+
+def test_report_keys_name_fields():
+    # a misspelt report key fails here, not in a user's run
+    for cls in _record_classes():
+        for key in cls.report_keys:
+            assert key in cls.__slots__ or isinstance(getattr(cls, key, None), property), \
+                f"{cls.__name__}.{key}"
+
+
+def test_records_share_one_serializer():
+    # Record.to_dict writes every report; a witness only drops an unset truncation
+    own = [cls.__name__ for cls in _record_classes() if "to_dict" in vars(cls)]
+    assert own == ["ObssWitness"]
 
 
 def test_axis_families(z_table_30, z2_table_22, dihedral_oracle, lamp_oracle):
@@ -412,8 +428,23 @@ def test_axis_extent_bound(z_table_30):
 
 def test_key_round_trip(z_table_30):
     assert z_table_30.key_of(0) == "0"
-    assert z_table_30.id_of_key("5") == z_table_30.id_of(5)
-    assert z_table_30.id_of_key("31") is None
+    assert z_table_30.ids_of_keys(["5", "31", "-2"]) == {"5": z_table_30.id_of(5),
+                                                         "-2": z_table_30.id_of(-2)}
+    assert z_table_30.ids_of_keys([]) == {}
+
+
+def test_key_scan_stops_at_last_key(monkeypatch):
+    # ids are in distance order, so a scan for keys near the identity reads
+    # only the ball they lie in; a missing key costs the whole table
+    oracle = make_group({"family": "z"})
+    table = explore(oracle, 30)
+    keys = []
+    monkeypatch.setattr(oracle, "key_str", lambda g: keys.append(g) or str(g))
+    assert table.ids_of_keys(["2", "-1"]) == {"2": 3, "-1": 2}
+    assert keys == [0, 1, -1, 2]
+    keys.clear()
+    assert table.ids_of_keys(["2", "99"]) == {"2": 3}
+    assert len(keys) == table.size
 
 
 @pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
@@ -455,15 +486,16 @@ def _assert_reference_ball(oracle, table, radius):
 ], ids=str)
 def test_grown_table_matches_tuple_reference(spec, radii):
     # a table grown radius by radius is the table explored at once; each
-    # check decodes every element first, so the code list and the key index
-    # must be rebuilt by the next growth
+    # check decodes every element first, so the code list must be rebuilt by
+    # the next growth, and a key scan must read the grown table's codes
     oracle = make_group(spec)
     table = explore(oracle, radii[0])
     _assert_reference_ball(oracle, table, radii[0])
     for radius in radii[1:]:
         table.grow(radius)
         _assert_reference_ball(oracle, table, radius)
-        assert table.id_of_key(table.key_of(table.size - 1)) == table.size - 1
+        last = table.key_of(table.size - 1)
+        assert table.ids_of_keys([last]) == {last: table.size - 1}
 
 
 @pytest.mark.parametrize("spec", [{"family": "z_cross_cyclic", "m": 3},
