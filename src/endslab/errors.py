@@ -17,7 +17,13 @@ class Infeasible(EndslabError):
 
 class BudgetExceeded(Infeasible):
     """Breadth-first exploration hit the node budget before the requested
-    radius, or before exhausting a finite group of the given ``order``."""
+    radius, or before exhausting a finite group of the given ``order``.
+
+    The error names the last complete ball: ``radius_reached`` is the
+    largest r whose ball B(r) fits in the budget, and ``nodes`` = |B(r)|.
+    Both are facts of the group and the budget alone, so a ball table and
+    a lean count word the error alike, whatever order or batches they
+    visit the vertices of B(r + 1) in."""
 
     def __init__(self, budget: int, nodes: int, radius_reached: int, radius_requested: int,
                  order: Optional[int] = None):
@@ -29,8 +35,8 @@ class BudgetExceeded(Infeasible):
         goal = (f" of requested {radius_requested}" if order is None else
                 f", but the whole group of order {order} was needed")
         super().__init__(
-            f"node budget {budget} exceeded after {nodes} vertices: "
-            f"reached radius {radius_reached}{goal}"
+            f"node budget {budget} exceeded by B({radius_reached + 1}); "
+            f"B({radius_reached}) has {nodes} vertices: reached radius {radius_reached}{goal}"
         )
 
 

@@ -23,6 +23,14 @@ first decode. The search reads each frontier off the tail of that dict,
 so ``BallTable.grow`` resumes it there, recoding the table first when
 its codes do not reach the new radius; ``explore`` grows the ball of radius 0.
 
+The lean count behind ``sphere_size_series`` numbers nothing: one set
+holds the codes of the three live spheres, r - 1, r and r + 1 while
+r + 1 is built. It files each new vertex under the step that found it
+first and never takes the inverse step, which leads back to a vertex of
+the sphere before. It visits a sphere step by step rather than in table
+order, so only the sizes it reports, and the budget errors that name a
+whole ball, are shared with a table.
+
 Adjacency is one flat array of rows, k = len(steps) slots per vertex in
 generator order, so the row of u is the implicit slice ``adj[k*u:k*u + k]``
 and needs no offsets. The search writes the row of every vertex it expands:
@@ -44,7 +52,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import islice, pairwise, repeat
+from itertools import filterfalse, islice, pairwise, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
@@ -272,16 +280,36 @@ class BallTable(SphereSizeSeries):
 # in one list, so this bounds the memory a batch takes besides the ball.
 _BATCH = 1024
 
+# A sphere or batch of fewer vertices is stepped vertex by vertex: cheaper
+# than setting up a map per step.
+_THIN = 16
+
 
 def _neighbor_codes(steps: tuple, batch: list) -> list:
     """Code of u * s for every u in the batch and every step s, s innermost."""
-    if len(batch) < 16:  # thin spheres: cheaper than setting up a map per step
+    if len(batch) < _THIN:
         return [step(u) for u in batch for step in steps]
     k = len(steps)
     codes = [0] * (k * len(batch))
     for i, step in enumerate(steps):
         codes[i::k] = map(step, batch)
     return codes
+
+
+def _back_steps(codec: Codec) -> list:
+    """The index of the inverse of each step: steps[back[i]] undoes steps[i].
+    Read off the identity and the generators, so the steps must hold on
+    B(1); raises InvalidParameter if a step has no inverse among them."""
+    e, steps = codec.identity, codec.steps
+    back = []
+    for i, step in enumerate(steps):
+        g = step(e)
+        j = next((j for j, undo in enumerate(steps) if undo(g) == e), None)
+        if j is None:
+            raise InvalidParameter(f"step {i} has no inverse among the {len(steps)} steps: "
+                                   "the generating set is not closed under inverses")
+        back.append(j)
+    return back
 
 
 def _codec(oracle: GroupOracle, radius: int, budget: int) -> Codec:
@@ -303,28 +331,29 @@ def _search_budget(radius: int, budget: Optional[int]) -> int:
     return budget
 
 
-def _search(codec: Codec, radius: int, budget: int, index: dict, starts: list,
+def _search(codec: Codec, radius: int, budget: int, index: dict | set, starts: list,
             adj: Optional[array] = None) -> None:
-    """The breadth-first loop over int codes, resumed at the last sphere.
+    """The breadth-first loop over int codes: appends to ``starts``, the
+    layer bounds so far, the bound of each sphere up to ``radius``, and
+    stops at the first empty one.
 
-    Appends to ``starts``, the layer bounds so far (``[0, 1]`` for a new
-    search), the bound of each sphere up to ``radius``, and stops at the
-    first empty one; ``index`` receives every code found, in discovery order
-    (by frontier vertex, then generator), so each frontier is its tail, or
-    the new codes of the previous round's last batch if they are the whole
-    sphere. A ball table passes its ``adj``: then ``index`` keeps every
-    vertex and maps its code to its id, and ``adj`` gets the neighbor ids
+    A ball table passes its code-to-id dict as ``index`` and its ``adj``;
+    the search resumes at the last sphere. ``index`` receives every code
+    found, in discovery order (by frontier vertex, then generator), so each
+    frontier is its tail, or the new codes of the previous round's last
+    batch if they are the whole sphere, and ``adj`` gets the neighbor ids
     of every vertex expanded, len(steps) per vertex in generator order.
-    Without it ``index`` maps codes to None and keeps only spheres r - 1,
-    r and r + 1 while r + 1 is built: the generating set is
-    inversion-closed, so no neighbor of sphere r lies further in.
+    Without ``adj`` the search is the lean count of ``_count``, from
+    ``starts`` = [0, 1] and ``index`` = {identity}.
 
     Raises BudgetExceeded once more than ``budget`` vertices are found; the
-    error reports the last complete radius.
+    error names the last complete ball, B(r) with r = len(starts) - 2.
     """
+    if adj is None:
+        return _count(codec, radius, budget, index, starts)
     steps = codec.steps
     nodes = starts[-1]
-    older = new = ()
+    new = ()
     for r in range(len(starts) - 2, radius):
         first = nodes
         if len(new) == first - starts[r]:  # the last batch found all of sphere r
@@ -340,25 +369,81 @@ def _search(codec: Codec, radius: int, budget: int, index: dict, starts: list,
                     index[v] = None
                     new.append(v)
             if nodes + len(new) > budget:
-                raise BudgetExceeded(budget, nodes + len(new), r, radius)
-            if adj is not None:
-                index.update(zip(new, range(nodes, nodes + len(new))))
-                adj.extend(map(index.__getitem__, neighbors))
+                raise BudgetExceeded(budget, first, r, radius)
+            index.update(zip(new, range(nodes, nodes + len(new))))
+            adj.extend(map(index.__getitem__, neighbors))
             nodes += len(new)
         if nodes == first:
             break
         starts.append(nodes)
-        if adj is None:
-            for v in older:
-                del index[v]
-            older = frontier
+
+
+def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> None:
+    """The lean branch of ``_search``: sphere sizes from the identity, with
+    ``seen`` holding only the codes of spheres r - 1, r and r + 1 while
+    r + 1 is built (the generating set is inversion-closed, so no neighbor
+    of sphere r lies further in).
+
+    Each vertex is filed under the step that found it first: u = p * s
+    with p in the sphere before, so u * s^-1 = p can never be new, and u
+    skips that step (``_back_steps``). While spheres are thin, a sphere is
+    a dict from code to step index, stepped vertex by vertex; from the
+    first sphere of ``_THIN`` vertices on, it is one list per step, stepped
+    by one map per step over the lists that take it. One step never maps
+    two vertices to one code, so the codes it finds unseen need no set of
+    their own.
+    """
+    steps, old = codec.steps, seen.__contains__
+    k = len(steps)
+    sphere, older = {codec.identity: k}, ()  # older: the code collections of sphere r - 1
+    moves = [()] * k + [tuple(enumerate(steps))]  # the identity, under k, takes every step
+    for r in range(radius):
+        if r == 1:  # B(1) fits the budget, so the steps hold on B(1) (``_codec``)
+            back = _back_steps(codec)
+            moves = [[(j, step) for j, step in enumerate(steps) if j != b] for b in back]
+            takers = [[i for i, b in enumerate(back) if b != j] for j in range(k)]
+        first = nodes = starts[-1]
+        if isinstance(sphere, dict):
+            new = {}
+            for u, i in sphere.items():
+                for j, step in moves[i]:
+                    v = step(u)
+                    if v not in seen:
+                        seen.add(v)
+                        new[v] = j
+            nodes += len(new)
+            if nodes > budget:
+                raise BudgetExceeded(budget, first, r, radius)
+            if len(new) >= _THIN:
+                lists = [[] for _ in steps]
+                for v, j in new.items():
+                    lists[j].append(v)
+                new = lists
+            done = (sphere,)
+        else:
+            new = []
+            for step, sources in zip(steps, takers):
+                found = []
+                for i in sources:
+                    found += filterfalse(old, map(step, sphere[i]))
+                seen.update(found)
+                nodes += len(found)
+                if nodes > budget:
+                    raise BudgetExceeded(budget, first, r, radius)
+                new.append(found)
+            done = sphere
+        if nodes == first:
+            break
+        starts.append(nodes)
+        seen.difference_update(*older)
+        older, sphere = done, new
 
 
 def explore(oracle: GroupOracle, radius: int, budget: Optional[int] = None) -> BallTable:
     """Materialize the ball of the given radius around the identity.
 
     Raises BudgetExceeded if the ball would hold more than ``budget`` vertices
-    (default 5e6); the error reports the last fully explored radius. The
+    (default 5e6); the error names the last complete ball. The
     search records the layer bounds, which give every distance; a table
     whose size is the group order is flagged ``complete_group``.
     """
@@ -371,13 +456,15 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
                        budget: Optional[int] = None) -> SphereSizeSeries:
     """Sphere sizes up to ``radius`` without building a table.
 
-    Keeps only the codes of three consecutive spheres, so it scales to balls
-    far beyond what a full table can hold; ``size`` still counts every
-    vertex of the ball against the budget.
+    Keeps only the codes of three consecutive spheres, in one set, and
+    never steps a vertex back to the vertex that found it (``_count``), so
+    it scales to balls far beyond what a full table can hold; ``size``
+    still counts every vertex of the ball against the budget, and a budget
+    error is worded as ``explore``'s.
     """
     budget = _search_budget(radius, budget)
     codec, starts = _codec(oracle, radius, budget), [0, 1]
-    _search(codec, radius, budget, {codec.identity: None}, starts)
+    _search(codec, radius, budget, {codec.identity}, starts)
     return SphereSizeSeries(oracle, starts)
 
 

@@ -376,8 +376,8 @@ def test_finite_group_explored_whole(tmp_path, capsys):
                        "--rmax", "3", "--budget", "500"])
         assert code == 3
         err = capsys.readouterr().err
-        assert ("node budget 500 exceeded after 501 vertices: reached radius 249, "
-                "but the whole group of order 1000 was needed") in err
+        assert ("node budget 500 exceeded by B(250); B(249) has 499 vertices: reached "
+                "radius 249, but the whole group of order 1000 was needed") in err
         assert "requested" not in err
 
 
@@ -410,8 +410,9 @@ def test_finite_group_rows_bounded_by_budget(tmp_path, capsys, command, budget, 
 
 
 @pytest.mark.parametrize("budget,message", [
-    (2_000, "node budget 2000 exceeded after 2474 vertices: reached radius 10 of requested 22"),
-    (100_000, "node budget 100000 exceeded after 100884 vertices: "
+    (2_000, "node budget 2000 exceeded by B(11); B(10) has 1457 vertices: "
+            "reached radius 10 of requested 22"),
+    (100_000, "node budget 100000 exceeded by B(19); B(18) has 85806 vertices: "
               "reached radius 18 of requested 22"),
 ], ids=["below_B(11)", "below_B(22)"])
 def test_end_depth_budget_exit_names_whole_ball(tmp_path, capsys, budget, message):

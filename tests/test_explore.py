@@ -3,7 +3,9 @@ structure invariants, axes, budgets."""
 
 import ast
 import random
+from functools import partial
 from importlib import import_module
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -11,11 +13,12 @@ import pytest
 import endslab
 from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis, TruncationTooSmall
 from endslab.ends import end_depth_profile
-from endslab.explore import build_axis, explore, sphere_size_series
-from endslab.groups import Record, make_group
+from endslab.explore import _back_steps, build_axis, explore, sphere_size_series
+from endslab.groups import Codec, GroupOracle, GroupSpec, Record, make_group
 
 from oracles import (free_sphere_count, l1_sphere_count, lamplighter2_sphere_counts,
                      reference_ball, reference_bfs, reference_set_diameter)
+from test_groups import ALL_SPECS, random_element
 
 NESTED = {"family": "product",
           "left": {"family": "product", "left": {"family": "z"},
@@ -256,6 +259,91 @@ def test_budget_exceeded_reports_radius():
     assert err.value.budget == 500
     with pytest.raises(BudgetExceeded):
         sphere_size_series(make_group({"family": "free", "k": 2}), 10, budget=500)
+
+
+BATCH_SPECS = [{"family": "lamplighter", "m": 2}, {"family": "free", "k": 2},
+               {"family": "z_cross_cyclic", "m": 3}, {"family": "cyclic_finite", "m": 1000}]
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=str)
+def test_budget_errors_ignore_batch_size(spec, monkeypatch):
+    # a budget error names the last ball that fits, B(r) and |B(r)|, so
+    # neither search's batch size nor its visiting order shows in it
+    oracle = make_group(spec)
+    _, dist, _, _ = reference_ball(oracle, 9)
+    balls = [sum(d <= r for d in dist) for r in range(10)]
+    for batch in (1, 7, 1024):
+        monkeypatch.setattr(import_module("endslab.explore"), "_BATCH", batch)
+        for search in (explore, sphere_size_series):
+            assert search(oracle, 9).sizes == [dist.count(r) for r in range(10)]
+            for r in range(1, 9):
+                for budget in (balls[r], balls[r] + 1):
+                    with pytest.raises(BudgetExceeded) as err:
+                        search(oracle, 9, budget)
+                    assert str(err.value) == (
+                        f"node budget {budget} exceeded by B({r + 1}); B({r}) has "
+                        f"{balls[r]} vertices: reached radius {r} of requested 9")
+                    assert (err.value.nodes, err.value.radius_reached) == (balls[r], r)
+
+
+# finite groups whose spheres outgrow the vertex-by-vertex loop, one with
+# odd cycles, before the group runs out
+WIDE_FINITE = [
+    {"family": "product", "left": {"family": "cyclic_finite", "m": 12},
+     "right": {"family": "cyclic_finite", "m": 16}},
+    {"family": "product", "left": {"family": "cyclic_finite", "m": 9},
+     "right": {"family": "z_cross_cyclic", "m": 5}},
+]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + WIDE_FINITE,
+                         ids=lambda s: GroupSpec.from_dict(s).label())
+def test_lean_count_matches_tables_and_reference(spec):
+    oracle = make_group(spec)
+    radius = 5 if spec["family"] == "product" and "lamplighter" in str(spec) else 9
+    _, dist, _, complete = reference_ball(oracle, radius)
+    series = sphere_size_series(oracle, radius)
+    assert series.sizes == explore(oracle, radius).sizes == \
+        [dist.count(r) for r in range(dist[-1] + 1)]
+    assert series.complete_group == complete
+    # the count forgets every sphere but the last two it built
+    search = import_module("endslab.explore")._search
+    codec = oracle.codec(radius)
+    seen = {codec.identity}
+    search(codec, radius, 10 ** 6, seen, [0, 1])
+    assert len(seen) == sum(series.sizes[-2:])
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + WIDE_FINITE,
+                         ids=lambda s: GroupSpec.from_dict(s).label())
+def test_back_steps_undo_every_step(spec):
+    # the inverse of each step, read off the identity, undoes it on any
+    # code of B(8), and is the step of the inverse generator
+    oracle = make_group(spec)
+    codec = oracle.codec(9)
+    back = _back_steps(codec)
+    gens = oracle.generators
+    assert [gens[b] for b in back] == [oracle.invert(g) for g in gens]
+    rng = random.Random(11)
+    for _ in range(300):
+        code = codec.encode(random_element(oracle, rng, max_letters=8))
+        for step, b in zip(codec.steps, back):
+            assert codec.steps[b](step(code)) == code
+
+
+class _ZPlusTwo(GroupOracle):
+    """Z with the steps +1, -1 and +2 but not -2: no inversion-closed set."""
+
+    order = None
+
+    def codec(self, radius):
+        return Codec(2 ** 64, 2 ** 32, (partial(add, 1), partial(add, -1), partial(add, 2)),
+                     None, None)
+
+
+def test_steps_without_an_inverse_raise():
+    with pytest.raises(InvalidParameter, match="step 2 has no inverse"):
+        sphere_size_series(_ZPlusTwo(), 5)
 
 
 def test_explore_rejects_bad_radius(z_oracle):
