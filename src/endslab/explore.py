@@ -22,6 +22,10 @@ the id order, and the list from id to code is derived from the dict on the
 first decode. The search reads each frontier off the tail of that dict,
 so ``BallTable.grow`` resumes it there, recoding the table first when
 its codes do not reach the new radius; ``explore`` grows the ball of radius 0.
+A thin sphere, of fewer than ``_THIN`` vertices, is expanded vertex by
+vertex, each new code numbered as it is found; a wider one in batches of
+``_BATCH`` vertices, one map per step. Both visit the frontier in id order
+and the steps in generator order, so they number every code alike.
 
 The lean count behind ``sphere_size_series`` numbers nothing: one set
 holds the codes of the three live spheres, r - 1, r and r + 1 while
@@ -52,8 +56,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from functools import partial
 from itertools import filterfalse, islice, pairwise, repeat
-from typing import Iterable, Optional, Sequence
+from operator import add
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
                      TruncationTooSmall)
@@ -200,14 +206,15 @@ class BallTable(SphereSizeSeries):
         """Extend the table to the ball of ``radius`` that ``explore`` gives:
         recode every vertex if the codes do not reach that far (ids stay),
         then resume the search at the outermost sphere, whose wired rows it
-        writes again. BudgetExceeded leaves the ball as it was."""
+        writes again. BudgetExceeded leaves the ball as it was, in its old
+        codes."""
         _search_budget(radius, self._budget)
         if radius <= self.reached:
             return
+        old = self._codec
         codec = _codec(self.oracle, radius + 1, self._budget)  # S(radius)'s neighbors too
-        if codec.span != self._codec.span:  # codes widen with their radius
-            codes = map(codec.encode, map(self._codec.decode, self._index))
-            self._index, self._codec = dict(zip(codes, range(self.size))), codec
+        if codec.span != old.span:  # codes widen with their radius
+            self._recode(codec)
         starts, index, adj = self._layer_start, self._index, self._adj
         depth, size, outer = len(starts), self.size, starts[-2]
         del adj[self._k * outer:]
@@ -218,7 +225,14 @@ class BallTable(SphereSizeSeries):
             del starts[depth:], adj[self._k * outer:]
             while len(index) > size:
                 index.popitem()
+            if self._codec is not old:
+                self._recode(old)
             raise
+
+    def _recode(self, codec: Codec) -> None:
+        """Re-key ``_index`` by the codes of ``codec``, keeping every id."""
+        codes = map(codec.encode, map(self._codec.decode, self._index))
+        self._index, self._codec = dict(zip(codes, range(self.size))), codec
 
     def id_of(self, g: Element) -> Optional[int]:
         code = self._codec.encode(g)
@@ -280,19 +294,27 @@ class BallTable(SphereSizeSeries):
 # in one list, so this bounds the memory a batch takes besides the ball.
 _BATCH = 1024
 
-# A sphere or batch of fewer vertices is stepped vertex by vertex: cheaper
-# than setting up a map per step.
+# A sphere of fewer vertices is stepped vertex by vertex, both by the table
+# search (``_search``) and by the lean count (``_count``): cheaper than
+# setting up a map per step.
 _THIN = 16
+
+
+def _stepped(step: Callable[[int], int], codes: Iterable[int]) -> Iterable[int]:
+    """``map(step, codes)``; a translation step v -> v + d maps ``add`` over
+    ``repeat(d)``, which gives the same codes without a call through the
+    partial."""
+    if isinstance(step, partial) and step.func is add:
+        return map(add, codes, repeat(step.args[0]))
+    return map(step, codes)
 
 
 def _neighbor_codes(steps: tuple, batch: list) -> list:
     """Code of u * s for every u in the batch and every step s, s innermost."""
-    if len(batch) < _THIN:
-        return [step(u) for u in batch for step in steps]
     k = len(steps)
     codes = [0] * (k * len(batch))
     for i, step in enumerate(steps):
-        codes[i::k] = map(step, batch)
+        codes[i::k] = _stepped(step, batch)
     return codes
 
 
@@ -339,10 +361,13 @@ def _search(codec: Codec, radius: int, budget: int, index: dict | set, starts: l
 
     A ball table passes its code-to-id dict as ``index`` and its ``adj``;
     the search resumes at the last sphere. ``index`` receives every code
-    found, in discovery order (by frontier vertex, then generator), so each
-    frontier is its tail, or the new codes of the previous round's last
-    batch if they are the whole sphere, and ``adj`` gets the neighbor ids
-    of every vertex expanded, len(steps) per vertex in generator order.
+    found, in discovery order (by frontier vertex, then generator), and
+    ``adj`` gets the neighbor ids of every vertex expanded, len(steps) per
+    vertex in generator order. A frontier of fewer than ``_THIN`` vertices
+    is stepped in one loop, vertex by vertex, without the batches' set-up.
+    Each frontier is the tail of ``index``, or is handed on as ``new``: the
+    new codes of the thin loop, or of the previous round's last batch if
+    they are the whole sphere.
     Without ``adj`` the search is the lean count of ``_count``, from
     ``starts`` = [0, 1] and ``index`` = {identity}.
 
@@ -351,7 +376,7 @@ def _search(codec: Codec, radius: int, budget: int, index: dict | set, starts: l
     """
     if adj is None:
         return _count(codec, radius, budget, index, starts)
-    steps = codec.steps
+    steps, get, append = codec.steps, index.get, adj.append
     nodes = starts[-1]
     new = ()
     for r in range(len(starts) - 2, radius):
@@ -361,18 +386,32 @@ def _search(codec: Codec, radius: int, budget: int, index: dict | set, starts: l
         else:
             frontier = list(islice(reversed(index), first - starts[r]))
             frontier.reverse()
-        for lo in range(0, len(frontier), _BATCH):
-            neighbors = _neighbor_codes(steps, frontier[lo:lo + _BATCH])
+        if len(frontier) < _THIN:
             new = []
-            for v in neighbors:
-                if v not in index:
-                    index[v] = None
-                    new.append(v)
-            if nodes + len(new) > budget:
-                raise BudgetExceeded(budget, first, r, radius)
-            index.update(zip(new, range(nodes, nodes + len(new))))
-            adj.extend(map(index.__getitem__, neighbors))
-            nodes += len(new)
+            for u in frontier:
+                for step in steps:
+                    v = step(u)
+                    vid = get(v)
+                    if vid is None:
+                        if nodes >= budget:
+                            raise BudgetExceeded(budget, first, r, radius)
+                        vid = index[v] = nodes
+                        nodes += 1
+                        new.append(v)
+                    append(vid)
+        else:
+            for lo in range(0, len(frontier), _BATCH):
+                neighbors = _neighbor_codes(steps, frontier[lo:lo + _BATCH])
+                new = []
+                for v in neighbors:
+                    if v not in index:
+                        index[v] = None
+                        new.append(v)
+                if nodes + len(new) > budget:
+                    raise BudgetExceeded(budget, first, r, radius)
+                index.update(zip(new, range(nodes, nodes + len(new))))
+                adj.extend(map(index.__getitem__, neighbors))
+                nodes += len(new)
         if nodes == first:
             break
         starts.append(nodes)
@@ -425,7 +464,7 @@ def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> N
             for step, sources in zip(steps, takers):
                 found = []
                 for i in sources:
-                    found += filterfalse(old, map(step, sphere[i]))
+                    found += filterfalse(old, _stepped(step, sphere[i]))
                 seen.update(found)
                 nodes += len(found)
                 if nodes > budget:

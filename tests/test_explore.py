@@ -5,6 +5,7 @@ import ast
 import random
 from functools import partial
 from importlib import import_module
+from itertools import product
 from operator import add
 from pathlib import Path
 
@@ -262,18 +263,25 @@ def test_budget_exceeded_reports_radius():
 
 
 BATCH_SPECS = [{"family": "lamplighter", "m": 2}, {"family": "free", "k": 2},
-               {"family": "z_cross_cyclic", "m": 3}, {"family": "cyclic_finite", "m": 1000}]
+               {"family": "z_cross_cyclic", "m": 3}, {"family": "cyclic_finite", "m": 1000},
+               {"family": "z"}, {"family": "dihedral_inf"}]
+
+# _THIN values that send every sphere through one path of a search: the
+# batched maps, or the vertex-by-vertex loop
+ALL_BATCHED, ALL_THIN = 0, 1 << 30
 
 
 @pytest.mark.parametrize("spec", BATCH_SPECS, ids=str)
 def test_budget_errors_ignore_batch_size(spec, monkeypatch):
     # a budget error names the last ball that fits, B(r) and |B(r)|, so
-    # neither search's batch size nor its visiting order shows in it
+    # neither search's batch size, nor its thin-sphere loop, nor its
+    # visiting order shows in it
     oracle = make_group(spec)
     _, dist, _, _ = reference_ball(oracle, 9)
     balls = [sum(d <= r for d in dist) for r in range(10)]
-    for batch in (1, 7, 1024):
+    for batch, thin in product((1, 7, 1024), (ALL_BATCHED, ALL_THIN)):
         monkeypatch.setattr(import_module("endslab.explore"), "_BATCH", batch)
+        monkeypatch.setattr(import_module("endslab.explore"), "_THIN", thin)
         for search in (explore, sphere_size_series):
             assert search(oracle, 9).sizes == [dist.count(r) for r in range(10)]
             for r in range(1, 9):
@@ -312,6 +320,47 @@ def test_lean_count_matches_tables_and_reference(spec):
     seen = {codec.identity}
     search(codec, radius, 10 ** 6, seen, [0, 1])
     assert len(seen) == sum(series.sizes[-2:])
+
+
+def _table_state(table):
+    return list(table._index.items()), list(table._adj), list(table._layer_start)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + WIDE_FINITE,
+                         ids=lambda s: GroupSpec.from_dict(s).label())
+def test_thin_loop_and_batches_build_one_table(spec, monkeypatch):
+    # a sphere stepped vertex by vertex gives the ids, rows and layer
+    # bounds the batched maps give, explored at once or grown
+    oracle = make_group(spec)
+    radius = 5 if spec["family"] == "product" and "lamplighter" in str(spec) else 9
+    module = import_module("endslab.explore")
+    built = []
+    for thin in (ALL_BATCHED, ALL_THIN, module._THIN):
+        monkeypatch.setattr(module, "_THIN", thin)
+        grown = explore(oracle, 1)
+        for r in (2, radius - 1, radius):
+            grown.grow(r)
+        table = explore(oracle, radius)
+        assert _table_state(grown) == _table_state(table)
+        built.append((_table_state(table), sphere_size_series(oracle, radius).sizes))
+    assert built[0] == built[1] == built[2]
+
+
+def test_thin_spheres_skip_the_batch_set_up(monkeypatch):
+    # dihedral_inf's spheres have two vertices each: no sphere is batched
+    module = import_module("endslab.explore")
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return neighbor_codes(*args)
+
+    neighbor_codes = module._neighbor_codes
+    monkeypatch.setattr(module, "_neighbor_codes", counted)
+    assert explore(make_group({"family": "dihedral_inf"}), 2000).size == 4001
+    assert not calls
+    explore(make_group({"family": "lamplighter", "m": 2}), 8)
+    assert calls
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + WIDE_FINITE,
@@ -630,6 +679,29 @@ def test_failed_grow_raises_as_explore_and_keeps_the_table():
         _assert_reference_ball(oracle, table, 3)
     table.grow(5)
     _assert_reference_ball(oracle, table, 5)
+
+
+@pytest.mark.parametrize("spec,radius,thin", [
+    ({"family": "z"}, 5, True),  # recoded by the growth
+    ({"family": "cyclic_finite", "m": 1000}, 5, True),
+    ({"family": "lamplighter", "m": 2}, 4, False),
+], ids=str)
+def test_grow_failing_inside_a_sphere_keeps_the_table(spec, radius, thin):
+    # the budget runs out after the first new vertex of S(radius + 2), once
+    # codes of that sphere are in the index: the failed growth must take
+    # them out again, and a growth that fits must give explore's table
+    oracle = make_group(spec)
+    sizes = explore(oracle, radius + 2).sizes
+    assert (sizes[radius + 1] < import_module("endslab.explore")._THIN) == thin
+    budget = sum(sizes[:radius + 2]) + 1
+    table = explore(oracle, radius, budget)
+    before = _table_state(table) + (table.size,)
+    with pytest.raises(BudgetExceeded) as err:
+        table.grow(radius + 5)
+    assert (err.value.nodes, err.value.radius_reached) == (budget - 1, radius + 1)
+    assert _table_state(table) + (table.size,) == before
+    table.grow(radius + 1)
+    assert _table_state(table) == _table_state(explore(oracle, radius + 1, budget))
 
 
 @pytest.mark.parametrize("spec,radius", REFERENCE_CASES, ids=str)
