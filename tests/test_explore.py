@@ -14,7 +14,7 @@ import pytest
 import endslab
 from endslab.errors import BudgetExceeded, InvalidParameter, NoAxis, TruncationTooSmall
 from endslab.ends import end_depth_profile
-from endslab.explore import _back_steps, build_axis, explore, sphere_size_series
+from endslab.explore import _back_steps, _commute, build_axis, explore, sphere_size_series
 from endslab.groups import Codec, GroupOracle, GroupSpec, Record, make_group
 
 from oracles import (free_sphere_count, l1_sphere_count, lamplighter2_sphere_counts,
@@ -65,12 +65,17 @@ def test_z_pow2_spheres_vs_enumeration(z2_table_22):
         assert z2_table_22.sphere_size(r) == l1_sphere_count(2, r)
     for r in range(1, 23):
         assert z2_table_22.sphere_size(r) == 4 * r
+    # the lean count, a vertex taking only the steps from its own on
+    series = sphere_size_series(z2_table_22.oracle, 40)
+    assert series.sizes == [l1_sphere_count(2, r) for r in range(41)]
 
 
 def test_z_pow3_spheres_vs_enumeration():
     table = explore(make_group({"family": "z_pow", "k": 3}), 6)
     for r in range(7):
         assert table.sphere_size(r) == l1_sphere_count(3, r)
+    series = sphere_size_series(table.oracle, 12)
+    assert series.sizes == [l1_sphere_count(3, r) for r in range(13)]
 
 
 def test_free2_spheres_vs_enumeration(f2_table_8):
@@ -264,7 +269,8 @@ def test_budget_exceeded_reports_radius():
 
 BATCH_SPECS = [{"family": "lamplighter", "m": 2}, {"family": "free", "k": 2},
                {"family": "z_cross_cyclic", "m": 3}, {"family": "cyclic_finite", "m": 1000},
-               {"family": "z"}, {"family": "dihedral_inf"}]
+               {"family": "z"}, {"family": "dihedral_inf"}, {"family": "z_pow", "k": 2},
+               {"family": "product", "left": {"family": "z"}, "right": {"family": "z"}}]
 
 # _THIN values that send every sphere through one path of a search: the
 # batched maps, or the vertex-by-vertex loop
@@ -393,6 +399,94 @@ class _ZPlusTwo(GroupOracle):
 def test_steps_without_an_inverse_raise():
     with pytest.raises(InvalidParameter, match="step 2 has no inverse"):
         sphere_size_series(_ZPlusTwo(), 5)
+
+
+def _cyclic_times(m, right):
+    return {"family": "product", "left": {"family": "cyclic_finite", "m": m}, "right": right}
+
+
+# commuting generating sets with elements whose sorted geodesic words end
+# in different steps: a^2 = a^-1 a^-1 in C4, and the like
+SORTED_CASES = [
+    (_cyclic_times(4, {"family": "z"}), 13),
+    (_cyclic_times(2, {"family": "z_pow", "k": 2}), 11),
+    ({"family": "z_cross_cyclic", "m": 4}, 13),
+    (_cyclic_times(6, _cyclic_times(4, {"family": "z"})), 10),
+] + [(spec, 12) for spec in WIDE_FINITE]
+
+
+@pytest.mark.parametrize("spec,radius", SORTED_CASES, ids=str)
+def test_commuting_counts_match_reference(spec, radius, monkeypatch):
+    # a vertex takes only the steps from its own on: every sphere is still
+    # counted whole, down either path of the count
+    oracle = make_group(spec)
+    _, dist, _, complete = reference_ball(oracle, radius)
+    module = import_module("endslab.explore")
+    for thin in (ALL_BATCHED, ALL_THIN, module._THIN):
+        monkeypatch.setattr(module, "_THIN", thin)
+        series = sphere_size_series(oracle, radius)
+        assert series.sizes == [dist.count(r) for r in range(dist[-1] + 1)], thin
+        assert series.complete_group == complete
+
+
+def _abelian(spec):
+    if spec["family"] == "product":
+        return _abelian(spec["left"]) and _abelian(spec["right"])
+    return spec["family"] not in ("dihedral_inf", "lamplighter") and \
+        not (spec["family"] == "free" and spec["k"] >= 2)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + WIDE_FINITE,
+                         ids=lambda s: GroupSpec.from_dict(s).label())
+def test_commute_reads_the_group_law(spec):
+    # the flag read off the codes of B(2) is the group law's verdict on
+    # every pair of generators
+    oracle = make_group(spec)
+    gens, multiply = oracle.generators, oracle.multiply
+    law = all(multiply(g, h) == multiply(h, g) for g in gens for h in gens)
+    assert _commute(oracle.codec(2)) == law == _abelian(spec)
+
+
+def _counted_steps(oracle, monkeypatch):
+    """Wrap the steps of every codec the oracle hands out with one call
+    counter; returns the list the calls are appended to."""
+    calls, codec = [], oracle.codec
+
+    def counted(step):
+        return lambda v: calls.append(1) or step(v)
+
+    def counting_codec(radius):
+        c = codec(radius)
+        return Codec(c.span, c.identity, tuple(map(counted, c.steps)), c.encode, c.decode)
+
+    monkeypatch.setattr(oracle, "codec", counting_codec)
+    return calls
+
+
+def test_commuting_steps_probe_about_once_per_vertex(monkeypatch):
+    # each vertex of Z^2 takes about one step, not the three of every step
+    # but the one back to its parent
+    oracle = make_group({"family": "z_pow", "k": 2})
+    calls = _counted_steps(oracle, monkeypatch)
+    series = sphere_size_series(oracle, 60)
+    assert series.size == 7321
+    assert len(calls) <= 1.1 * series.size
+
+
+@pytest.mark.parametrize("spec,radius", [({"family": "lamplighter", "m": 2}, 10),
+                                         ({"family": "dihedral_inf"}, 30)], ids=str)
+def test_steps_that_do_not_commute_probe_as_before(spec, radius, monkeypatch):
+    # every vertex inside the last sphere takes every step but its back
+    # step, the identity every step; the commuting check at the identity
+    # adds at most 2k^2 calls
+    oracle = make_group(spec)
+    calls = _counted_steps(oracle, monkeypatch)
+    k = len(oracle.generators)
+    _back_steps(oracle.codec(2))
+    back = len(calls)  # the count reads the back steps once more
+    inner = sphere_size_series(oracle, radius).ball(radius - 1)
+    extra = len(calls) - 2 * back - k - (k - 1) * (inner - 1)
+    assert 0 < extra <= 2 * k * k
 
 
 def test_explore_rejects_bad_radius(z_oracle):
