@@ -30,13 +30,16 @@ and the steps in generator order, so they number every code alike.
 The lean count behind ``sphere_size_series`` numbers nothing: one set
 holds the codes of the three live spheres, r - 1, r and r + 1 while
 r + 1 is built. It files each new vertex under the lowest step that
-found it and never takes the inverse step, which leads back to a vertex
+finds it and never takes the inverse step, which leads back to a vertex
 of the sphere before. If the steps commute, a vertex also skips every
 step below its own, since a geodesic word sorted by step stays one: on
-Z^k that leaves about one probe per vertex instead of 2k - 1. It visits
-a sphere step by step rather than in table order, so only the sizes it
-reports, and the budget errors that name a whole ball, are shared with a
-table.
+Z^k that leaves about one probe per vertex instead of 2k - 1. A wide
+sphere is stepped step by step, one map per step; a thin one in one
+pass, vertex by vertex, refiling a vertex under a lower step that finds
+it again. The outermost sphere is never stepped, so it is never listed
+or filed either: its size is how much the set grows. The count visits
+no sphere in table order, so only the sizes it reports, and the budget
+errors that name a whole ball, are shared with a table.
 
 Adjacency is one flat array of rows, k = len(steps) slots per vertex in
 generator order, so the row of u is the implicit slice ``adj[k*u:k*u + k]``
@@ -434,7 +437,7 @@ def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> N
     r + 1 is built (the generating set is inversion-closed, so no neighbor
     of sphere r lies further in).
 
-    Each vertex is filed under the step that found it first, and takes
+    Each vertex is filed under the lowest step that finds it, and takes
     step j if ``takes[i][j]`` for its step i (the identity, under k,
     takes every step). u = p * s_i with p in the sphere before, so
     u * s_i^-1 = p can never be new, and u skips that step
@@ -447,14 +450,20 @@ def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> N
     pair (u, j) that is taken finds v with j < m(v): a geodesic word of u
     with largest step m(u) <= j, then s_j, is one of v with largest step
     j. So by induction every vertex is filed under m, as long as it is
-    filed under the lowest step that finds it: that is why a sphere runs
-    step by step, outer loop over the steps, then over the sphere.
+    filed under the least step over all its finders. A sphere run step by
+    step gets that by filing a vertex when it is first found; a thin
+    sphere, run vertex by vertex, refiles a vertex of the new sphere under
+    a lower step that finds it again.
 
-    While spheres are thin, a sphere is a dict from code to step index;
+    While spheres are thin, a sphere is a dict from code to step index,
+    stepped vertex by vertex over the moves ``takes`` gives each filing;
     from the first sphere of ``_THIN`` vertices on, it is one list per
     step, stepped by one map per step over the lists that take it. One
     step never maps two vertices to one code, so the codes it finds unseen
-    need no set of their own.
+    need no set of their own. The outermost sphere S(radius) is never
+    stepped, so it is never filed or listed: its size is how much ``seen``
+    grows while the sphere before takes its steps, and ``seen`` ends
+    holding the last three spheres.
     """
     steps, old = codec.steps, seen.__contains__
     k = len(steps)
@@ -466,16 +475,31 @@ def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> N
             abelian = _commute(codec)
             takes = [[j != b and (j >= i or not abelian) for j in range(k)]
                      for i, b in enumerate(back)]
+        if r < 2:
+            moves = [[(j, steps[j]) for j in range(k) if take[j]] for take in takes]
         first = nodes = starts[-1]
-        if isinstance(sphere, dict):
-            new = {}
+        if r == radius - 1:  # the last round: count S(radius) by the growth of seen
+            if isinstance(sphere, dict):
+                sphere = [[u for u, i in sphere.items() if i == f] for f in range(k + 1)]
+            older = done = new = ()  # drop the lists of S(r - 1), keep its codes
+            before = len(seen)
             for j, step in enumerate(steps):
-                for u, i in sphere.items():
-                    if takes[i][j]:
-                        v = step(u)
-                        if v not in seen:
-                            seen.add(v)
-                            new[v] = j
+                for codes, take in zip(sphere, takes):
+                    if take[j]:
+                        seen.update(_stepped(step, codes))
+                nodes = first + len(seen) - before
+                if nodes > budget:
+                    raise BudgetExceeded(budget, first, r, radius)
+        elif isinstance(sphere, dict):
+            new = {}
+            for u, i in sphere.items():
+                for j, step in moves[i]:
+                    v = step(u)
+                    if v not in seen:
+                        seen.add(v)
+                        new[v] = j
+                    elif new.get(v, j) > j:
+                        new[v] = j
             nodes += len(new)
             if nodes > budget:
                 raise BudgetExceeded(budget, first, r, radius)
@@ -522,11 +546,12 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
                        budget: Optional[int] = None) -> SphereSizeSeries:
     """Sphere sizes up to ``radius`` without building a table.
 
-    Keeps only the codes of three consecutive spheres, in one set, and
-    never steps a vertex back to the vertex that found it (``_count``), so
-    it scales to balls far beyond what a full table can hold; ``size``
-    still counts every vertex of the ball against the budget, and a budget
-    error is worded as ``explore``'s.
+    Keeps only the codes of three consecutive spheres, in one set, never
+    steps a vertex back to the vertex that found it, and counts the
+    outermost sphere by how much the set grows, without listing it
+    (``_count``); so it scales to balls far beyond what a full table can
+    hold. ``size`` still counts every vertex of the ball against the
+    budget, and a budget error is worded as ``explore``'s.
     """
     budget = _search_budget(radius, budget)
     codec, starts = _codec(oracle, radius, budget), [0, 1]

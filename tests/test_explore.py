@@ -312,20 +312,31 @@ WIDE_FINITE = [
 
 @pytest.mark.parametrize("spec", ALL_SPECS + WIDE_FINITE,
                          ids=lambda s: GroupSpec.from_dict(s).label())
-def test_lean_count_matches_tables_and_reference(spec):
+def test_lean_count_matches_tables_and_reference(spec, monkeypatch):
     oracle = make_group(spec)
     radius = 5 if spec["family"] == "product" and "lamplighter" in str(spec) else 9
-    _, dist, _, complete = reference_ball(oracle, radius)
+    elements, dist, _, complete = reference_ball(oracle, radius)
     series = sphere_size_series(oracle, radius)
     assert series.sizes == explore(oracle, radius).sizes == \
         [dist.count(r) for r in range(dist[-1] + 1)]
     assert series.complete_group == complete
-    # the count forgets every sphere but the last two it built
-    search = import_module("endslab.explore")._search
+    # every radius is the last round of some count, down either path of it,
+    # on finite groups before, at and after they run out; the count ends
+    # holding the codes of the last three spheres if it built S(r), of the
+    # last two if the group ran out before r
+    module = import_module("endslab.explore")
     codec = oracle.codec(radius)
-    seen = {codec.identity}
-    search(codec, radius, 10 ** 6, seen, [0, 1])
-    assert len(seen) == sum(series.sizes[-2:])
+    for thin in (ALL_BATCHED, ALL_THIN, module._THIN):
+        monkeypatch.setattr(module, "_THIN", thin)
+        for r in range(radius + 1):
+            reached = min(r, dist[-1])
+            assert sphere_size_series(oracle, r).sizes == \
+                [dist.count(d) for d in range(reached + 1)], (thin, r)
+            seen = {codec.identity}
+            module._search(codec, r, 10 ** 6, seen, [0, 1])
+            kept = 3 if reached == r else 2
+            assert seen == {codec.encode(g) for g, d in zip(elements, dist)
+                            if reached - kept < d <= reached}, (thin, r)
 
 
 def _table_state(table):
@@ -487,6 +498,51 @@ def test_steps_that_do_not_commute_probe_as_before(spec, radius, monkeypatch):
     inner = sphere_size_series(oracle, radius).ball(radius - 1)
     extra = len(calls) - 2 * back - k - (k - 1) * (inner - 1)
     assert 0 < extra <= 2 * k * k
+
+
+class _Translations(GroupOracle):
+    """The subgroup of Z^2 generated by an inversion-closed set of
+    translations, the steps in the given order: (x, y) is coded
+    2^64 + x * 2^32 + y."""
+
+    order = None
+
+    def __init__(self, moves):
+        self.generators = moves
+
+    def identity(self):
+        return (0, 0)
+
+    def multiply(self, g, h):
+        return (g[0] + h[0], g[1] + h[1])
+
+    def codec(self, radius):
+        return Codec(2 ** 128, 2 ** 64,
+                     tuple(partial(add, x * 2 ** 32 + y) for x, y in self.generators), None, None)
+
+
+# translation sets whose thin spheres find some vertex by a higher step
+# before a lower one, in the vertex-by-vertex loop
+REFILED_CASES = [([(-1, 0), (-3, 0), (1, 0), (3, 0)], 30),
+                 ([(0, -2), (1, -2), (0, 2), (-1, 2), (-3, 2), (3, -2)], 12)]
+
+
+@pytest.mark.parametrize("moves,radius", REFILED_CASES, ids=str)
+def test_thin_loop_files_as_the_batched_maps(moves, radius, monkeypatch):
+    # each vertex is filed under the least step that finds it down either
+    # path of the count, so a vertex takes the same steps down both
+    oracle = _Translations(moves)
+    _, dist, _, _ = reference_ball(oracle, radius)
+    module = import_module("endslab.explore")
+    calls = _counted_steps(oracle, monkeypatch)
+    counted = []
+    for thin in (ALL_BATCHED, ALL_THIN):
+        monkeypatch.setattr(module, "_THIN", thin)
+        calls.clear()
+        assert sphere_size_series(oracle, radius).sizes == \
+            [dist.count(r) for r in range(radius + 1)]
+        counted.append(len(calls))
+    assert counted[0] == counted[1]
 
 
 def test_explore_rejects_bad_radius(z_oracle):
