@@ -22,8 +22,8 @@ class BudgetExceeded(Infeasible):
     The error names the last complete ball: ``radius_reached`` is the
     largest r whose ball B(r) fits in the budget, and ``nodes`` = |B(r)|.
     Both are facts of the group and the budget alone, so a ball table and
-    a lean count word the error alike, whatever order or batches they
-    visit the vertices of B(r + 1) in."""
+    a lean count word the error alike, whatever order they visit the
+    vertices of B(r + 1) in."""
 
     def __init__(self, budget: int, nodes: int, radius_reached: int, radius_requested: int,
                  order: Optional[int] = None):

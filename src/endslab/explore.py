@@ -19,13 +19,11 @@ them with one int function per generator; elements are decoded only when a
 caller asks for one. A table records each code once, as a key of its
 code-to-id dict: keys are inserted in discovery order, so the key order is
 the id order, and the list from id to code is derived from the dict on the
-first decode. The search reads each frontier off the tail of that dict,
-so ``BallTable.grow`` resumes it there, recoding the table first when
-its codes do not reach the new radius; ``explore`` grows the ball of radius 0.
-A thin sphere, of fewer than ``_THIN`` vertices, is expanded vertex by
-vertex, each new code numbered as it is found; a wider one in batches of
-``_BATCH`` vertices, one map per step. Both visit the frontier in id order
-and the steps in generator order, so they number every code alike.
+first decode. The search expands each sphere vertex by vertex, in id order
+and generator order, numbers each new code as it is found and hands the new
+codes on as the next sphere to expand. ``BallTable.grow`` resumes it at the
+tail of that dict, recoding the table first when its codes do not reach the
+new radius; ``explore`` grows the ball of radius 0.
 
 The lean count behind ``sphere_size_series`` numbers nothing: one set
 holds the codes of the three live spheres, r - 1, r and r + 1 while
@@ -62,6 +60,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import deque
 from functools import partial
 from itertools import combinations, filterfalse, islice, pairwise, repeat
 from operator import add
@@ -155,8 +154,8 @@ class BallTable(SphereSizeSeries):
     extends the ball (recoding it if need be), keeping every id, layer and
     inner row. Building the code list reads ``_index`` only, so two threads
     racing to build it each get the same list. Wiring and growth are not
-    thread-safe: they append to ``_adj`` in batches, so two threads at once
-    can interleave rows, and an append while another thread iterates
+    thread-safe: they append to ``_adj`` slot by slot, so two threads at
+    once can interleave rows, and an append while another thread iterates
     ``rows_down`` raises BufferError. A table shared between threads should
     be grown, then wired by ``neighbors`` on its last id.
     """
@@ -199,14 +198,14 @@ class BallTable(SphereSizeSeries):
         return zip(range(top - 1, lo - 1, -1), zip(*[reversed(view)] * k))
 
     def _wire_outer(self) -> None:
-        """Append the rows of the ids from ``_wired`` on, -1 for a step that
-        leaves the ball. Runs on first use by ``neighbors`` or
-        ``rows_down``, once per radius: the complement sweep on a family
-        that is not bipartite."""
-        steps, get = self._codec.steps, self._index.get
-        outer = islice(self._index, self._wired, None)
-        while batch := list(islice(outer, _BATCH)):
-            self._adj.extend(map(get, _neighbor_codes(steps, batch), repeat(-1)))
+        """Append the rows of the ids from ``_wired`` on, stepping each
+        vertex as the search does, -1 for a step that leaves the ball. Runs
+        on first use by ``neighbors`` or ``rows_down``, once per radius: the
+        complement sweep on a family that is not bipartite."""
+        steps, get, append = self._codec.steps, self._index.get, self._adj.append
+        for u in islice(self._index, self._wired, None):
+            for step in steps:
+                append(get(step(u), -1))
 
     def grow(self, radius: int) -> None:
         """Extend the table to the ball of ``radius`` that ``explore`` gives:
@@ -296,13 +295,8 @@ class BallTable(SphereSizeSeries):
         return max((max(row, default=0) for row in self.distance_rows(ids)), default=0)
 
 
-# Frontier vertices expanded per batch: the batch's neighbor codes are held
-# in one list, so this bounds the memory a batch takes besides the ball.
-_BATCH = 1024
-
-# A sphere of fewer vertices is stepped vertex by vertex, both by the table
-# search (``_search``) and by the lean count (``_count``): cheaper than
-# setting up a map per step.
+# A sphere of fewer vertices is stepped vertex by vertex by the lean count
+# (``_count``): cheaper than setting up a map per step.
 _THIN = 16
 
 
@@ -313,15 +307,6 @@ def _stepped(step: Callable[[int], int], codes: Iterable[int]) -> Iterable[int]:
     if isinstance(step, partial) and step.func is add:
         return map(add, codes, repeat(step.args[0]))
     return map(step, codes)
-
-
-def _neighbor_codes(steps: tuple, batch: list) -> list:
-    """Code of u * s for every u in the batch and every step s, s innermost."""
-    k = len(steps)
-    codes = [0] * (k * len(batch))
-    for i, step in enumerate(steps):
-        codes[i::k] = _stepped(step, batch)
-    return codes
 
 
 def _back_steps(codec: Codec) -> list:
@@ -367,72 +352,50 @@ def _search_budget(radius: int, budget: Optional[int]) -> int:
     return budget
 
 
-def _search(codec: Codec, radius: int, budget: int, index: dict | set, starts: list,
-            adj: Optional[array] = None) -> None:
-    """The breadth-first loop over int codes: appends to ``starts``, the
+def _search(codec: Codec, radius: int, budget: int, index: dict, starts: list,
+            adj: array) -> None:
+    """The breadth-first loop of a ball table: appends to ``starts``, the
     layer bounds so far, the bound of each sphere up to ``radius``, and
     stops at the first empty one.
 
-    A ball table passes its code-to-id dict as ``index`` and its ``adj``;
-    the search resumes at the last sphere. ``index`` receives every code
-    found, in discovery order (by frontier vertex, then generator), and
-    ``adj`` gets the neighbor ids of every vertex expanded, len(steps) per
-    vertex in generator order. A frontier of fewer than ``_THIN`` vertices
-    is stepped in one loop, vertex by vertex, without the batches' set-up.
-    Each frontier is the tail of ``index``, or is handed on as ``new``: the
-    new codes of the thin loop, or of the previous round's last batch if
-    they are the whole sphere.
-    Without ``adj`` the search is the lean count of ``_count``, from
-    ``starts`` = [0, 1] and ``index`` = {identity}.
+    The search resumes at the last sphere, whose codes it reads off the
+    tail of ``index``, the table's code-to-id dict. It expands each sphere
+    vertex by vertex, in id order and generator order, numbers each new
+    code as it is found, so ``index`` receives every code in discovery
+    order, and hands the new codes on as the next sphere to expand. ``adj``
+    gets the neighbor ids of every vertex expanded, len(steps) per vertex
+    in generator order.
 
     Raises BudgetExceeded once more than ``budget`` vertices are found; the
     error names the last complete ball, B(r) with r = len(starts) - 2.
     """
-    if adj is None:
-        return _count(codec, radius, budget, index, starts)
     steps, get, append = codec.steps, index.get, adj.append
     nodes = starts[-1]
-    new = ()
+    sphere = list(islice(reversed(index), nodes - starts[-2]))
+    sphere.reverse()
     for r in range(len(starts) - 2, radius):
-        first = nodes
-        if len(new) == first - starts[r]:  # the last batch found all of sphere r
-            frontier = new
-        else:
-            frontier = list(islice(reversed(index), first - starts[r]))
-            frontier.reverse()
-        if len(frontier) < _THIN:
-            new = []
-            for u in frontier:
-                for step in steps:
-                    v = step(u)
-                    vid = get(v)
-                    if vid is None:
-                        if nodes >= budget:
-                            raise BudgetExceeded(budget, first, r, radius)
-                        vid = index[v] = nodes
-                        nodes += 1
-                        new.append(v)
-                    append(vid)
-        else:
-            for lo in range(0, len(frontier), _BATCH):
-                neighbors = _neighbor_codes(steps, frontier[lo:lo + _BATCH])
-                new = []
-                for v in neighbors:
-                    if v not in index:
-                        index[v] = None
-                        new.append(v)
-                if nodes + len(new) > budget:
-                    raise BudgetExceeded(budget, first, r, radius)
-                index.update(zip(new, range(nodes, nodes + len(new))))
-                adj.extend(map(index.__getitem__, neighbors))
-                nodes += len(new)
+        # S(radius) is never expanded, so the last round lists none of it:
+        # a deque of length 0 drops what it is handed
+        first, new = nodes, [] if r + 1 < radius else deque(maxlen=0)
+        for u in sphere:
+            for step in steps:
+                v = step(u)
+                vid = get(v)
+                if vid is None:
+                    if nodes >= budget:
+                        raise BudgetExceeded(budget, first, r, radius)
+                    vid = index[v] = nodes
+                    nodes += 1
+                    new.append(v)
+                append(vid)
         if nodes == first:
             break
         starts.append(nodes)
+        sphere = new
 
 
 def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> None:
-    """The lean branch of ``_search``: sphere sizes from the identity, with
+    """The lean count: sphere sizes from the identity, with
     ``seen`` holding only the codes of spheres r - 1, r and r + 1 while
     r + 1 is built (the generating set is inversion-closed, so no neighbor
     of sphere r lies further in).
@@ -555,7 +518,7 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
     """
     budget = _search_budget(radius, budget)
     codec, starts = _codec(oracle, radius, budget), [0, 1]
-    _search(codec, radius, budget, {codec.identity}, starts)
+    _count(codec, radius, budget, {codec.identity}, starts)
     return SphereSizeSeries(oracle, starts)
 
 

@@ -295,14 +295,19 @@ def test_default_path_matches_whole_table(spec, r_max, monkeypatch):
     trunc, double = 4 * r_max + 2, 2 * r_max + 1
     table = explore(oracle, trunc)
     searches = []
-    search = explore_module._search
+    search, count = explore_module._search, explore_module._count
 
-    def counted(codec, radius, budget, index, starts, adj=None):
-        # (radius searched from, radius searched to, builds a table)
-        searches.append((len(starts) - 2, radius, adj is not None))
+    # (radius searched from, radius searched to, builds a table)
+    def searched(codec, radius, budget, index, starts, adj):
+        searches.append((len(starts) - 2, radius, True))
         return search(codec, radius, budget, index, starts, adj)
 
-    monkeypatch.setattr(explore_module, "_search", counted)
+    def counted(codec, radius, budget, seen, starts):
+        searches.append((len(starts) - 2, radius, False))
+        return count(codec, radius, budget, seen, starts)
+
+    monkeypatch.setattr(explore_module, "_search", searched)
+    monkeypatch.setattr(explore_module, "_count", counted)
     for one_ended in (None, True):
         searches.clear()
         got = end_depth_profile(oracle, r_max, one_ended=one_ended)

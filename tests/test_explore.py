@@ -5,7 +5,6 @@ import ast
 import random
 from functools import partial
 from importlib import import_module
-from itertools import product
 from operator import add
 from pathlib import Path
 
@@ -272,21 +271,20 @@ BATCH_SPECS = [{"family": "lamplighter", "m": 2}, {"family": "free", "k": 2},
                {"family": "z"}, {"family": "dihedral_inf"}, {"family": "z_pow", "k": 2},
                {"family": "product", "left": {"family": "z"}, "right": {"family": "z"}}]
 
-# _THIN values that send every sphere through one path of a search: the
-# batched maps, or the vertex-by-vertex loop
+# _THIN values that send every sphere through one path of the lean count:
+# the step-by-step maps, or the vertex-by-vertex loop
 ALL_BATCHED, ALL_THIN = 0, 1 << 30
 
 
 @pytest.mark.parametrize("spec", BATCH_SPECS, ids=str)
 def test_budget_errors_ignore_batch_size(spec, monkeypatch):
     # a budget error names the last ball that fits, B(r) and |B(r)|, so
-    # neither search's batch size, nor its thin-sphere loop, nor its
-    # visiting order shows in it
+    # neither the lean count's path nor either search's visiting order
+    # shows in it
     oracle = make_group(spec)
     _, dist, _, _ = reference_ball(oracle, 9)
     balls = [sum(d <= r for d in dist) for r in range(10)]
-    for batch, thin in product((1, 7, 1024), (ALL_BATCHED, ALL_THIN)):
-        monkeypatch.setattr(import_module("endslab.explore"), "_BATCH", batch)
+    for thin in (ALL_BATCHED, ALL_THIN):
         monkeypatch.setattr(import_module("endslab.explore"), "_THIN", thin)
         for search in (explore, sphere_size_series):
             assert search(oracle, 9).sizes == [dist.count(r) for r in range(10)]
@@ -333,7 +331,7 @@ def test_lean_count_matches_tables_and_reference(spec, monkeypatch):
             assert sphere_size_series(oracle, r).sizes == \
                 [dist.count(d) for d in range(reached + 1)], (thin, r)
             seen = {codec.identity}
-            module._search(codec, r, 10 ** 6, seen, [0, 1])
+            module._count(codec, r, 10 ** 6, seen, [0, 1])
             kept = 3 if reached == r else 2
             assert seen == {codec.encode(g) for g, d in zip(elements, dist)
                             if reached - kept < d <= reached}, (thin, r)
@@ -345,39 +343,21 @@ def _table_state(table):
 
 @pytest.mark.parametrize("spec", ALL_SPECS + WIDE_FINITE,
                          ids=lambda s: GroupSpec.from_dict(s).label())
-def test_thin_loop_and_batches_build_one_table(spec, monkeypatch):
-    # a sphere stepped vertex by vertex gives the ids, rows and layer
-    # bounds the batched maps give, explored at once or grown
+def test_grown_table_is_explored_and_lean_sizes_match_at_every_thin(spec, monkeypatch):
+    # a table grown sphere by sphere has the ids, rows and layer bounds of
+    # one explored at once, and the lean count gives its sizes down
+    # either path of the count
     oracle = make_group(spec)
     radius = 5 if spec["family"] == "product" and "lamplighter" in str(spec) else 9
     module = import_module("endslab.explore")
-    built = []
+    grown = explore(oracle, 1)
+    for r in (2, radius - 1, radius):
+        grown.grow(r)
+    table = explore(oracle, radius)
+    assert _table_state(grown) == _table_state(table)
     for thin in (ALL_BATCHED, ALL_THIN, module._THIN):
         monkeypatch.setattr(module, "_THIN", thin)
-        grown = explore(oracle, 1)
-        for r in (2, radius - 1, radius):
-            grown.grow(r)
-        table = explore(oracle, radius)
-        assert _table_state(grown) == _table_state(table)
-        built.append((_table_state(table), sphere_size_series(oracle, radius).sizes))
-    assert built[0] == built[1] == built[2]
-
-
-def test_thin_spheres_skip_the_batch_set_up(monkeypatch):
-    # dihedral_inf's spheres have two vertices each: no sphere is batched
-    module = import_module("endslab.explore")
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return neighbor_codes(*args)
-
-    neighbor_codes = module._neighbor_codes
-    monkeypatch.setattr(module, "_neighbor_codes", counted)
-    assert explore(make_group({"family": "dihedral_inf"}), 2000).size == 4001
-    assert not calls
-    explore(make_group({"family": "lamplighter", "m": 2}), 8)
-    assert calls
+        assert sphere_size_series(oracle, radius).sizes == table.sizes, thin
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS + WIDE_FINITE,
@@ -498,6 +478,22 @@ def test_steps_that_do_not_commute_probe_as_before(spec, radius, monkeypatch):
     inner = sphere_size_series(oracle, radius).ball(radius - 1)
     extra = len(calls) - 2 * back - k - (k - 1) * (inner - 1)
     assert 0 < extra <= 2 * k * k
+
+
+@pytest.mark.parametrize("spec,radius", [({"family": "lamplighter", "m": 2}, 9),
+                                         ({"family": "dihedral_inf"}, 40),
+                                         ({"family": "z_cross_cyclic", "m": 3}, 9)], ids=str)
+def test_table_steps_each_vertex_once_per_generator(spec, radius, monkeypatch):
+    # explore steps each vertex of B(R - 1) once per generator, and wiring
+    # the outermost sphere steps each vertex of S(R) once per generator:
+    # on wide spheres, thin ones, and a family with edges inside a sphere
+    oracle = make_group(spec)
+    calls = _counted_steps(oracle, monkeypatch)
+    k = len(oracle.generators)
+    table = explore(oracle, radius)
+    assert len(calls) == k * table.ball(radius - 1)
+    table.neighbors(table.size - 1)
+    assert len(calls) == k * table.ball(radius - 1) + k * table.sphere(radius)
 
 
 class _Translations(GroupOracle):
