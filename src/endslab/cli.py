@@ -143,11 +143,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--truncation", default="auto",
                    help="'auto' for one truncation, 4*rmax+2, for the whole profile, "
-                        "or a fixed integer T; entry r is certified when T >= 4r+2 and "
-                        "one component of B(T) minus B(r) touches S(T), or the group "
-                        "is assumed one ended")
+                        "or a fixed integer T; entry r of an infinite group is certified "
+                        "when T >= 2r+1 and one component of B(T) minus B(r) touches "
+                        "S(T), or the group is assumed one ended")
     p.add_argument("--assume-one-ended", action="store_true",
-                   help="skip the internal ends estimate and certify on the caller's word")
+                   help="skip the internal ends estimate and certify every entry with T >= 2r+1 "
+                        "on the caller's word")
 
     p = command("ends", cmd_ends, "estimate the number of ends")
     p.add_argument("--rmax", type=int, required=True)

@@ -36,12 +36,22 @@ re-pins them. What ``--truncation auto`` explores is less already: a table
 of B(2 r_max + 1), and when every touching count there is 1, only a lean
 count of B(4 r_max + 2) (``sphere_size_series``), whose size the report
 still records as the node usage; else that table, grown to B(4 r_max + 2)
-(``BallTable.grow``). The certified flag on results records that the
-truncation reached the default and that the one-endedness evidence held:
-the caller's assertion, or the ends estimate together with a touching
-count of 1 at T, which proves one unbounded component. The estimate alone
-reads open balls, and G \\ {e} is connected in some two-ended groups
-(z_cross_cyclic(2) at r = 1), where touching(1, T) is 2.
+(``BallTable.grow``).
+
+An entry at radius r is certified when the group is infinite, T >= 2r + 1,
+and touching(r, T) = 1 or the caller asserts one-endedness. The first two
+make its value and bounded count exact. A touching count of 1 proves that
+G \\ B(r) has exactly one unbounded component, since each unbounded
+component touches every S(T), and an infinite group has at least one. The
+ends estimate takes no part: it reads open balls, and G \\ {e} is
+connected in some two-ended groups (z_cross_cyclic(2) at r = 1), where
+touching(1, T) is 2. So an entry may be certified and carry
+``not_one_ended_warning`` too. The warning is the profile's: its estimate
+did not say the group is one ended. The certificate is the entry's: its
+own complement has one unbounded component, and its value is exact. In
+product(dihedral_inf, cyclic_finite(4)), a two-ended group, the estimate
+at r_max 3 is inconclusive, yet touching(1, 14) = 1, so r = 1 is certified
+with the warning.
 
 The vertex ids of a ball table are sorted by distance, which this module
 exploits throughout: a union-find that always keeps the largest id as root
@@ -264,8 +274,8 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
 
     With the default truncation 4*r_max + 2, every bounded component of any
     complement in range lies strictly inside the explored ball, so per-radius
-    values agree with individually truncated runs. An explicit smaller
-    truncation leaves the affected radii uncertified; one at or below r_max
+    values agree with individually truncated runs. An explicit truncation T
+    leaves the radii with 2r + 1 > T uncertified; one at or below r_max
     raises InvalidParameter.
 
     Without a caller's table, an infinite group is explored to 2 r_max + 1
@@ -276,12 +286,14 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
     otherwise that table grows to T and is swept. A caller's table is never
     grown. A budget error names T as the radius requested either way.
 
-    ``one_ended=True`` asserts one-endedness; otherwise it is taken from
-    the ends estimate over the schedule (truncation - 1, truncation), as
-    ``end_count_estimate`` would give it, and an entry is certified only
-    where its touching count at the truncation is 1. Groups whose estimate
-    is not "one" get their values anyway, flagged with a warning, since the
-    notion is only meaningful one ended. A finite group has no unbounded
+    ``one_ended=True`` asserts one-endedness and certifies every entry with
+    T >= 2r + 1. Otherwise an entry is certified only where its touching
+    count at the truncation is 1 (module docstring), and the ends estimate
+    over the schedule (truncation - 1, truncation), as
+    ``end_count_estimate`` would give it, sets the classification. Groups
+    whose estimate is not "one" get their values anyway, each flagged with
+    a warning, since the notion is only meaningful one ended; a certified
+    entry keeps that warning. A finite group has no unbounded
     component: it is explored whole, whatever the truncation, so its whole
     complement is bounded, the depth and the truncation are its diameter,
     and it classifies as zero, never certified. An r_max at or past that
@@ -347,8 +359,7 @@ def end_depth_profile(oracle: GroupOracle, r_max: int, budget: Optional[int] = N
             bounded_count = components - touching
         if value < r:
             raise AssertionError(f"depth {value} below r={r}: exploration is inconsistent")
-        certified = (one_ended_evidence and (one_ended or touching == 1)
-                     and truncation >= default_truncation(r))
+        certified = not finite and truncation > 2 * r and (one_ended or touching == 1)
         entries.append(EndDepthResult(
             r, value, certified, truncation, bounded_count, classification,
             not one_ended_evidence))

@@ -1,10 +1,10 @@
 """Command line contract: exit codes, report structure, determinism."""
 
-import hashlib
+import difflib
 import json
 import os
 import platform
-import random
+import shlex
 import subprocess
 import sys
 import time
@@ -15,9 +15,8 @@ import pytest
 from endslab import cli
 from endslab.cli import fix_mmap_threshold, main
 from endslab.explore import BallTable, build_axis
-from endslab.glpartition import FiniteMetricSpace
 
-from oracles import clustered_plane_space, line_witness
+from oracles import line_witness
 
 
 def run(tmp_path, name, args):
@@ -382,23 +381,18 @@ def test_finite_group_explored_whole(tmp_path, capsys):
 
 
 # a finite group's search stops at its diameter, so only the budget bounds
-# the rows of growth and classify --mode spheres, one per radius 0..rmax
+# the rows of growth and classify --mode spheres, one per radius 0..rmax;
+# the first run of each is pinned as a golden file
 FINITE_ROWS = [
-    (["growth", "--group", '{"family":"trivial"}'], 100, 0,
-     "5a609d8a7432f7280575ed0448a6e6a19e7609b1e8dba9980f6d759a3cf2ccc1"),
-    (["classify", "--group", '{"family":"cyclic_finite","m":5}', "--mode", "spheres"], 40, 2,
-     "d4e8fcfc9fa5e81a7a2980d0574ab28ea79024c30e2454852800c4f7e045220a"),
+    ("finite_rows_growth.csv", ["growth", "--group", '{"family":"trivial"}'], 100, 0),
+    ("finite_rows_classify.json",
+     ["classify", "--group", '{"family":"cyclic_finite","m":5}', "--mode", "spheres"], 40, 2),
 ]
 
 
-@pytest.mark.parametrize("command,budget,diameter,digest", FINITE_ROWS,
-                         ids=["growth", "classify"])
-def test_finite_group_rows_bounded_by_budget(tmp_path, capsys, command, budget, diameter,
-                                             digest):
-    code, out = run(tmp_path, "rows", command + ["--rmax", str(budget - 1),
-                                                 "--budget", str(budget)])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+@pytest.mark.parametrize("name,command,budget,diameter", FINITE_ROWS, ids=["growth", "classify"])
+def test_finite_group_rows_bounded_by_budget(tmp_path, capsys, name, command, budget, diameter):
+    check_golden(tmp_path, name, command + ["--rmax", str(budget - 1), "--budget", str(budget)], 0)
     capsys.readouterr()
     for rmax, limit in ((budget, budget), (10**8, cli.DEFAULT_NODE_BUDGET)):
         code, out = run(tmp_path, "never", command + ["--rmax", str(rmax),
@@ -494,108 +488,149 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-# SHA-256 of end-depth reports: a refactor that changes one byte fails here
-END_DEPTH_GOLDEN = [
-    ('{"family":"z_pow","k":2}', ["--rmax", "10"],
-     "221acda1100ff115138db53c74e971d5a9b5e84ce8a3624fad5f5f5f9f41a043"),
-    ('{"family":"z"}', ["--rmax", "5"],
-     "d250e7d5aee3ce040b7f496fc38c77cedc09d878626d4df9f15435202eb6a3c7"),
-    ('{"family":"lamplighter","m":2}', ["--rmax", "3"],
-     "3ba3abc70b67a826cba5a882bfc39531446338fe487fbd98a77d07a0966ea79b"),
-    ('{"family":"cyclic_finite","m":12}', ["--rmax", "3"],
-     "19969caf5595eba5baf78b15e0c44c1b95680fef49c7c6c6901cc1576f4c44ad"),
-    ('{"family":"z_pow","k":2}', ["--rmax", "3", "--truncation", "20", "--assume-one-ended"],
-     "9495952b4e4027e03a09cd302c771c4c7f378789c93585a82eeb227f6ab3bc6e"),
-    # the benchmark's fixed-input report (clibench/run.py, lamp_end_depth)
-    ('{"family":"lamplighter","m":2}', ["--rmax", "5"],
-     "c994f5f283d4674f609fb077ac6651441e3242bf6cf476c07c68d30a635ef74b"),
-]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DIFF_LINES = 40  # a failing comparison shows at most this many lines of diff
+
+# the reports pinned byte for byte: file name in tests/golden -> (argv, exit
+# code); each runs from the repository root, where its input paths resolve
+GOLDEN_CASES = {
+    # end-depth: a fixed truncation on the caller's word, and the benchmark's
+    # fixed-input report (clibench/run.py, lamp_end_depth) at lamplighter(2) --rmax 5
+    "end_depth_z_pow2_rmax10.json": (["end-depth", "--group", '{"family":"z_pow","k":2}',
+                                      "--rmax", "10"], 0),
+    "end_depth_z_rmax5.json": (["end-depth", "--group", '{"family":"z"}', "--rmax", "5"], 0),
+    "end_depth_lamplighter2_rmax3.json": (["end-depth", "--group",
+                                           '{"family":"lamplighter","m":2}', "--rmax", "3"], 0),
+    "end_depth_cyclic12_rmax3.json": (["end-depth", "--group",
+                                       '{"family":"cyclic_finite","m":12}', "--rmax", "3"], 0),
+    "end_depth_z_pow2_rmax3_t20_one_ended.json": (
+        ["end-depth", "--group", '{"family":"z_pow","k":2}', "--rmax", "3", "--truncation", "20",
+         "--assume-one-ended"], 0),
+    "end_depth_lamplighter2_rmax5.json": (["end-depth", "--group",
+                                           '{"family":"lamplighter","m":2}', "--rmax", "5"], 0),
+    # certified from touching counts: every entry at T = 2 r_max + 1, and r = 1
+    # of a two-ended group, with the warning of its inconclusive estimate
+    "end_depth_lamplighter2_rmax5_t11.json": (
+        ["end-depth", "--group", '{"family":"lamplighter","m":2}', "--rmax", "5",
+         "--truncation", "11"], 0),
+    "end_depth_dihedral_x_cyclic4_rmax3.json": (
+        ["end-depth", "--group", '{"family":"product","left":{"family":"dihedral_inf"},'
+         '"right":{"family":"cyclic_finite","m":4}}', "--rmax", "3"], 0),
+    # classify: criterion mode below the theorem's factor (demonstration_only)
+    # and at it, where the radius 201^4 exceeds the budget (infeasible, exit 3)
+    "classify_criterion_z_a3.json": (["classify", "--group", '{"family":"z"}', "--mode",
+                                      "criterion", "--a", "3", "--n", "2"], 0),
+    "classify_criterion_z_a100.json": (["classify", "--group", '{"family":"z"}', "--mode",
+                                        "criterion", "--a", "100", "--n", "2"], 3),
+    "classify_spheres_dihedral_inf.json": (["classify", "--group", '{"family":"dihedral_inf"}',
+                                            "--mode", "spheres"], 0),
+    # growth: JSON, and the benchmark's fixed-input CSVs (plane_growth)
+    "growth_z_pow2_rmax6.json": (["growth", "--group", '{"family":"z_pow","k":2}', "--rmax", "6",
+                                  "--format", "json"], 0),
+    "growth_z_pow2_rmax1000.csv": (["growth", "--group", '{"family":"z_pow","k":2}',
+                                    "--rmax", "1000"], 0),
+    "growth_z_x_z_rmax500.csv": (["growth", "--group", '{"family":"product","left":{"family":"z"},'
+                                  '"right":{"family":"z"}}', "--rmax", "500"], 0),
+    # ends: bipartite (z, free, lamplighter(2)) and not (z_cross_cyclic(3))
+    # families; finite groups whose last truncation is beyond (cyclic_finite(12))
+    # or exactly at (cyclic_finite(7)) the diameter; schedules of three or four
+    # truncations, which one sweep serves, the last with one truncation at the
+    # diameter 6 and one beyond it (null)
+    "ends_z_rmax5.json": (["ends", "--group", '{"family":"z"}', "--rmax", "5"], 0),
+    "ends_free2_rmax3.json": (["ends", "--group", '{"family":"free","k":2}', "--rmax", "3"], 0),
+    "ends_lamplighter2_rmax3.json": (["ends", "--group", '{"family":"lamplighter","m":2}',
+                                      "--rmax", "3"], 0),
+    "ends_z_cross_cyclic3_rmax4.json": (["ends", "--group", '{"family":"z_cross_cyclic","m":3}',
+                                         "--rmax", "4"], 0),
+    "ends_cyclic12_rmax2.json": (["ends", "--group", '{"family":"cyclic_finite","m":12}',
+                                  "--rmax", "2"], 0),
+    "ends_cyclic7_rmax1_s2_3.json": (["ends", "--group", '{"family":"cyclic_finite","m":7}',
+                                      "--rmax", "1", "--schedule", "2,3"], 0),
+    "ends_z_cross_cyclic3_rmax4_s5_6_7_9.json": (
+        ["ends", "--group", '{"family":"z_cross_cyclic","m":3}', "--rmax", "4",
+         "--schedule", "5,6,7,9"], 0),
+    "ends_lamplighter2_rmax3_s4_5_6_8.json": (
+        ["ends", "--group", '{"family":"lamplighter","m":2}', "--rmax", "3",
+         "--schedule", "4,5,6,8"], 0),
+    "ends_lamplighter2_rmax4_s5_6_7.json": (
+        ["ends", "--group", '{"family":"lamplighter","m":2}', "--rmax", "4",
+         "--schedule", "5,6,7"], 0),
+    "ends_cyclic12_rmax2_s3_4_6_8.json": (
+        ["ends", "--group", '{"family":"cyclic_finite","m":12}', "--rmax", "2",
+         "--schedule", "3,4,6,8"], 0),
+    # glpartition: multi-block, line, collapsing; the manifest records the
+    # input's file name, so each space is a space.json in its own directory
+    "glpartition_clusters.json": (["glpartition", "--input",
+                                   "tests/golden/inputs/glpartition_clusters/space.json",
+                                   "--a", "3"], 0),
+    "glpartition_line.json": (["glpartition", "--input",
+                               "tests/golden/inputs/glpartition_line/space.json", "--a", "3"], 0),
+    "glpartition_collapse.json": (["glpartition", "--input",
+                                   "tests/golden/inputs/glpartition_collapse/space.json",
+                                   "--a", "3"], 0),
+    # demo-cover: two passing demos and one declined (exit 1)
+    "demo_cover_z_a3.json": (["demo-cover", "--group", '{"family":"z"}', "--a", "3", "--n", "2"],
+                             0),
+    "demo_cover_dihedral_inf_a4.json": (["demo-cover", "--group", '{"family":"dihedral_inf"}',
+                                         "--a", "4", "--n", "2"], 0),
+    "demo_cover_z_cross_cyclic3_a3.json": (["demo-cover", "--group",
+                                            '{"family":"z_cross_cyclic","m":3}', "--a", "3",
+                                            "--n", "2"], 1),
+    # obss: the passing and failing witnesses of test_obss_pass_and_fail
+    "obss_z_pass.json": (["obss", "--group", '{"family":"z"}', "--witness",
+                          "tests/golden/inputs/obss_z_pass/witness.json"], 0),
+    "obss_z_fail.json": (["obss", "--group", '{"family":"z"}', "--witness",
+                          "tests/golden/inputs/obss_z_fail/witness.json"], 1),
+}
 
 
-@pytest.mark.parametrize("group,options,digest", END_DEPTH_GOLDEN,
-                         ids=[" ".join([g, *o]) for g, o, _ in END_DEPTH_GOLDEN])
-def test_end_depth_golden_bytes(tmp_path, group, options, digest):
-    code, out = run(tmp_path, "golden.json", ["end-depth", "--group", group, *options])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+def check_golden(tmp_path, name, argv, exit_code, golden=GOLDEN):
+    """Run ``argv`` and compare its report with ``golden / name`` byte for
+    byte; a mismatch fails with the command that re-pins the file and a
+    unified diff of the report lines."""
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == exit_code
+    expected, actual = (golden / name).read_bytes(), out.read_bytes()
+    if actual == expected:
+        return
+    diff = list(difflib.unified_diff(
+        expected.decode("ascii", "replace").splitlines(keepends=True),
+        actual.decode("ascii", "replace").splitlines(keepends=True),
+        f"tests/golden/{name}", "this run"))
+    if len(diff) > DIFF_LINES:
+        diff[DIFF_LINES:] = [f"... {len(diff) - DIFF_LINES} more diff lines\n"]
+    command = shlex.join(["endslab", *argv, "--out", f"tests/golden/{name}"])
+    pytest.fail(f"report differs from tests/golden/{name}; to re-pin it, run from the "
+                f"repository root\n    {command}\nand record it in CHANGES.md\n"
+                + "".join(diff), pytrace=False)
 
 
-# SHA-256 of the classify verdicts and of a JSON growth report: criterion
-# mode below the theorem's factor (demonstration_only) and at it, where the
-# radius 201^4 exceeds the budget (infeasible, exit 3); spheres mode
-REPORT_GOLDEN = [
-    (["classify", "--group", '{"family":"z"}', "--mode", "criterion", "--a", "3", "--n", "2"], 0,
-     "5f16934ddd04330d48c092a977577c5210c9b74865d22141982b02f685dcd168"),
-    (["classify", "--group", '{"family":"z"}', "--mode", "criterion", "--a", "100", "--n", "2"],
-     3, "06e82ed5b7bbf6f41009fe43989def83bc655b862f043bed61f32cc39170bbcf"),
-    (["classify", "--group", '{"family":"dihedral_inf"}', "--mode", "spheres"], 0,
-     "530cd63932ed807c30b986c64678ee2a7f9cdac9c8ba7c764887a63b15ea1b90"),
-    (["growth", "--group", '{"family":"z_pow","k":2}', "--rmax", "6", "--format", "json"], 0,
-     "41b0ddf43c8d98fff437d22aee87a09a7d82be3040b1fa97c3545f3101a446d8"),
-]
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_report(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(GOLDEN.parents[1])
+    check_golden(tmp_path, name, *GOLDEN_CASES[name])
 
 
-@pytest.mark.parametrize("args,exit_code,digest", REPORT_GOLDEN,
-                         ids=["criterion_a3", "criterion_a100", "spheres", "growth_json"])
-def test_report_golden_bytes(tmp_path, args, exit_code, digest):
-    code, out = run(tmp_path, "golden.json", args)
-    assert code == exit_code
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+def test_every_golden_file_has_a_case():
+    files = {p.name for p in GOLDEN.iterdir() if p.is_file()}
+    assert files == set(GOLDEN_CASES) | {row[0] for row in FINITE_ROWS}
+    inputs = {p.relative_to(GOLDEN.parents[1]).as_posix()
+              for p in (GOLDEN / "inputs").rglob("*") if p.is_file()}
+    assert inputs <= {arg for argv, _ in GOLDEN_CASES.values() for arg in argv}
 
 
-# SHA-256 of the benchmark's fixed-input growth reports (clibench/run.py,
-# plane_growth)
-GROWTH_GOLDEN = [
-    ('{"family":"z_pow","k":2}', "1000",
-     "daf75c514d0d13864a553a6deeaaafbc2be3d81da3b40469f4c5b71dd74d881e"),
-    ('{"family":"product","left":{"family":"z"},"right":{"family":"z"}}', "500",
-     "0d1f9bda4ddf936d0ed0d9c985ebdbdd503e622f3a8ba1812ab19e51e40df159"),
-]
-
-
-@pytest.mark.parametrize("group,rmax,digest", GROWTH_GOLDEN,
-                         ids=[f"{g} {r}" for g, r, _ in GROWTH_GOLDEN])
-def test_growth_golden_bytes(tmp_path, group, rmax, digest):
-    code, out = run(tmp_path, "golden.csv", ["growth", "--group", group, "--rmax", rmax])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-# SHA-256 of ends reports: bipartite (z, free, lamplighter(2)) and not
-# (z_cross_cyclic(3)) families, and finite groups whose last truncation is
-# beyond (cyclic_finite(12)) or exactly at (cyclic_finite(7)) the diameter;
-# then schedules of three or four truncations, which one sweep serves, the
-# last with one truncation at the diameter 6 and one beyond it (null)
-ENDS_GOLDEN = [
-    ('{"family":"z"}', ["--rmax", "5"],
-     "f02cb177e581fa3afa73713c6802f4aeb308d6fe432e329747ce380a1ed667bb"),
-    ('{"family":"free","k":2}', ["--rmax", "3"],
-     "aa956df5799d63af412bb1b670b6ee1ef68fe0c3d67e195af6665e03bd48dc81"),
-    ('{"family":"lamplighter","m":2}', ["--rmax", "3"],
-     "59148c05e4d55a6ecb94a1e9fa226f867f38e27235a6a937dcba0bf121ab780c"),
-    ('{"family":"z_cross_cyclic","m":3}', ["--rmax", "4"],
-     "53829270bf73b746369e21f10ddf0b31355c5d2ebf7e3473347e79df063e2f0f"),
-    ('{"family":"cyclic_finite","m":12}', ["--rmax", "2"],
-     "1bcf9f4ba3d4a98821d9847efa5c7cb4ab3b874fa71cfcb94d7255d0e10eb4dc"),
-    ('{"family":"cyclic_finite","m":7}', ["--rmax", "1", "--schedule", "2,3"],
-     "d547a0a16cb4083f458a4eed0798d784258b6d84189283d363f75a91d66f3883"),
-    ('{"family":"z_cross_cyclic","m":3}', ["--rmax", "4", "--schedule", "5,6,7,9"],
-     "4ccf4c7d7012046c22e6ea9ff5155b8fcfb97cae30a9fe559d22613a169c6ff9"),
-    ('{"family":"lamplighter","m":2}', ["--rmax", "3", "--schedule", "4,5,6,8"],
-     "08b76a689e775659df4fdc119203e3ff62dd9fd30cafd6321d8344c02782691f"),
-    ('{"family":"lamplighter","m":2}', ["--rmax", "4", "--schedule", "5,6,7"],
-     "dcd9e71908668538a322a7e569bc5111a6d7af4f363c3ebbbe3b647dd043251e"),
-    ('{"family":"cyclic_finite","m":12}', ["--rmax", "2", "--schedule", "3,4,6,8"],
-     "9f292a1cad99e3bb50d1446cd0d4da29c50e1469313aab0e6ae1ce2fcbc87076"),
-]
-
-
-@pytest.mark.parametrize("group,options,digest", ENDS_GOLDEN,
-                         ids=[" ".join([g, *o]) for g, o, _ in ENDS_GOLDEN])
-def test_ends_golden_bytes(tmp_path, group, options, digest):
-    code, out = run(tmp_path, "golden.json", ["ends", "--group", group, *options])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+def test_golden_mismatch_shows_the_changed_line(tmp_path):
+    name, command, budget, _ = FINITE_ROWS[0]
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    text = (GOLDEN / name).read_text().replace("\n5,0,1\n", "\n5,0,2\n")
+    (golden / name).write_text(text)
+    with pytest.raises(pytest.fail.Exception) as failure:
+        check_golden(tmp_path, name, command + ["--rmax", str(budget - 1), "--budget",
+                                                str(budget)], 0, golden)
+    message = str(failure.value)
+    assert f"--out tests/golden/{name}" in message
+    assert "\n-5,0,2\n+5,0,1\n" in message
 
 
 @pytest.mark.parametrize("command,options", [("end-depth", ["--rmax", "2"]),
@@ -633,66 +668,6 @@ def test_outer_sphere_wired_only_where_read(tmp_path, monkeypatch, command, opti
                                           "--witness", str(witness)])
     assert code == 0
     assert wired == expected
-
-
-# SHA-256 of glpartition reports on spaces built here: multi-block, line, collapsing
-GLPARTITION_GOLDEN = [
-    ("clusters", lambda: clustered_plane_space(random.Random(5), (60, 50, 40, 30, 20),
-                                               (14, 12, 10, 8, 6)),
-     "8c79433bdeb46f8bdde447215ac9ac0d42634c8bfaf972ce8270d2bf5f9bc9c4"),
-    ("line", lambda: FiniteMetricSpace.from_line([0, 1.5, 3.25, 40, 41.25, 4000, 4002.5, 90000]),
-     "d18ab83dd994b880501c2ad868ebd926b389131671d99241fbc97f2c731d0dc4"),
-    ("collapse", lambda: FiniteMetricSpace.from_line(list(range(12))),
-     "5d959cc486f34bcee9a78fd9b08e0fd7abf5f86d01b7512468d478f9c33c035a"),
-]
-
-
-@pytest.mark.parametrize("build,digest", [g[1:] for g in GLPARTITION_GOLDEN],
-                         ids=[g[0] for g in GLPARTITION_GOLDEN])
-def test_glpartition_golden_bytes(tmp_path, build, digest):
-    space = tmp_path / "space.json"
-    space.write_text(json.dumps(build().to_dict()))
-    code, out = run(tmp_path, "golden.json", ["glpartition", "--input", str(space), "--a", "3"])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-# SHA-256 of demo-cover reports: two passing demos and one declined (exit 1)
-DEMO_COVER_GOLDEN = [
-    ('{"family":"z"}', "3", 0,
-     "9909b582853234cc0312cca3d58a4608f12e5db0795ef0c29177839f9e6808cf"),
-    ('{"family":"dihedral_inf"}', "4", 0,
-     "da288f5a1bd38310e2698d10b3bad5286289c60f07a8db5a2d16b0d8b1c526d5"),
-    ('{"family":"z_cross_cyclic","m":3}', "3", 1,
-     "8064e46ddad44d52e88d6fa3066beaf1ba6cd2c019209338911433f2bb4c8da9"),
-]
-
-
-@pytest.mark.parametrize("group,a,exit_code,digest", DEMO_COVER_GOLDEN,
-                         ids=[f"{g} a={a}" for g, a, _, _ in DEMO_COVER_GOLDEN])
-def test_demo_cover_golden_bytes(tmp_path, group, a, exit_code, digest):
-    code, out = run(tmp_path, "golden.json",
-                    ["demo-cover", "--group", group, "--a", a, "--n", "2"])
-    assert code == exit_code
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-def test_obss_golden_bytes(tmp_path, z_oracle, z_table_30):
-    # the passing and failing reports of test_obss_pass_and_fail
-    witness = line_witness(z_oracle, build_axis(z_oracle, z_table_30, 14), range(2, 7))
-    witness.truncation = 30
-    bad = witness.to_dict()
-    bad["items"][0]["A"] = bad["items"][0]["B"]
-    wfile = tmp_path / "witness.json"
-    for doc, exit_code, digest in (
-            (witness.to_dict(), 0,
-             "0a7861605a88eb46650c2de3e89e8c71c5d20bd4966ad6af4adf9487987f3424"),
-            (bad, 1, "11d38fb5ff6af7b535b91e51c222573dbf611dedaeff80b113b0c390e42b45d9")):
-        wfile.write_text(json.dumps(doc))
-        code, out = run(tmp_path, f"obss{exit_code}.json",
-                        ["obss", "--group", '{"family":"z"}', "--witness", str(wfile)])
-        assert code == exit_code
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_glpartition_triangle_failure_exit_2(tmp_path, capsys):

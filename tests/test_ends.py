@@ -342,14 +342,41 @@ def test_profile_budget_error_names_whole_ball(lamp_oracle, r_max):
     *((s, 2) for s in INFINITE_SPECS if s not in ({"family": "free", "k": 2}, _LAMP_FREE)),
 ], ids=lambda x: GroupSpec.from_dict(x).label() if isinstance(x, dict) else str(x))
 def test_certified_entries_touch_once(spec, r_max):
-    # without the caller's word, an entry is certified exactly where the
-    # estimate reads one end and one component of B(T) \ B(r) touches S(T)
+    # at the default truncation and without the caller's word, one component
+    # of B(T) \ B(r) touching S(T) certifies an entry, and on these specs it
+    # comes only with an estimate of one end, so both mark the same entries
     oracle = make_group(spec)
     profile = end_depth_profile(oracle, r_max)
     table = explore(oracle, profile.truncation_max)
     for e in profile.entries:
         touching = complement_components(table, e.r, e.truncation).touching_count
         assert e.certified == (touching == 1 and e.ends_classification == "one"), e.r
+
+
+@pytest.mark.parametrize("spec", INFINITE_SPECS, ids=lambda s: GroupSpec.from_dict(s).label())
+def test_certified_from_touching_counts(spec):
+    # at every T from 2r + 1 to 4r + 2 the table holds, an entry is certified
+    # exactly where the reference finds one component of B(T) \ B(r) touching
+    # S(T), or on the caller's word, whatever the ends estimate says; below
+    # 2r + 1 never. The warning still follows the estimate alone
+    oracle = make_group(spec)
+    table = _ball_within(oracle, 14, 3_000)
+    touching = {}
+    for trunc in range(3, table.reached + 1):
+        for one_ended, r_max in ((False, trunc - 2), (True, trunc - 1)):
+            profile = end_depth_profile(oracle, r_max, one_ended=one_ended, table=table,
+                                        truncation=trunc)
+            for e in profile.entries:
+                if trunc < 2 * e.r + 1:
+                    assert not e.certified, (e.r, trunc)
+                elif trunc <= 4 * e.r + 2:
+                    if (e.r, trunc) not in touching:
+                        touching[e.r, trunc] = complement_components(
+                            table, e.r, trunc).touching_count
+                    assert e.certified == (one_ended or touching[e.r, trunc] == 1), (e.r, trunc)
+                assert e.not_one_ended_warning == (not one_ended
+                                                   and profile.classification != "one")
+    assert touching
 
 
 def test_profile_values_and_floor(z2_oracle):

@@ -9,6 +9,7 @@ import endslab
 
 MODULES = sorted(p for p in Path(endslab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unread_imports(source: str) -> list:
@@ -40,7 +41,7 @@ def test_unread_imports_are_found():
     assert unread_imports(source) == [(3, "Infeasible")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 
