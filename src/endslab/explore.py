@@ -34,10 +34,12 @@ step below its own, since a geodesic word sorted by step stays one: on
 Z^k that leaves about one probe per vertex instead of 2k - 1. A wide
 sphere is stepped step by step, one map per step; a thin one in one
 pass, vertex by vertex, refiling a vertex under a lower step that finds
-it again. The outermost sphere is never stepped, so it is never listed
-or filed either: its size is how much the set grows. The count visits
-no sphere in table order, so only the sizes it reports, and the budget
-errors that name a whole ball, are shared with a table.
+it again. The outermost sphere S(R), the largest, is never held: each
+of its vertices is counted once, at the lowest step that finds it from
+S(R - 1), which back steps into the set tell, so the set ends holding
+two spheres. The count visits no sphere in table order, so only the
+sizes it reports, and the budget errors that name a whole ball, are
+shared with a table.
 
 Adjacency is one flat array of rows, k = len(steps) slots per vertex in
 generator order, so the row of u is the implicit slice ``adj[k*u:k*u + k]``
@@ -62,8 +64,8 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from functools import partial
-from itertools import combinations, filterfalse, islice, pairwise, repeat
-from operator import add
+from itertools import chain, combinations, compress, filterfalse, islice, pairwise, repeat, tee
+from operator import add, countOf, not_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (BudgetExceeded, InvalidParameter, NoAxis, NotGeodesic,
@@ -335,10 +337,11 @@ def _commute(codec: Codec) -> bool:
 
 def _codec(oracle: GroupOracle, radius: int, budget: int) -> Codec:
     """Codes for a search that steps to elements at distance <= ``radius``,
-    capped at ``oracle.radius_bound(budget) + 1``: a search expands sphere
-    r only while the ball of radius r fits in the budget."""
+    capped at ``oracle.radius_bound(budget) + 2``: a search builds sphere
+    r + 1 only while the ball of radius r fits in the budget, and the lean
+    count steps one past the last sphere it builds (``_count``)."""
     bound = oracle.radius_bound(budget)
-    return oracle.codec(radius if bound is None else min(radius, bound + 1))
+    return oracle.codec(radius if bound is None else min(radius, bound + 2))
 
 
 def _search_budget(radius: int, budget: Optional[int]) -> int:
@@ -394,6 +397,20 @@ def _search(codec: Codec, radius: int, budget: int, index: dict, starts: list,
         sphere = new
 
 
+def _unseen(old: Callable[[int], bool], found: Iterable[int], probes: list) -> int:
+    """How many codes of ``found`` fail ``old``, and so do their images
+    under every step of ``probes``. Runs on C iterators only: each test
+    filters the codes the next one reads, the first failure ends a code."""
+    if probes:
+        *probes, last = probes
+        found = filterfalse(old, found)
+        for step in probes:
+            found, probe = tee(found)
+            found = compress(found, map(not_, map(old, _stepped(step, probe))))
+        found = _stepped(last, found)
+    return countOf(map(old, found), False)
+
+
 def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> None:
     """The lean count: sphere sizes from the identity, with
     ``seen`` holding only the codes of spheres r - 1, r and r + 1 while
@@ -423,34 +440,54 @@ def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> N
     from the first sphere of ``_THIN`` vertices on, it is one list per
     step, stepped by one map per step over the lists that take it. One
     step never maps two vertices to one code, so the codes it finds unseen
-    need no set of their own. The outermost sphere S(radius) is never
-    stepped, so it is never filed or listed: its size is how much ``seen``
-    grows while the sphere before takes its steps, and ``seen`` ends
-    holding the last three spheres.
+    need no set of their own.
+
+    The outermost sphere S(R), R = ``radius``, is counted and never held:
+    ``seen`` holds S(R - 2) and S(R - 1) and nothing joins it. Each v in
+    S(R) counts once, at its lowest finding step: the least j with
+    v * s_j^-1 in S(R - 1). The pair (u, j), u in S(R - 1), counts
+    v = u * s_j when v is not in ``seen``, so v is in S(R), and for every
+    j' < j the back step of j', steps[back[j']], takes v outside ``seen``:
+    v * s_j'^-1 is a neighbor of v, in S(R - 1), S(R) or S(R + 1), so it
+    is in ``seen`` exactly when j' finds v. Those codes lie in B(R + 1),
+    which the codes must reach (``_codec``). For each v one pair counts
+    it, the one from u = v * s_j^-1 with j its lowest finder, so in this
+    round every vertex of S(R - 1) takes every step but its own back
+    step, commuting or not: the vertex u filed under back[j] is
+    p * s_j^-1 with p in S(R - 2), and u * s_j = p is not new, so a
+    lowest finder is never skipped (the rule j >= i could skip it). The
+    tests run on C iterators (``_unseen``), at most j + 1 per pair.
+    ``seen`` ends holding S(R - 2) and S(R - 1), or the last two spheres
+    of a finite group exhausted before R.
+
+    Before any set-up that grows with k^2 (``_back_steps``, ``_commute``,
+    ``takes``), B(1) is checked against the budget: the generators are
+    distinct and none is the identity, so it has 1 + k elements.
+    ``moves`` is built only if S(1) is thin: the vertex-by-vertex loop
+    alone reads it, and a sphere once wide stays wide.
     """
     steps, old = codec.steps, seen.__contains__
-    k = len(steps)
-    sphere, older = {codec.identity: k}, ()  # older: the code collections of sphere r - 1
-    takes = [[True] * k] * (k + 1)  # only the identity's row is read before r = 1
+    k, e = len(steps), codec.identity
+    if radius and 1 + k > budget:  # B(1), before any set-up that grows with k^2
+        raise BudgetExceeded(budget, 1, 0, radius)
+    back = _back_steps(codec) if radius else ()
+    sphere, older = {e: k}, ()  # older: the code collections of sphere r - 1
+    moves = {k: list(enumerate(steps))}  # the identity takes every step
     for r in range(radius):
-        if r == 1:  # B(1) fits the budget, so the steps hold on B(2) (``_codec``)
-            back = _back_steps(codec)
+        if r == 1:  # the steps hold on B(2) (``_codec``)
             abelian = _commute(codec)
             takes = [[j != b and (j >= i or not abelian) for j in range(k)]
                      for i, b in enumerate(back)]
-        if r < 2:
-            moves = [[(j, steps[j]) for j in range(k) if take[j]] for take in takes]
+            if isinstance(sphere, dict):
+                moves = [[(j, steps[j]) for j in range(k) if take[j]] for take in takes]
         first = nodes = starts[-1]
-        if r == radius - 1:  # the last round: count S(radius) by the growth of seen
+        if r == radius - 1:  # the last round: count S(radius), hold none of it
             if isinstance(sphere, dict):
                 sphere = [[u for u, i in sphere.items() if i == f] for f in range(k + 1)]
             older = done = new = ()  # drop the lists of S(r - 1), keep its codes
-            before = len(seen)
             for j, step in enumerate(steps):
-                for codes, take in zip(sphere, takes):
-                    if take[j]:
-                        seen.update(_stepped(step, codes))
-                nodes = first + len(seen) - before
+                codes = chain(*sphere[:back[j]], *sphere[back[j] + 1:])
+                nodes += _unseen(old, _stepped(step, codes), [steps[b] for b in back[:j]])
                 if nodes > budget:
                     raise BudgetExceeded(budget, first, r, radius)
         elif isinstance(sphere, dict):
@@ -511,13 +548,15 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
 
     Keeps only the codes of three consecutive spheres, in one set, never
     steps a vertex back to the vertex that found it, and counts the
-    outermost sphere by how much the set grows, without listing it
-    (``_count``); so it scales to balls far beyond what a full table can
-    hold. ``size`` still counts every vertex of the ball against the
-    budget, and a budget error is worded as ``explore``'s.
+    outermost sphere without holding it, each vertex at its lowest
+    finding step (``_count``); so it scales to balls far beyond what a
+    full table can hold. The codes reach B(radius + 1), since that count
+    steps one past S(radius). ``size`` still counts every vertex of the
+    ball against the budget, and a budget error is worded as
+    ``explore``'s.
     """
     budget = _search_budget(radius, budget)
-    codec, starts = _codec(oracle, radius, budget), [0, 1]
+    codec, starts = _codec(oracle, radius + 1, budget), [0, 1]  # S(radius)'s neighbors too
     _count(codec, radius, budget, {codec.identity}, starts)
     return SphereSizeSeries(oracle, starts)
 

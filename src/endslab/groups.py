@@ -88,6 +88,9 @@ Element = Any
 # interesting test geometry.
 MAX_PRODUCT_DEPTH = 3
 
+# z_pow(k) and free(k) have 2k generators, which must fit in an index.
+MAX_K = sys.maxsize // 2
+
 # Every family, with the parameters it takes besides "family".
 FAMILIES = {
     "trivial": (),
@@ -122,8 +125,8 @@ class GroupSpec:
                 raise InvalidParameter(f"{family} takes no parameter {name!r}")
         if "m" in FAMILIES[family] and (not _is_int(m) or m < 2):
             raise InvalidParameter(f"{family} requires integer m >= 2, got {m!r}")
-        if "k" in FAMILIES[family] and (not _is_int(k) or k < 1):
-            raise InvalidParameter(f"{family} requires integer k >= 1, got {k!r}")
+        if "k" in FAMILIES[family] and (not _is_int(k) or not 1 <= k <= MAX_K):
+            raise InvalidParameter(f"{family} requires integer 1 <= k <= {MAX_K}, got {k!r}")
         if family == "product":
             if not isinstance(left, GroupSpec) or not isinstance(right, GroupSpec):
                 raise InvalidParameter("product requires left and right sub-specs")

@@ -359,6 +359,41 @@ def test_budget_exit(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("family", ["z_pow", "free"])
+def test_generator_count_past_an_index_exit_2(tmp_path, capsys, family):
+    # 2k generators must fit in an index; a larger k once raised
+    # OverflowError from the oracle's set-up
+    k = 2 ** 70
+    out = tmp_path / "never.csv"
+    code = main(["growth", "--group", f'{{"family":"{family}","k":{k}}}', "--rmax", "1",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{family} requires integer 1 <= k <= {sys.maxsize // 2}, got {k}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_wide_b1_refused_before_set_up(tmp_path, capsys):
+    # B(1) of z_pow(1000) holds 2001 vertices; the count refuses it before
+    # building anything that grows with k^2
+    started = time.perf_counter()
+    code = main(["growth", "--group", '{"family":"z_pow","k":1000}', "--rmax", "1",
+                 "--budget", "100", "--out", str(tmp_path / "never.csv")])
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert ("endslab: infeasible: node budget 100 exceeded by B(1); B(0) has 1 vertices: "
+            "reached radius 0 of requested 1") in capsys.readouterr().err
+
+
+def test_python_m_endslab_runs_the_command_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "endslab", "--help"],
+                         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: endslab")
+
+
 def test_finite_group_explored_whole(tmp_path, capsys):
     # a truncation inside a finite group cuts its complement into rays that
     # look like two ends; end-depth and ends explore the whole group instead
@@ -599,9 +634,9 @@ def check_golden(tmp_path, name, argv, exit_code, golden=GOLDEN):
         f"tests/golden/{name}", "this run"))
     if len(diff) > DIFF_LINES:
         diff[DIFF_LINES:] = [f"... {len(diff) - DIFF_LINES} more diff lines\n"]
-    command = shlex.join(["endslab", *argv, "--out", f"tests/golden/{name}"])
+    command = shlex.join(["python", "-m", "endslab", *argv, "--out", f"tests/golden/{name}"])
     pytest.fail(f"report differs from tests/golden/{name}; to re-pin it, run from the "
-                f"repository root\n    {command}\nand record it in CHANGES.md\n"
+                f"repository root\n    PYTHONPATH=src {command}\nand record it in CHANGES.md\n"
                 + "".join(diff), pytrace=False)
 
 

@@ -3,6 +3,7 @@ structure invariants, axes, budgets."""
 
 import ast
 import random
+import tracemalloc
 from functools import partial
 from importlib import import_module
 from operator import add
@@ -257,6 +258,89 @@ def test_distance_rows_match_reference_search(spec, radius):
     assert table.distance_rows(ids) == expected
 
 
+def _strict_steps(oracle, monkeypatch):
+    """Make every codec the oracle hands out raise on a step that leaves
+    the ball its codes are made for, where the real codes may alias."""
+    codec, balls = oracle.codec, {}
+
+    def strict_codec(radius):
+        c = codec(radius)
+        if radius not in balls:
+            balls[radius] = set(map(c.encode, reference_ball(oracle, radius)[0]))
+        inside = balls[radius]
+
+        def held(step):
+            def step_inside(v):
+                w = step(v)
+                if w not in inside:
+                    raise AssertionError(f"a step leaves B({radius}), the ball of its codes")
+                return w
+            return step_inside
+
+        return Codec(c.span, c.identity, tuple(map(held, c.steps)), c.encode, c.decode)
+
+    monkeypatch.setattr(oracle, "codec", strict_codec)
+
+
+@pytest.mark.parametrize("spec", [{"family": "z"}, {"family": "dihedral_inf"},
+                                  {"family": "z_pow", "k": 2}, {"family": "free", "k": 2},
+                                  {"family": "lamplighter", "m": 2},
+                                  {"family": "z_cross_cyclic", "m": 3}], ids=str)
+def test_count_past_the_radius_bound_fails_as_explore(spec, monkeypatch):
+    # at R = radius_bound(budget) + 1 both searches fail, worded alike. The
+    # lean count's last round steps one past S(R), so its codes must reach
+    # B(R + 1), one radius past what a table needs; on Z and D_inf an
+    # even budget holds B(R - 1) and the first vertex of S(R), so the
+    # count probes S(R) before it fails
+    oracle = make_group(spec)
+    _strict_steps(oracle, monkeypatch)
+    module = import_module("endslab.explore")
+    for thin in (ALL_BATCHED, ALL_THIN, module._THIN):
+        monkeypatch.setattr(module, "_THIN", thin)
+        for budget in range(1, 41):
+            radius = oracle.radius_bound(budget) + 1
+            errors = []
+            for search in (explore, sphere_size_series):
+                with pytest.raises(BudgetExceeded) as err:
+                    search(oracle, radius, budget)
+                errors.append(str(err.value))
+            assert errors[0] == errors[1], (thin, budget)
+
+
+@pytest.mark.parametrize("spec", [{"family": "z_pow", "k": 1000}, {"family": "free", "k": 1000}],
+                         ids=str)
+def test_count_checks_b1_before_set_up_that_grows_with_k_squared(spec):
+    # 2001 vertices in B(1) exceed the budget before the back steps, the
+    # commuting check or the move tables (about 370 MB here) are built
+    oracle = make_group(spec)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            sphere_size_series(oracle, 1, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("node budget 100 exceeded by B(1); B(0) has 1 vertices: "
+                              "reached radius 0 of requested 1")
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("spec,radius", [({"family": "lamplighter", "m": 2}, 20),
+                                         ({"family": "free", "k": 2}, 9)], ids=str)
+def test_lean_count_never_holds_its_outermost_sphere(spec, radius):
+    # the count holds the codes of two spheres while it counts S(R), the
+    # largest; holding S(R) too took 79-86 B per ball vertex here
+    oracle = make_group(spec)
+    sphere_size_series(oracle, 3)
+    tracemalloc.start()
+    try:
+        size = sphere_size_series(oracle, radius).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * size, peak / size
+
+
 def test_budget_exceeded_reports_radius():
     with pytest.raises(BudgetExceeded) as err:
         explore(make_group({"family": "free", "k": 2}), 10, budget=500)
@@ -320,10 +404,11 @@ def test_lean_count_matches_tables_and_reference(spec, monkeypatch):
     assert series.complete_group == complete
     # every radius is the last round of some count, down either path of it,
     # on finite groups before, at and after they run out; the count ends
-    # holding the codes of the last three spheres if it built S(r), of the
-    # last two if the group ran out before r
+    # holding the codes of S(r - 2) and S(r - 1) if it counted S(r), never
+    # S(r) itself, and of the last two spheres if the group ran out before
+    # r. The last round steps one past S(r), so the codes reach r + 1
     module = import_module("endslab.explore")
-    codec = oracle.codec(radius)
+    codec = oracle.codec(radius + 1)
     for thin in (ALL_BATCHED, ALL_THIN, module._THIN):
         monkeypatch.setattr(module, "_THIN", thin)
         for r in range(radius + 1):
@@ -332,9 +417,9 @@ def test_lean_count_matches_tables_and_reference(spec, monkeypatch):
                 [dist.count(d) for d in range(reached + 1)], (thin, r)
             seen = {codec.identity}
             module._count(codec, r, 10 ** 6, seen, [0, 1])
-            kept = 3 if reached == r else 2
+            top = max(0, min(r - 1, reached))
             assert seen == {codec.encode(g) for g, d in zip(elements, dist)
-                            if reached - kept < d <= reached}, (thin, r)
+                            if top - 2 < d <= top}, (thin, r)
 
 
 def _table_state(table):
@@ -409,14 +494,16 @@ SORTED_CASES = [
 @pytest.mark.parametrize("spec,radius", SORTED_CASES, ids=str)
 def test_commuting_counts_match_reference(spec, radius, monkeypatch):
     # a vertex takes only the steps from its own on: every sphere is still
-    # counted whole, down either path of the count
+    # counted whole, down either path of the count, and every radius is
+    # the last round of some count, which takes every step but the back one
     oracle = make_group(spec)
     _, dist, _, complete = reference_ball(oracle, radius)
     module = import_module("endslab.explore")
     for thin in (ALL_BATCHED, ALL_THIN, module._THIN):
         monkeypatch.setattr(module, "_THIN", thin)
-        series = sphere_size_series(oracle, radius)
-        assert series.sizes == [dist.count(r) for r in range(dist[-1] + 1)], thin
+        for r in range(radius + 1):
+            series = sphere_size_series(oracle, r)
+            assert series.sizes == [dist.count(d) for d in range(min(r, dist[-1]) + 1)], (thin, r)
         assert series.complete_group == complete
 
 
@@ -454,30 +541,81 @@ def _counted_steps(oracle, monkeypatch):
     return calls
 
 
+def _set_up_calls(oracle, calls):
+    """The step calls of the lean count's set-up to a radius of 2 or more:
+    ``_back_steps`` before its first round, ``_commute`` before its second."""
+    codec = oracle.codec(2)
+    calls.clear()
+    _back_steps(codec)
+    _commute(codec)
+    setup = len(calls)
+    calls.clear()
+    return setup
+
+
+def _last_round_probes(oracle, radius):
+    """The back-step calls the lean count's last round makes, read off the
+    group law: a vertex v of S(R) is found from S(R - 1) by the steps j with
+    v * s_j^-1 in S(R - 1). From its lowest finder j0 it passes j0 probes;
+    from each other finder the probe of j0 ends it, after j0 + 1."""
+    elements, dist, _, _ = reference_ball(oracle, radius)
+    before = {g for g, d in zip(elements, dist) if d == radius - 1}
+    inverses = [oracle.invert(s) for s in oracle.generators]
+    probes = 0
+    for g, d in zip(elements, dist):
+        if d == radius:
+            finders = [j for j, s in enumerate(inverses) if oracle.multiply(g, s) in before]
+            probes += finders[0] + (len(finders) - 1) * (finders[0] + 1)
+    return probes
+
+
+def _sorted_word_steps(oracle, radius):
+    """The step calls of the lean count's rounds before its last on a
+    commuting generating set, read off the group law: the identity takes
+    every step, and a vertex u of B(R - 2) the steps j >= m(u) but the
+    inverse of m(u), where m(u), the least largest step of a geodesic word
+    of u, is the least max(m(p), j) over u = p * s_j with p one nearer."""
+    elements, dist, _, _ = reference_ball(oracle, radius - 2)
+    gens = oracle.generators
+    k, inverse = len(gens), [gens.index(oracle.invert(s)) for s in gens]
+    depth, least = dict(zip(elements, dist)), {elements[0]: -1}
+    calls = k
+    for g in elements[1:]:
+        finders = [(oracle.multiply(g, gens[inverse[j]]), j) for j in range(k)]
+        m = least[g] = min(max(least[p], j) for p, j in finders
+                           if depth.get(p) == depth[g] - 1)
+        calls += sum(j >= m and j != inverse[m] for j in range(k))
+    return calls
+
+
 def test_commuting_steps_probe_about_once_per_vertex(monkeypatch):
-    # each vertex of Z^2 takes about one step, not the three of every step
-    # but the one back to its parent
+    # inside the last sphere each vertex of Z^2 takes about one step, not
+    # the three of every step but the one back to its parent; the last
+    # round steps each vertex of S(R - 1) by all three, and probes S(R)
     oracle = make_group({"family": "z_pow", "k": 2})
     calls = _counted_steps(oracle, monkeypatch)
+    setup = _set_up_calls(oracle, calls)
     series = sphere_size_series(oracle, 60)
     assert series.size == 7321
-    assert len(calls) <= 1.1 * series.size
+    inner = _sorted_word_steps(oracle, 60)
+    last = 3 * series.sphere(59) + _last_round_probes(oracle, 60)
+    assert (inner, last) == (7080, 1186)
+    assert len(calls) == setup + inner + last
+    assert inner <= 1.1 * series.ball(59)
 
 
 @pytest.mark.parametrize("spec,radius", [({"family": "lamplighter", "m": 2}, 10),
                                          ({"family": "dihedral_inf"}, 30)], ids=str)
 def test_steps_that_do_not_commute_probe_as_before(spec, radius, monkeypatch):
     # every vertex inside the last sphere takes every step but its back
-    # step, the identity every step; the commuting check at the identity
-    # adds at most 2k^2 calls
+    # step, the identity every step; the last round adds its back-step
+    # probes of S(R), and set-up its fixed calls
     oracle = make_group(spec)
     calls = _counted_steps(oracle, monkeypatch)
     k = len(oracle.generators)
-    _back_steps(oracle.codec(2))
-    back = len(calls)  # the count reads the back steps once more
+    setup = _set_up_calls(oracle, calls)
     inner = sphere_size_series(oracle, radius).ball(radius - 1)
-    extra = len(calls) - 2 * back - k - (k - 1) * (inner - 1)
-    assert 0 < extra <= 2 * k * k
+    assert len(calls) == setup + k + (k - 1) * (inner - 1) + _last_round_probes(oracle, radius)
 
 
 @pytest.mark.parametrize("spec,radius", [({"family": "lamplighter", "m": 2}, 9),
