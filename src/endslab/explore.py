@@ -166,7 +166,7 @@ class BallTable(SphereSizeSeries):
         """The ball of radius 0, which ``grow`` extends within ``budget``."""
         super().__init__(oracle, [0, 1])
         self._budget = budget
-        self._codec = _codec(oracle, 1, budget)  # S(0) and its neighbors
+        self._codec = _codec(oracle, 0, budget)
         self._k = len(self._codec.steps)
         self._adj = array("i")
         self._index = {self._codec.identity: 0}
@@ -203,7 +203,12 @@ class BallTable(SphereSizeSeries):
         """Append the rows of the ids from ``_wired`` on, stepping each
         vertex as the search does, -1 for a step that leaves the ball. Runs
         on first use by ``neighbors`` or ``rows_down``, once per radius: the
-        complement sweep on a family that is not bipartite."""
+        complement sweep on a family that is not bipartite. The ball of
+        radius 0 has codes for itself alone (``_codec``), and every step
+        leaves it: no generator is the identity."""
+        if not self.reached:
+            self._adj.extend(repeat(-1, self._k))
+            return
         steps, get, append = self._codec.steps, self._index.get, self._adj.append
         for u in islice(self._index, self._wired, None):
             for step in steps:
@@ -219,7 +224,7 @@ class BallTable(SphereSizeSeries):
         if radius <= self.reached:
             return
         old = self._codec
-        codec = _codec(self.oracle, radius + 1, self._budget)  # S(radius)'s neighbors too
+        codec = _codec(self.oracle, radius, self._budget)
         if codec.span != old.span:  # codes widen with their radius
             self._recode(codec)
         starts, index, adj = self._layer_start, self._index, self._adj
@@ -336,12 +341,25 @@ def _commute(codec: Codec) -> bool:
 
 
 def _codec(oracle: GroupOracle, radius: int, budget: int) -> Codec:
-    """Codes for a search that steps to elements at distance <= ``radius``,
-    capped at ``oracle.radius_bound(budget) + 2``: a search builds sphere
-    r + 1 only while the ball of radius r fits in the budget, and the lean
-    count steps one past the last sphere it builds (``_count``)."""
+    """Codes for a search of the ball of ``radius``, which steps off its
+    outermost sphere: they reach B(radius + 1), capped at
+    ``oracle.radius_bound(budget) + 2``, since a search builds sphere r + 1
+    only while the ball of radius r fits in the budget, and the lean count
+    steps one past the last sphere it builds (``_count``). A search of
+    radius 0 steps nowhere, so its codes reach B(0).
+
+    Before any code is built, B(1) is checked against the budget: the
+    generators are distinct and none is the identity, so it has
+    1 + ``oracle.degree()`` elements. Codes of z_pow(k) take k digits and
+    its steps k weights of up to k digits, and the lean count's set-up
+    grows with k^2 (``_back_steps``, ``_commute``, ``takes``).
+    """
+    if not radius:
+        return oracle.codec(0)
+    if 1 + oracle.degree() > budget:  # B(1)
+        raise BudgetExceeded(budget, 1, 0, radius)
     bound = oracle.radius_bound(budget)
-    return oracle.codec(radius if bound is None else min(radius, bound + 2))
+    return oracle.codec(radius + 1 if bound is None else min(radius + 1, bound + 2))
 
 
 def _search_budget(radius: int, budget: Optional[int]) -> int:
@@ -460,16 +478,13 @@ def _count(codec: Codec, radius: int, budget: int, seen: set, starts: list) -> N
     ``seen`` ends holding S(R - 2) and S(R - 1), or the last two spheres
     of a finite group exhausted before R.
 
-    Before any set-up that grows with k^2 (``_back_steps``, ``_commute``,
-    ``takes``), B(1) is checked against the budget: the generators are
-    distinct and none is the identity, so it has 1 + k elements.
-    ``moves`` is built only if S(1) is thin: the vertex-by-vertex loop
-    alone reads it, and a sphere once wide stays wide.
+    B(1) fits in the budget (``_codec`` checks it) before any set-up that
+    grows with k^2. ``moves`` is built only if S(1) is thin: the
+    vertex-by-vertex loop alone reads it, and a sphere once wide stays
+    wide.
     """
     steps, old = codec.steps, seen.__contains__
     k, e = len(steps), codec.identity
-    if radius and 1 + k > budget:  # B(1), before any set-up that grows with k^2
-        raise BudgetExceeded(budget, 1, 0, radius)
     back = _back_steps(codec) if radius else ()
     sphere, older = {e: k}, ()  # older: the code collections of sphere r - 1
     moves = {k: list(enumerate(steps))}  # the identity takes every step
@@ -556,7 +571,7 @@ def sphere_size_series(oracle: GroupOracle, radius: int,
     ``explore``'s.
     """
     budget = _search_budget(radius, budget)
-    codec, starts = _codec(oracle, radius + 1, budget), [0, 1]  # S(radius)'s neighbors too
+    codec, starts = _codec(oracle, radius, budget), [0, 1]
     _count(codec, radius, budget, {codec.identity}, starts)
     return SphereSizeSeries(oracle, starts)
 

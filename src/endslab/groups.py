@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import partial
+from functools import cached_property, partial
 from math import isqrt
 from operator import add
 from typing import Any, Callable, Optional
@@ -299,6 +299,8 @@ class GroupOracle:
 
     Oracles are immutable after construction and all operations are pure, so a
     single oracle can be shared freely between threads and cached tables.
+    The 2k generators of ``z_pow(k)`` and ``free(k)``, and those of a
+    product, are built on first use; ``degree`` counts them without.
     """
 
     spec: GroupSpec
@@ -308,6 +310,10 @@ class GroupOracle:
 
     #: None for infinite groups, the group order otherwise.
     order: Optional[int] = None
+
+    def degree(self) -> int:
+        """The number of generators, the degree of the Cayley graph."""
+        return len(self.generators)
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -426,6 +432,11 @@ class _ZPowOracle(GroupOracle):
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.k = spec.k
+        self.axis_word = ((1,) + (0,) * (self.k - 1),)
+        self.bipartite = True
+
+    @cached_property
+    def generators(self):
         gens = []
         for i in range(self.k):
             e = [0] * self.k
@@ -433,9 +444,10 @@ class _ZPowOracle(GroupOracle):
             gens.append(tuple(e))
             e[i] = -1
             gens.append(tuple(e))
-        self.generators = tuple(gens)
-        self.axis_word = (self.generators[0],)
-        self.bipartite = True
+        return tuple(gens)
+
+    def degree(self):
+        return 2 * self.k
 
     def identity(self):
         return (0,) * self.k
@@ -485,13 +497,15 @@ class _FreeOracle(GroupOracle):
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.k = spec.k
-        gens = []
-        for i in range(1, self.k + 1):
-            gens.append((i,))
-            gens.append((-i,))
-        self.generators = tuple(gens)
         self.axis_word = ((1,),)
         self.bipartite = True
+
+    @cached_property
+    def generators(self):
+        return tuple((a,) for i in range(1, self.k + 1) for a in (i, -i))
+
+    def degree(self):
+        return 2 * self.k
 
     def identity(self):
         return ()
@@ -546,7 +560,7 @@ class _FreeOracle(GroupOracle):
             # drop the last letter when it is the inverse, else append
             return lambda v: v // base if v % base == back else v * base + d
 
-        steps = tuple(step(digit(a), digit(-a)) for (a,) in self.generators)
+        steps = tuple(step(digit(a), digit(-a)) for i in range(1, self.k + 1) for a in (i, -i))
         return Codec(base ** radius, 0, steps, encode, decode)
 
     def radius_bound(self, budget):
@@ -716,14 +730,19 @@ class _ProductOracle(GroupOracle):
         self.spec = spec
         self.left = left
         self.right = right
-        el, er = left.identity(), right.identity()
-        gens = [(g, er) for g in left.generators]
-        gens += [(el, h) for h in right.generators]
-        self.generators = tuple(gens)
         self.axis_word = None
         self.bipartite = left.bipartite and right.bipartite
         if left.order is not None and right.order is not None:
             self.order = left.order * right.order
+
+    @cached_property
+    def generators(self):
+        left, right = self.left, self.right
+        el, er = left.identity(), right.identity()
+        return tuple([(g, er) for g in left.generators] + [(el, h) for h in right.generators])
+
+    def degree(self):
+        return self.left.degree() + self.right.degree()
 
     def identity(self):
         return (self.left.identity(), self.right.identity())

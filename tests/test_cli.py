@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -373,16 +374,27 @@ def test_generator_count_past_an_index_exit_2(tmp_path, capsys, family):
     assert "Traceback" not in err and not out.exists()
 
 
-def test_wide_b1_refused_before_set_up(tmp_path, capsys):
-    # B(1) of z_pow(1000) holds 2001 vertices; the count refuses it before
-    # building anything that grows with k^2
+@pytest.mark.parametrize("group", ['{"family":"z_pow","k":1000}', '{"family":"z_pow","k":3000}',
+                                   '{"family":"product","left":{"family":"z"},'
+                                   '"right":{"family":"z_pow","k":3000}}'])
+def test_wide_b1_refused_before_set_up(tmp_path, capsys, group):
+    # B(1) of z_pow(k) holds 2k + 1 vertices; the run refuses it before
+    # building anything that grows with k^2: the count's set-up, codes past
+    # B(0), or the generators (about 140 MB for k = 3000)
     started = time.perf_counter()
-    code = main(["growth", "--group", '{"family":"z_pow","k":1000}', "--rmax", "1",
-                 "--budget", "100", "--out", str(tmp_path / "never.csv")])
+    tracemalloc.start()
+    try:
+        code = main(["growth", "--group", group, "--rmax", "1", "--budget", "100",
+                     "--out", str(tmp_path / "never.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - started < 1.0
     assert code == 3
-    assert ("endslab: infeasible: node budget 100 exceeded by B(1); B(0) has 1 vertices: "
-            "reached radius 0 of requested 1") in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "endslab: infeasible: node budget 100 exceeded by B(1); B(0) has 1 vertices: "
+        "reached radius 0 of requested 1\n")
+    assert peak < 5_000_000
 
 
 def test_python_m_endslab_runs_the_command_line():
@@ -904,8 +916,49 @@ def test_mmap_threshold_fixed_on_glibc():
     assert fix_mmap_threshold()
 
 
-def test_main_fixes_mmap_threshold(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "fix_mmap_threshold", lambda: calls.append(True))
-    code, _ = run(tmp_path, "z.csv", ["growth", "--group", '{"family":"z"}', "--rmax", "3"])
-    assert code == 0 and calls == [True]
+# one small run of every command, and whether it builds a ball table
+PIN_RUNS = {
+    "end-depth": (["end-depth", "--group", '{"family":"z"}', "--rmax", "2"], True),
+    "ends": (["ends", "--group", '{"family":"z"}', "--rmax", "2"], True),
+    "obss": (["obss", "--group", '{"family":"z"}', "--witness",
+              str(GOLDEN / "inputs" / "obss_z_pass" / "witness.json")], True),
+    "demo-cover": (["demo-cover", "--group", '{"family":"z"}', "--a", "3", "--n", "2"], True),
+    "growth": (["growth", "--group", '{"family":"z"}', "--rmax", "3"], False),
+    "classify-spheres": (["classify", "--group", '{"family":"z"}', "--mode", "spheres"], False),
+    "classify-criterion": (["classify", "--group", '{"family":"z"}', "--mode", "criterion",
+                            "--a", "3", "--n", "2"], False),
+    "glpartition": (["glpartition", "--input",
+                     str(GOLDEN / "inputs" / "glpartition_line" / "space.json"), "--a", "3"],
+                    False),
+}
+
+
+@pytest.mark.parametrize("name", PIN_RUNS)
+def test_only_table_commands_fix_mmap_threshold(tmp_path, monkeypatch, name):
+    # a ball table's buffers grow all run long, and the fixed threshold
+    # steadies their peak; a lean count's set would only take a fresh
+    # mapping for each rehash (fix_mmap_threshold)
+    argv, table = PIN_RUNS[name]
+    events = []
+    monkeypatch.setattr(cli, "fix_mmap_threshold", lambda: events.append("pin"))
+    handler = "cmd_" + argv[0].replace("-", "_")
+    command = getattr(cli, handler)
+    monkeypatch.setattr(cli, handler, lambda *args: events.append("run") or command(*args))
+    code, out = run(tmp_path, "report", argv)
+    assert code == 0 and out.exists()
+    assert events == (["pin", "run"] if table else ["run"])
+
+
+def test_growth_never_loads_ctypes():
+    # -S keeps site-packages .pth files out of the check
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; from endslab.cli import main; "
+         "code = main(['growth', '--group', '{\"family\":\"z_pow\",\"k\":2}', "
+         "'--rmax', '20']); print('ctypes' in sys.modules, file=sys.stderr); sys.exit(code)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "20,80,841"
+    assert out.stderr.splitlines()[-1] == "False"

@@ -307,22 +307,44 @@ def test_count_past_the_radius_bound_fails_as_explore(spec, monkeypatch):
             assert errors[0] == errors[1], (thin, budget)
 
 
-@pytest.mark.parametrize("spec", [{"family": "z_pow", "k": 1000}, {"family": "free", "k": 1000}],
-                         ids=str)
-def test_count_checks_b1_before_set_up_that_grows_with_k_squared(spec):
+@pytest.mark.parametrize("search", [explore, sphere_size_series], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec", [{"family": "z_pow", "k": 1000}, {"family": "free", "k": 1000},
+                                  {"family": "product", "left": {"family": "z"},
+                                   "right": {"family": "z_pow", "k": 1000}}], ids=str)
+def test_count_checks_b1_before_set_up_that_grows_with_k_squared(spec, search):
     # 2001 vertices in B(1) exceed the budget before the back steps, the
-    # commuting check or the move tables (about 370 MB here) are built
+    # commuting check or the move tables (about 370 MB here) are built, and
+    # before any code past B(0) or any generator: z_pow(k)'s steps weigh up
+    # to k digits each, and its generators hold k^2 coordinates
     oracle = make_group(spec)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as err:
-            sphere_size_series(oracle, 1, 100)
+            search(oracle, 1, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert str(err.value) == ("node budget 100 exceeded by B(1); B(0) has 1 vertices: "
                               "reached radius 0 of requested 1")
     assert peak < 2_000_000
+    factors = (oracle, oracle.right) if spec["family"] == "product" else (oracle,)
+    assert not any("generators" in vars(factor) for factor in factors)
+
+
+def test_radius_zero_needs_codes_of_b0_alone():
+    # a search of radius 0 steps nowhere, so its codes need not reach B(1),
+    # which for z_pow(20000) would take about 90 MB; the identity's row is
+    # all -1, since every generator leaves B(0)
+    oracle = make_group({"family": "z_pow", "k": 20_000})
+    table = explore(oracle, 0, budget=10)
+    assert table._codec.span == 1
+    assert table.neighbors(0) == [] and list(table._adj) == [-1] * 40_000
+    assert sphere_size_series(oracle, 0, budget=10).sizes == [1]
+    lamp = make_group({"family": "lamplighter", "m": 3})
+    table = explore(lamp, 0)
+    assert list(table.rows_down(0, 1)) == [(0, (-1,) * 4)]
+    table.grow(4)
+    _assert_reference_ball(lamp, table, 4)
 
 
 @pytest.mark.parametrize("spec,radius", [({"family": "lamplighter", "m": 2}, 20),
@@ -466,6 +488,7 @@ class _ZPlusTwo(GroupOracle):
     """Z with the steps +1, -1 and +2 but not -2: no inversion-closed set."""
 
     order = None
+    generators = (1, -1, 2)  # read by degree(), before any code is built
 
     def codec(self, radius):
         return Codec(2 ** 64, 2 ** 32, (partial(add, 1), partial(add, -1), partial(add, 2)),

@@ -97,3 +97,12 @@ def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in Path(endslab.__file__).parent.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def test_only_the_command_line_calls_mallopt():
+    # the fixed mmap threshold is a choice per command (cli.main), never a
+    # side effect of a library call
+    callers = sorted(path.name for path in MODULES
+                     if any(isinstance(node, ast.Attribute) and node.attr == "mallopt"
+                            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert callers == ["cli.py"]
